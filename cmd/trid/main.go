@@ -6,9 +6,7 @@
 //
 //	trid [-addr :8080] [-cache-bytes 1073741824] [-queue 64] \
 //	     [-workers 0] [-drain-timeout 30s] [-debug-addr addr] \
-//	     [-csr-dir dir] [-upload-dir dir] [-spill-dir dir] \
-//	     [-role worker|coordinator] [-peers host1,host2] \
-//	     [-set-cache-bytes 268435456]
+//	     [-csr-dir dir] [-upload-dir dir] [-spill-dir dir]
 //
 // -workers sizes the job worker pool and also bounds the parallelism
 // of registry rank/orient rebuilds on cache misses.
@@ -24,24 +22,16 @@
 // removed when the job finishes; empty keeps partition blocks in
 // memory.
 //
-// -role worker (the default) serves everything a single instance
-// does, including the internal worker API other trid instances use as
-// a remote block-triple executor. -role coordinator additionally fans
-// every partitioned job (JobSpec parts > 0) across the fleet named by
-// -peers: the graph is partitioned locally once, the block set is
-// shipped to each peer, and the O(parts³) block-triple passes are
-// dispatched as RPCs with retry, cross-node straggler re-issue and
-// re-dispatch around node death — results stay byte-identical to a
-// single-machine run. -peers is a comma-separated list of worker base
-// URLs (host:port or http://host:port) and requires -role coordinator;
-// a coordinator without peers is a configuration error, not a silent
-// single-node fallback. -set-cache-bytes budgets the worker-side LRU
-// of coordinator-shipped partition sets.
-//
 // The daemon logs its listen address on startup and shuts down
 // gracefully on SIGINT/SIGTERM: new submissions get 503 while queued
 // and in-flight jobs drain, bounded by -drain-timeout (after which
 // remaining sweeps are cancelled at their next checkpoint).
+//
+// The API listener bounds how long a client may take to send request
+// headers (readHeaderTimeout) and how long an idle keep-alive
+// connection is held (idleTimeout). There is no write timeout: a
+// wait:true job legitimately holds its response for as long as the
+// sweep runs (its timeout_ms, when set, is the bound).
 //
 // -debug-addr (e.g. localhost:6060) opts into a second listener
 // serving net/http/pprof under /debug/pprof/ — kept off the API
@@ -71,11 +61,21 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"trilist/internal/server"
+)
+
+const (
+	// readHeaderTimeout bounds the time from accepting a connection (or
+	// finishing the previous request on it) to reading a full request
+	// header, so a client trickling header bytes cannot pin a
+	// connection and its goroutine indefinitely.
+	readHeaderTimeout = 5 * time.Second
+	// idleTimeout bounds how long a keep-alive connection may sit idle
+	// between requests.
+	idleTimeout = 2 * time.Minute
 )
 
 func main() {
@@ -101,24 +101,8 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	csrDir := fs.String("csr-dir", "", "directory persisting registered graphs as TRCSRF files, mmap-loaded on restart (empty = disabled)")
 	uploadDir := fs.String("upload-dir", "", "spool directory for chunked uploads (default: system temp)")
 	spillDir := fs.String("spill-dir", "", "directory where partitioned jobs (parts > 0) spill partition blocks, one subdir per job (empty = in-memory blocks)")
-	role := fs.String("role", "worker", "instance role: worker (standalone, serves the internal triple API) or coordinator (fans partitioned jobs across -peers)")
-	peers := fs.String("peers", "", "comma-separated worker base URLs for -role coordinator (host:port or http://host:port)")
-	setCacheBytes := fs.Int64("set-cache-bytes", 256<<20, "byte budget for the worker-side LRU of coordinator-shipped partition sets")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	peerList := splitPeers(*peers)
-	switch *role {
-	case "worker":
-		if len(peerList) > 0 {
-			return errors.New("-peers requires -role coordinator")
-		}
-	case "coordinator":
-		if len(peerList) == 0 {
-			return errors.New("-role coordinator requires at least one -peers worker")
-		}
-	default:
-		return fmt.Errorf("unknown role %q (want worker or coordinator)", *role)
 	}
 
 	if *csrDir != "" {
@@ -132,14 +116,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		}
 	}
 	srv := server.New(server.Options{
-		CacheBytes:        *cacheBytes,
-		QueueDepth:        *queueDepth,
-		Workers:           *workers,
-		CSRDir:            *csrDir,
-		UploadDir:         *uploadDir,
-		SpillDir:          *spillDir,
-		Peers:             peerList,
-		PartitionSetBytes: *setCacheBytes,
+		CacheBytes: *cacheBytes,
+		QueueDepth: *queueDepth,
+		Workers:    *workers,
+		CSRDir:     *csrDir,
+		UploadDir:  *uploadDir,
+		SpillDir:   *spillDir,
 	})
 	if *csrDir != "" {
 		loaded, err := srv.LoadCSRDir()
@@ -150,17 +132,17 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			fmt.Fprintf(out, "trid warm-started %d graphs from %s\n", loaded, *csrDir)
 		}
 	}
-	if len(peerList) > 0 {
-		fmt.Fprintf(out, "trid coordinating partitioned jobs across %d workers: %s\n",
-			len(peerList), strings.Join(peerList, ", "))
-	}
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(out, "trid listening on %s\n", ln.Addr())
 
-	hs := &http.Server{Handler: srv.Handler()}
+	hs := &http.Server{
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- hs.Serve(ln) }()
 
@@ -204,18 +186,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	<-serveErr // Serve has returned http.ErrServerClosed
 	fmt.Fprintln(out, "trid stopped")
 	return nil
-}
-
-// splitPeers parses the -peers list, dropping empty entries so
-// trailing commas don't manufacture phantom nodes.
-func splitPeers(s string) []string {
-	var peers []string
-	for _, p := range strings.Split(s, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	return peers
 }
 
 // debugMux routes the pprof surface explicitly rather than relying on

@@ -4,7 +4,11 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"io"
+	"net"
 	"net/http"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -194,9 +198,93 @@ func TestDebugAddrServesPprof(t *testing.T) {
 	}
 }
 
+// TestSlowHeaderClientDropped: a client that trickles a partial
+// request header is disconnected once readHeaderTimeout expires —
+// trickling does not extend the deadline — while a concurrent normal
+// request on another connection is served meanwhile.
+func TestSlowHeaderClientDropped(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0"}, out) }()
+	addr := waitLogAddr(t, out, "trid listening on ")
+
+	slow, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer slow.Close()
+	start := time.Now()
+	if _, err := io.WriteString(slow, "GET /healthz HTTP/1.1\r\nHost: trid\r\n"); err != nil {
+		t.Fatal(err)
+	}
+	// Trickle one header byte at a time, never finishing the header.
+	stopTrickle := make(chan struct{})
+	defer close(stopTrickle)
+	go func() {
+		tick := time.NewTicker(200 * time.Millisecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stopTrickle:
+				return
+			case <-tick.C:
+				if _, err := slow.Write([]byte("X")); err != nil {
+					return
+				}
+			}
+		}
+	}()
+
+	// The slow client must not block anyone else.
+	client := &http.Client{Timeout: 2 * time.Second}
+	resp, err := client.Get("http://" + addr + "/healthz")
+	if err != nil {
+		t.Fatalf("normal request while a slow client is connected: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("healthz: status %d, want 200", resp.StatusCode)
+	}
+
+	// The server closes the slow connection after the header timeout,
+	// well before our own read deadline: bare, after a 4xx line (which
+	// one depends on where the header read was cut), or with a reset
+	// when trickled bytes arrive after the close.
+	_ = slow.SetReadDeadline(time.Now().Add(readHeaderTimeout + 5*time.Second))
+	got, err := io.ReadAll(slow)
+	elapsed := time.Since(start)
+	if errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("slow client still connected after %v (header timeout %v)", elapsed, readHeaderTimeout)
+	}
+	if len(got) > 0 && !bytes.HasPrefix(got, []byte("HTTP/1.1 4")) {
+		t.Fatalf("slow client got %q, want a 4xx or a bare close", got)
+	}
+	if elapsed < readHeaderTimeout-500*time.Millisecond {
+		t.Errorf("slow client dropped after %v, before the %v header timeout", elapsed, readHeaderTimeout)
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+}
+
 func TestDaemonBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr"}, &syncBuffer{}); err == nil {
 		t.Fatal("bad flag accepted")
+	}
+	// trid has no multi-node mode, so these are unknown flags.
+	for _, f := range []string{"-peers", "-role", "-set-cache-bytes"} {
+		if err := run(context.Background(), []string{f, "x"}, &syncBuffer{}); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%s x: err = %v, want unknown flag", f, err)
+		}
 	}
 	if err := run(context.Background(), []string{"-addr", "256.0.0.1:bogus"}, &syncBuffer{}); err == nil {
 		t.Fatal("unlistenable address accepted")

@@ -35,16 +35,11 @@
 // a scatter/gather executor: -workers passes run concurrently (output
 // stays byte-identical at any worker count, with straggler re-issue
 // when workers > 1), and -retries N with -retry-backoff D re-runs a
-// pass after transient spill-store failures. -peers host1,host2 fans a
-// partitioned run (-parts > 1 required) across remote trid workers:
-// the partition set is shipped to every peer once and the block-triple
-// passes execute as RPCs with retry, cross-node straggler re-issue and
-// re-dispatch around node death — the triangle stream and every meter
-// stay byte-identical to the local run. -timeout bounds the sweep
-// (including partitioned runs,
-// cancelled between block triples); on expiry trilist exits non-zero
-// after reporting the partial triangle count. -stages prints a
-// per-stage wall-clock breakdown (rank, orient, list) after the run.
+// pass after transient spill-store failures. -timeout bounds the sweep
+// (including partitioned runs, cancelled between block triples); on
+// expiry trilist exits non-zero after reporting the partial triangle
+// count. -stages prints a per-stage wall-clock breakdown (rank, orient,
+// list) after the run.
 package main
 
 import (
@@ -55,7 +50,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"strings"
 	"time"
 
@@ -92,20 +86,10 @@ func run(args []string, out io.Writer) error {
 	spill := fs.String("spill", "", "spill directory for -parts (default: in-memory blocks)")
 	retries := fs.Int("retries", 1, "attempts per block-triple pass under -parts (>1 retries transient store failures)")
 	retryBackoff := fs.Duration("retry-backoff", 0, "base backoff between block-triple retry attempts (doubles per retry)")
-	peersFlag := fs.String("peers", "", "comma-separated trid worker base URLs; fans the partitioned run across them (requires -parts > 1)")
 	timeout := fs.Duration("timeout", 0, "abort the sweep after this duration (0 = no limit)")
 	stages := fs.Bool("stages", false, "print a per-stage wall-clock breakdown after the run")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	var peers []string
-	for _, p := range strings.Split(*peersFlag, ",") {
-		if p = strings.TrimSpace(p); p != "" {
-			peers = append(peers, p)
-		}
-	}
-	if len(peers) > 0 && *parts <= 1 {
-		return errors.New("-peers requires -parts > 1: only the partitioned lister fans across workers")
 	}
 	methodAuto := *methodName == "" || strings.EqualFold(*methodName, "auto")
 	var method listing.Method
@@ -197,7 +181,6 @@ func run(args []string, out io.Writer) error {
 			Recorder: rec,
 			Parts:    *parts,
 			SpillDir: *spill,
-			Peers:    peers,
 			Retry:    extmem.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff},
 			// Straggler re-issue only makes sense with idle workers to spare.
 			Speculate: *workers > 1,
@@ -263,18 +246,6 @@ func runPartitioned(ctx context.Context, g *graph.Graph, cfg core.Config,
 	}
 	er := res.Partitioned
 	fmt.Fprintf(w, "# external-memory: parts=%d order=%v workers=%d\n", cfg.Parts, cfg.Order, cfg.Workers)
-	if cr := res.Coord; cr != nil {
-		fmt.Fprintf(w, "# coordinated: nodes=%d alive=%d bytes-shipped=%d redispatches=%d\n",
-			cr.Nodes, cr.Alive, cr.BytesShipped, cr.Redispatches)
-		nodes := make([]string, 0, len(cr.TasksByNode))
-		for node := range cr.TasksByNode {
-			nodes = append(nodes, node)
-		}
-		sort.Strings(nodes)
-		for _, node := range nodes {
-			fmt.Fprintf(w, "#   %s tasks=%d\n", node, cr.TasksByNode[node])
-		}
-	}
 	fmt.Fprintf(w, "# triangles=%d\n", res.Triangles)
 	fmt.Fprintf(w, "# passes=%d arcs-read=%d arcs-written=%d block-reads=%d\n",
 		er.Passes, er.IO.ArcsRead, er.IO.ArcsWritten, er.IO.BlockReads)

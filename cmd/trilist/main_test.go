@@ -110,6 +110,9 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", path, "-order", "zigzag"}, &out); err == nil {
 		t.Error("unknown order accepted")
 	}
+	if err := run([]string{"-in", path, "-parts", "4", "-peers", "127.0.0.1:1"}, &out); err == nil {
+		t.Error("unknown -peers flag accepted")
+	}
 	if err := run([]string{"-in", "/nonexistent/file"}, &out); err == nil {
 		t.Error("missing file accepted")
 	}

@@ -15,10 +15,8 @@ package core
 import (
 	"context"
 	"fmt"
-	"net/http"
 	"time"
 
-	"trilist/internal/coord"
 	"trilist/internal/degseq"
 	"trilist/internal/digraph"
 	"trilist/internal/exec"
@@ -87,22 +85,6 @@ type Config struct {
 	// stream (retries, stragglers, failures). Called from worker
 	// goroutines — must be concurrency-safe.
 	ExecEvents func(exec.Event)
-	// Peers, with Parts > 0, fans the block-triple passes across remote
-	// trid worker nodes via the internal/coord coordinator instead of
-	// executing them locally. Results stay byte-identical to the local
-	// partitioned run at any node count. SpillDir is ignored on this
-	// path: the coordinator keeps blocks in memory, since it must hold
-	// the encoded partition set for shipping anyway. Retry, Speculate,
-	// Workers and ExecEvents apply to the RPC schedule.
-	Peers []string
-	// CoordClient overrides the coordinator's HTTP client (tests inject
-	// fault-injecting transports); nil uses http.DefaultClient.
-	CoordClient *http.Client
-	// CoordEvents, when non-nil with Peers set, taps the coordinator's
-	// telemetry (per-node task completions, re-dispatches, node deaths,
-	// partition-set ships). Called from worker goroutines — must be
-	// concurrency-safe.
-	CoordEvents func(coord.Event)
 }
 
 // Recommended returns the paper-optimal order for the method
@@ -124,10 +106,6 @@ type Result struct {
 	// Partitioned carries the external-memory meters (passes, block I/O)
 	// when the run went through Config.Parts; nil for in-memory sweeps.
 	Partitioned *extmem.Result
-	// Coord carries the multi-node scheduling report (nodes, bytes
-	// shipped, re-dispatches) when the run went through Config.Peers;
-	// nil otherwise. Telemetry only — nothing in it feeds Stats.
-	Coord *coord.Report
 	// Tier reports the bit-parallel core/fringe split when the run used
 	// KernelBits or KernelHybrid on an in-memory SEI sweep; zero
 	// otherwise. Telemetry only — Stats stays kernel-invariant.
@@ -220,9 +198,6 @@ func ListOriented(ctx context.Context, o *digraph.Oriented, cfg Config, visit li
 // The block store's lifecycle is owned here — spill files are removed
 // before returning on every path, success, cancellation and error alike.
 func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (res Result, err error) {
-	if len(cfg.Peers) > 0 {
-		return listCoordinated(ctx, o, cfg, visit)
-	}
 	var store extmem.BlockStore
 	if cfg.SpillDir != "" {
 		fs, ferr := extmem.NewFileStore(cfg.SpillDir)
@@ -269,40 +244,6 @@ func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit
 		Partitioned: &er,
 	}
 	return res, runErr
-}
-
-// listCoordinated is the Config.Peers path of listPartitioned: the
-// same block-triple schedule, dispatched across remote trid workers by
-// internal/coord. The Result is byte-identical to the local path —
-// coord.Run commits remote TripleResults in the identical
-// protocol-fixed order — so callers (and tests) can compare the two
-// directly.
-func listCoordinated(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (Result, error) {
-	t1 := time.Now()
-	sp := cfg.Recorder.Start(obsv.StageList)
-	er, rep, runErr := coord.Run(ctx, o, cfg.Parts, visit, coord.Options{
-		Peers:       cfg.Peers,
-		Client:      cfg.CoordClient,
-		Workers:     cfg.Workers,
-		MaxAttempts: cfg.Retry.Attempts,
-		Backoff:     cfg.Retry.Backoff,
-		Speculate:   cfg.Speculate,
-		OnEvent:     cfg.CoordEvents,
-		ExecEvents:  cfg.ExecEvents,
-	})
-	sp.End()
-	return Result{
-		Stats: listing.Stats{
-			Method:      listing.E2,
-			Triangles:   er.Triangles,
-			Comparisons: er.Comparisons,
-		},
-		Order:       cfg.Order,
-		MaxOutDeg:   o.MaxOutDeg(),
-		ListTime:    time.Since(t1),
-		Partitioned: &er,
-		Coord:       &rep,
-	}, runErr
 }
 
 // Count returns the number of triangles in g using the configured method.

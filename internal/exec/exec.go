@@ -5,14 +5,11 @@
 // parallel run byte-identical to a serial one at any worker count.
 //
 // It exists for the external-memory triangle lister (internal/extmem),
-// whose O(P³) block-triple passes are independent, idempotent reads —
-// but it is deliberately generic: a later multi-node coordinator can
-// fan the same index schedule across trid instances and reuse this
-// engine for the local half of each fan-out.
+// whose O(P³) block-triple passes are independent, idempotent reads.
 //
 // Robustness machinery, all opt-in via Options:
 //
-//   - Bounded retry with exponential backoff for transient task errors
+//   - Bounded retry with exponential backoff for failed attempts
 //     (tasks must be idempotent — a retry re-runs the whole task).
 //   - A per-attempt timeout, delivered through the task's context;
 //     tasks are expected to poll it (cancellation is cooperative).
@@ -46,7 +43,7 @@ const (
 	// (after backoff) within the same execution.
 	StatusRetry Status = "retry"
 	// StatusFailed: an execution failed permanently — its attempts are
-	// exhausted or its error is not retryable.
+	// exhausted.
 	StatusFailed Status = "failed"
 	// StatusDuplicate: an execution completed after another copy of the
 	// same task had already won; its result is discarded.
@@ -91,20 +88,6 @@ type Options struct {
 	// Speculate enables straggler re-issue (at most one extra copy per
 	// task). Meaningful only with Workers > 1.
 	Speculate bool
-	// IsRetryable classifies task errors; nil retries everything except
-	// run cancellation. Context errors from the run's own cancellation
-	// never reach it.
-	IsRetryable func(error) bool
-	// IssueOrder, when non-nil, must be a permutation of [0, n): fresh
-	// tasks are handed to workers in this order instead of index order.
-	// Commit order — and therefore every result, meter and visitor call
-	// — is unchanged (strict index order); only the schedule moves. The
-	// multi-node coordinator issues predicted-expensive block triples
-	// first so one giant straggler cannot dominate the makespan. The
-	// serial path ignores it: with one worker, issue and commit are the
-	// same loop, and reordering would require unbounded result
-	// buffering for no observable benefit.
-	IssueOrder []int
 	// OnEvent, when non-nil, receives every executor event. Called from
 	// worker goroutines — must be concurrency-safe.
 	OnEvent func(Event)
@@ -116,9 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.MaxAttempts < 1 {
 		o.MaxAttempts = 1
-	}
-	if o.IsRetryable == nil {
-		o.IsRetryable = func(error) bool { return true }
 	}
 	return o
 }
@@ -134,14 +114,10 @@ type engine[T any] struct {
 	opts Options
 	n    int
 	task func(ctx context.Context, index int) (T, error)
-	// order is a private copy of opts.IssueOrder (nil = index order);
-	// pick may reorder its unissued tail, never the caller's slice.
-	order []int
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// next is the count of fresh issues so far: an index under the
-	// default schedule, a cursor into opts.IssueOrder under a custom one.
+	// next is the lowest index not yet issued.
 	next    int
 	results []T
 	done    []bool
@@ -175,27 +151,10 @@ func Run[T any](ctx context.Context, n int, task func(ctx context.Context, index
 	if n <= 0 {
 		return nil
 	}
-	if opts.IssueOrder != nil {
-		if len(opts.IssueOrder) != n {
-			return fmt.Errorf("exec: IssueOrder has %d entries for %d tasks", len(opts.IssueOrder), n)
-		}
-		seen := make([]bool, n)
-		for _, i := range opts.IssueOrder {
-			if i < 0 || i >= n || seen[i] {
-				return fmt.Errorf("exec: IssueOrder is not a permutation of [0,%d)", n)
-			}
-			seen[i] = true
-		}
-	}
-	var order []int
-	if opts.IssueOrder != nil {
-		order = append([]int(nil), opts.IssueOrder...)
-	}
 	e := &engine[T]{
 		opts:     opts,
 		n:        n,
 		task:     task,
-		order:    order,
 		results:  make([]T, n),
 		done:     make([]bool, n),
 		errs:     make([]error, n),
@@ -294,34 +253,11 @@ func (e *engine[T]) pick() (idx int, speculative bool) {
 	}
 	if e.next < e.n && e.failedAt == e.n {
 		i := e.next
-		if e.order != nil {
-			i = e.order[e.next]
-		}
 		e.next++
 		e.inflight[i]++
 		e.copies[i]++
 		e.started[i] = time.Now()
 		return i, false
-	}
-	if e.next < e.n && e.order != nil {
-		// A permanent failure is pending, which normally stops fresh
-		// issuing (nothing past failedAt can commit) — but a custom
-		// order may still hold unissued tasks before the failure that
-		// the committable prefix needs. Swap the first such task to the
-		// cursor and issue it; tasks past failedAt stay unissued in the
-		// tail, so they are still issued normally if a surviving copy of
-		// the failed task later wins and the frontier reopens.
-		for k := e.next; k < e.n; k++ {
-			if e.order[k] < e.failedAt {
-				e.order[e.next], e.order[k] = e.order[k], e.order[e.next]
-				i := e.order[e.next]
-				e.next++
-				e.inflight[i]++
-				e.copies[i]++
-				e.started[i] = time.Now()
-				return i, false
-			}
-		}
 	}
 	if !e.opts.Speculate {
 		return -1, false
@@ -329,9 +265,7 @@ func (e *engine[T]) pick() (idx int, speculative bool) {
 	// Straggler re-issue: the pool is otherwise idle (no fresh work, or
 	// fresh work is pointless past a failure). Tasks beyond failedAt can
 	// never commit, so only copies that help the committable prefix are
-	// launched. Unissued tasks have inflight == 0 and are skipped below,
-	// so scanning the whole committable prefix is correct under any
-	// issue order.
+	// launched.
 	best := -1
 	limit := e.failedAt
 	for i := 0; i < limit; i++ {
@@ -363,7 +297,6 @@ func (e *engine[T]) execute(ictx context.Context, idx int, speculative bool) {
 		t0 := time.Now()
 		v, err := e.task(actx, idx)
 		d := time.Since(t0)
-		timedOut := err != nil && actx.Err() != nil && ictx.Err() == nil
 		acancel()
 		if err == nil {
 			e.record(idx, v, attempt, speculative, d)
@@ -375,8 +308,7 @@ func (e *engine[T]) execute(ictx context.Context, idx int, speculative bool) {
 			e.release(idx)
 			return
 		}
-		retryable := timedOut || e.opts.IsRetryable(err)
-		if attempt >= e.opts.MaxAttempts || !retryable {
+		if attempt >= e.opts.MaxAttempts {
 			e.emit(Event{Index: idx, Attempt: attempt, Speculative: speculative, Status: StatusFailed, Duration: d, Err: err})
 			e.fail(idx, err)
 			return

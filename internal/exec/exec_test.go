@@ -175,8 +175,9 @@ func TestRunPermanentFailure(t *testing.T) {
 	}
 }
 
-// TestRunNonRetryable: IsRetryable=false errors fail on the first
-// attempt — no retry events, exactly one failed event.
+// TestRunNonRetryable: with no retry budget (MaxAttempts=1) a failing
+// task fails on its first attempt — no retry events, exactly one failed
+// event.
 func TestRunNonRetryable(t *testing.T) {
 	errFatal := errors.New("fatal")
 	var log eventLog
@@ -192,8 +193,7 @@ func TestRunNonRetryable(t *testing.T) {
 		func(int, int) {},
 		Options{
 			Workers:     4,
-			MaxAttempts: 5,
-			IsRetryable: func(err error) bool { return !errors.Is(err, errFatal) },
+			MaxAttempts: 1,
 			OnEvent:     log.hook(),
 		})
 	if !errors.Is(err, errFatal) {
@@ -242,15 +242,18 @@ func TestRunTaskTimeout(t *testing.T) {
 
 // TestRunSpeculation: with the pool otherwise idle, a straggler gets a
 // second copy; first completion wins and the task still commits exactly
-// once, the loser surfacing as a duplicate or abandoned event.
+// once, the loser surfacing as a duplicate or abandoned event. Idle
+// workers may also legally speculate on tasks 1-3 while they are in
+// flight, so only task 0's re-issue releases the straggler.
 func TestRunSpeculation(t *testing.T) {
 	specIssued := make(chan struct{})
+	var releaseOnce sync.Once
 	commits := make(map[int]int)
 	var log eventLog
 	var calls atomic.Int32
 	onEvent := func(ev Event) {
-		if ev.Status == StatusReissued {
-			close(specIssued)
+		if ev.Status == StatusReissued && ev.Index == 0 {
+			releaseOnce.Do(func() { close(specIssued) })
 		}
 		log.hook()(ev)
 	}
@@ -285,9 +288,12 @@ func TestRunSpeculation(t *testing.T) {
 	if got := log.countIndex(0, StatusReissued); got != 1 {
 		t.Errorf("reissued events for task 0 = %d, want 1 (copies capped at %d)", got, maxCopies)
 	}
-	// Both copies of task 0 ran to completion: one won, one is a duplicate.
-	if ok, dup := log.countIndex(0, StatusOK), log.countIndex(0, StatusDuplicate); ok != 1 || dup != 1 {
-		t.Errorf("task 0 ok=%d dup=%d, want 1 and 1", ok, dup)
+	// One copy of task 0 won; the other finished late (duplicate) or was
+	// cut short when the run completed (abandoned).
+	ok := log.countIndex(0, StatusOK)
+	lost := log.countIndex(0, StatusDuplicate) + log.countIndex(0, StatusAbandoned)
+	if ok != 1 || lost != 1 {
+		t.Errorf("task 0 ok=%d duplicate+abandoned=%d, want 1 and 1", ok, lost)
 	}
 }
 
@@ -301,8 +307,8 @@ func TestRunSpeculationRescuesFailure(t *testing.T) {
 	var calls atomic.Int32
 	onEvent := func(ev Event) {
 		switch {
-		case ev.Status == StatusReissued:
-			close(specIssued)
+		case ev.Index == 0 && ev.Status == StatusReissued:
+			close(specIssued) // task 0 has at most one speculative copy
 		case ev.Index == 0 && ev.Status == StatusFailed:
 			close(origFailed)
 		}
@@ -332,12 +338,7 @@ func TestRunSpeculationRescuesFailure(t *testing.T) {
 			return 7, nil
 		},
 		func(i, v int) { committed[i]++ },
-		Options{
-			Workers:     3,
-			Speculate:   true,
-			IsRetryable: func(err error) bool { return !errors.Is(err, errHalf) },
-			OnEvent:     onEvent,
-		})
+		Options{Workers: 3, Speculate: true, MaxAttempts: 1, OnEvent: onEvent})
 	if err != nil {
 		t.Fatalf("Run: %v — the speculative success should supersede the failure", err)
 	}
@@ -468,131 +469,6 @@ func TestRunBackoffCancelPrompt(t *testing.T) {
 	}
 	if d := time.Since(t0); d > 10*time.Millisecond {
 		t.Errorf("cancellation took %v to interrupt backoff, want <= 10ms", d)
-	}
-}
-
-// TestRunIssueOrder: a custom issue order hands fresh tasks to workers
-// in exactly that order, while commits remain in strict index order
-// with the same values. The task bodies run in lockstep (each waits for
-// its scheduled predecessor to have started), so an engine that issued
-// out of order would stall and fail via the test context's deadline.
-func TestRunIssueOrder(t *testing.T) {
-	const n = 16
-	order := make([]int, n) // reverse: task n-1 first
-	for i := range order {
-		order[i] = n - 1 - i
-	}
-	pos := func(i int) int { return n - 1 - i }
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var mu sync.Mutex
-	var started []int
-	var committed []int
-	err := Run(ctx, n,
-		func(tctx context.Context, i int) (int, error) {
-			for {
-				mu.Lock()
-				if len(started) == pos(i) {
-					started = append(started, i)
-					mu.Unlock()
-					return i * i, nil
-				}
-				mu.Unlock()
-				select {
-				case <-tctx.Done():
-					return 0, tctx.Err()
-				case <-time.After(100 * time.Microsecond):
-				}
-			}
-		},
-		func(i, v int) {
-			if v != i*i {
-				t.Errorf("commit(%d) got %d, want %d", i, v, i*i)
-			}
-			committed = append(committed, i)
-		},
-		Options{Workers: 3, IssueOrder: order})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if fmt.Sprint(started) != fmt.Sprint(order) {
-		t.Errorf("issue order %v, want %v", started, order)
-	}
-	for i, idx := range committed {
-		if idx != i {
-			t.Fatalf("commit order broken at position %d: got index %d", i, idx)
-		}
-	}
-	if len(committed) != n {
-		t.Fatalf("committed %d tasks, want %d", len(committed), n)
-	}
-}
-
-// TestRunIssueOrderValidation: a non-permutation is rejected before any
-// task runs; the serial path accepts (and ignores) a valid order.
-func TestRunIssueOrderValidation(t *testing.T) {
-	ran := false
-	task := func(ctx context.Context, i int) (int, error) { ran = true; return i, nil }
-	for name, order := range map[string][]int{
-		"short":      {0, 1},
-		"duplicate":  {0, 1, 1, 3},
-		"outOfRange": {0, 1, 2, 4},
-		"negative":   {0, 1, 2, -1},
-	} {
-		err := Run(context.Background(), 4, task, func(int, int) {}, Options{Workers: 2, IssueOrder: order})
-		if err == nil {
-			t.Errorf("%s: IssueOrder %v accepted, want error", name, order)
-		}
-	}
-	if ran {
-		t.Error("task ran despite invalid IssueOrder")
-	}
-	committed := 0
-	err := Run(context.Background(), 4, task, func(int, int) { committed++ },
-		Options{Workers: 1, IssueOrder: []int{3, 2, 1, 0}})
-	if err != nil || committed != 4 {
-		t.Fatalf("serial with IssueOrder: err=%v committed=%d", err, committed)
-	}
-}
-
-// TestRunIssueOrderFailureStillCommitsPrefix: under a custom order a
-// permanent failure can land while lower indices are still unissued;
-// the engine must keep issuing exactly those (the committable prefix)
-// rather than stalling, then surface the failure with the full prefix
-// committed — the liveness property the multi-node coordinator's
-// cost-weighted schedule depends on.
-func TestRunIssueOrderFailureStillCommitsPrefix(t *testing.T) {
-	errBroken := errors.New("broken")
-	const n = 12
-	bad := n - 3
-	order := make([]int, n) // reverse: bad is issued third, 0..bad-1 last
-	for i := range order {
-		order[i] = n - 1 - i
-	}
-	var committed []int
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	err := Run(ctx, n,
-		func(tctx context.Context, i int) (int, error) {
-			if i == bad {
-				return 0, errBroken
-			}
-			return i, nil
-		},
-		func(i, v int) { committed = append(committed, i) },
-		Options{Workers: 3, MaxAttempts: 1, IssueOrder: order})
-	if !errors.Is(err, errBroken) {
-		t.Fatalf("err = %v, want wrapped %v", err, errBroken)
-	}
-	if len(committed) != bad {
-		t.Fatalf("committed %d tasks, want the full prefix %d", len(committed), bad)
-	}
-	for i, idx := range committed {
-		if idx != i {
-			t.Fatalf("commit order broken at position %d: got index %d", i, idx)
-		}
 	}
 }
 

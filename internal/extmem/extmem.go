@@ -151,22 +151,18 @@ func WithRecorder(rec *obsv.Recorder) Option { return func(o *runOptions) { o.re
 func WithExecEvents(f func(exec.Event)) Option { return func(o *runOptions) { o.onEvent = f } }
 
 // TripleResult is one pass's buffered output: everything needed to
-// commit it deterministically later. It is the unit shipped back from
-// remote workers in multi-node runs (internal/coord), hence the JSON
-// tags: the wire representation round-trips every field exactly, so a
-// coordinator merging remote TripleResults in schedule order produces
-// the same Result bytes as a local Run.
+// commit it deterministically later, in schedule order.
 type TripleResult struct {
-	Triangles   [][3]int32 `json:"triangles,omitempty"`
-	Comparisons int64      `json:"comparisons"`
-	IO          IOStats    `json:"io"`
+	Triangles   [][3]int32
+	Comparisons int64
+	IO          IOStats
 }
 
 // ClampParts returns the effective partition count for a graph of n
 // nodes: parts, clamped to n when the graph is smaller than the
 // requested split (a range narrower than one label is useless). Run
-// applies this internally; coordinators apply it before enumerating
-// Triples so their schedule matches Run's exactly.
+// applies this internally; a caller driving Triples and RunTriple
+// itself applies it first so its schedule matches Run's exactly.
 func ClampParts(parts, n int) int {
 	if parts > n && n > 0 {
 		return n
@@ -220,7 +216,7 @@ func Partition(o *digraph.Oriented, parts int, store BlockStore) (int64, error) 
 
 // Triples enumerates the non-decreasing partition triples (a, b, c) in
 // lexicographic order — the protocol-fixed schedule and commit order
-// shared by Run and every coordinator.
+// of Run.
 func Triples(parts int) [][3]int {
 	triples := make([][3]int, 0, parts*(parts+1)*(parts+2)/6)
 	for a := 0; a < parts; a++ {
@@ -331,12 +327,11 @@ func groupByY(arcs []Arc) adjacency {
 // z→y in (c, b), z→x in (c, a). For every arc z→y, the candidates x are
 // the intersection of y's down-neighbors in (b,a) with z's
 // down-neighbors in (c,a) — the E2 sweep of the paper restricted to the
-// triple. Triangles are buffered, not emitted: the executor (or a
-// remote coordinator) commits them in schedule order. ctx is checked
-// between block reads, so a cancellation or per-triple timeout
-// interrupts a pass within one block read. Exported so trid worker
-// nodes can execute a single pass against a locally cached partition
-// set on behalf of a coordinator.
+// triple. Triangles are buffered, not emitted: the executor commits
+// them in schedule order. ctx is checked between block reads, so a
+// cancellation or per-triple timeout interrupts a pass within one block
+// read. Exported, with Partition and Triples, so a caller can time the
+// partition and per-triple layers of Run separately.
 func RunTriple(ctx context.Context, store BlockStore, a, b, c int) (TripleResult, error) {
 	var tr TripleResult
 	read := func(i, j int) ([]Arc, error) {

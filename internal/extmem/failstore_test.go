@@ -17,9 +17,11 @@ import (
 
 // failStore wraps a BlockStore and injects an error once a countdown of
 // Append or Read calls runs out — fault injection for Run's partition
-// and triple passes, in the spirit of internal/graph's failWriter.
+// and triple passes, in the spirit of internal/graph's failWriter. The
+// countdowns are locked because parallel runs Read from many workers.
 type failStore struct {
 	inner       BlockStore
+	mu          sync.Mutex
 	appendsLeft int // inject on the call after this many succeed (-1 = never)
 	readsLeft   int
 }
@@ -27,23 +29,30 @@ type failStore struct {
 var errInjected = errors.New("synthetic: store fault")
 
 func (s *failStore) Append(i, j int, arcs []Arc) error {
-	if s.appendsLeft == 0 {
+	if !countdown(&s.mu, &s.appendsLeft) {
 		return errInjected
-	}
-	if s.appendsLeft > 0 {
-		s.appendsLeft--
 	}
 	return s.inner.Append(i, j, arcs)
 }
 
 func (s *failStore) Read(i, j int) ([]Arc, error) {
-	if s.readsLeft == 0 {
+	if !countdown(&s.mu, &s.readsLeft) {
 		return nil, errInjected
 	}
-	if s.readsLeft > 0 {
-		s.readsLeft--
-	}
 	return s.inner.Read(i, j)
+}
+
+// countdown reports whether one more call may succeed, consuming it.
+func countdown(mu *sync.Mutex, left *int) bool {
+	mu.Lock()
+	defer mu.Unlock()
+	if *left == 0 {
+		return false
+	}
+	if *left > 0 {
+		*left--
+	}
+	return true
 }
 
 func (s *failStore) Stats() IOStats { return s.inner.Stats() }
@@ -191,8 +200,8 @@ func TestFileStoreCloseRemovesBlocks(t *testing.T) {
 // parallel triple schedule: per-Read latency, a transient failure on
 // the first Read of every block, one permanently failing block, and an
 // optional gate that parks the first Read of a chosen block until the
-// test releases it. Concurrency-safe, unlike failStore — it sits under
-// multi-worker runs.
+// test releases it. Concurrency-safe — it sits under multi-worker
+// runs.
 type chaosStore struct {
 	inner BlockStore
 

@@ -245,9 +245,9 @@ func TestFileStoreStaleSweep(t *testing.T) {
 // error paths (satellite fix: no leftover block files in the dir).
 func TestRunErrorPathLeavesNoSpillFiles(t *testing.T) {
 	o := orientedTestGraph(t, 7, 200, 2500)
-	for name, fault := range map[string]failStore{
-		"append-fault": {appendsLeft: 1, readsLeft: -1},
-		"read-fault":   {appendsLeft: -1, readsLeft: 2},
+	for name, fault := range map[string]struct{ appends, reads int }{
+		"append-fault": {appends: 1, reads: -1},
+		"read-fault":   {appends: -1, reads: 2},
 	} {
 		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -255,9 +255,8 @@ func TestRunErrorPathLeavesNoSpillFiles(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fs := fault
-			fs.inner = inner
-			if _, err := Run(context.Background(), o, 3, &fs, nil, WithWorkers(4)); !errors.Is(err, errInjected) {
+			fs := &failStore{inner: inner, appendsLeft: fault.appends, readsLeft: fault.reads}
+			if _, err := Run(context.Background(), o, 3, fs, nil, WithWorkers(4)); !errors.Is(err, errInjected) {
 				t.Fatalf("got %v, want injected fault", err)
 			}
 			if err := fs.Close(); err != nil {

@@ -62,22 +62,6 @@ func (s *MemStore) Stats() IOStats {
 	return s.stats
 }
 
-// Blocks returns a snapshot of the store's block map, keyed by
-// partition pair (i, j). The arc slices alias the store's internal
-// buffers: callers must treat them as read-only and must not Append
-// concurrently — the intended use is encoding a fully written
-// partition set for shipping to remote workers (EncodeBlocks), after
-// Partition has returned.
-func (s *MemStore) Blocks() map[[2]int][]Arc {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[[2]int][]Arc, len(s.blocks))
-	for k, v := range s.blocks {
-		out[k] = v
-	}
-	return out
-}
-
 // Close invalidates the store.
 func (s *MemStore) Close() error {
 	s.mu.Lock()

@@ -11,7 +11,6 @@ import (
 	"sync"
 	"time"
 
-	"trilist/internal/coord"
 	"trilist/internal/core"
 	"trilist/internal/exec"
 	"trilist/internal/extmem"
@@ -131,7 +130,6 @@ type Job struct {
 	errMsg    string
 	stats     listing.Stats
 	partRes   *extmem.Result
-	coordRep  *coord.Report
 	maxOutDeg int64
 	truncated bool
 	limitHit  bool
@@ -186,11 +184,6 @@ type JobView struct {
 	Parts  int             `json:"parts,omitempty"`
 	Passes int64           `json:"passes,omitempty"`
 	IO     *extmem.IOStats `json:"io,omitempty"`
-	// Coord appears on partitioned jobs a coordinator fanned across
-	// remote workers: the scheduling report (nodes, bytes shipped,
-	// re-dispatches, per-node task counts). Telemetry only — the
-	// deterministic results above are node-count-invariant.
-	Coord *coord.Report `json:"coord,omitempty"`
 	// TriangleList carries up to Limit triangles (list mode only) as
 	// [x, y, z] triples in relabeled IDs.
 	TriangleList [][3]int32 `json:"triangle_list,omitempty"`
@@ -245,10 +238,6 @@ func (j *Job) View() JobView {
 		v.Passes = j.partRes.Passes
 		io := j.partRes.IO
 		v.IO = &io
-	}
-	if j.coordRep != nil {
-		rep := *j.coordRep
-		v.Coord = &rep
 	}
 	if j.list {
 		v.Limit = j.limit
@@ -453,15 +442,7 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 	if spec.Workers < 0 {
 		return nil, fmt.Errorf("negative workers %d", spec.Workers)
 	}
-	maxWorkers := runtime.GOMAXPROCS(0)
-	if spec.Parts > 0 && len(mgr.opts.Peers) > 0 {
-		// Coordinated jobs spend their workers waiting on RPCs, not
-		// CPU; a one-core coordinator can still keep a fleet busy.
-		if mw := 2 * len(mgr.opts.Peers); mw > maxWorkers {
-			maxWorkers = mw
-		}
-	}
-	if spec.Workers > maxWorkers {
+	if maxWorkers := runtime.GOMAXPROCS(0); spec.Workers > maxWorkers {
 		spec.Workers = maxWorkers
 	}
 	limit := spec.Limit
@@ -622,31 +603,26 @@ func (mgr *Manager) runJob(j *Job) {
 	var runErr error
 	if j.parts > 0 {
 		// Partitioned sweep: block-triple schedule on the scatter/gather
-		// executor — local when Peers is empty, fanned across the
-		// configured worker fleet otherwise (the coordinator path keeps
-		// blocks in memory, so SpillDir only applies locally). Spills go
-		// to a per-job subdir when configured (core removes the block
-		// files on every path; the subdir itself is dropped here).
+		// executor. Spills go to a per-job subdir when configured (core
+		// removes the block files on every path; the subdir itself is
+		// dropped here).
 		spill := ""
-		if mgr.opts.SpillDir != "" && len(mgr.opts.Peers) == 0 {
+		if mgr.opts.SpillDir != "" {
 			spill = filepath.Join(mgr.opts.SpillDir, j.id)
 		}
 		var res core.Result
 		res, runErr = core.ListOriented(j.ctx, o, core.Config{
-			Order:       j.kind,
-			Workers:     j.spec.Workers,
-			Recorder:    rec,
-			Parts:       j.parts,
-			SpillDir:    spill,
-			Speculate:   j.spec.Workers > 1,
-			ExecEvents:  mgr.execEventHook(),
-			Peers:       mgr.opts.Peers,
-			CoordEvents: mgr.coordEventHook(),
+			Order:      j.kind,
+			Workers:    j.spec.Workers,
+			Recorder:   rec,
+			Parts:      j.parts,
+			SpillDir:   spill,
+			Speculate:  j.spec.Workers > 1,
+			ExecEvents: mgr.execEventHook(),
 		}, visit)
 		st = res.Stats
 		j.mu.Lock()
 		j.partRes = res.Partitioned
-		j.coordRep = res.Coord
 		j.mu.Unlock()
 		if spill != "" {
 			_ = os.Remove(spill)
@@ -757,29 +733,6 @@ func (mgr *Manager) execEventHook() func(exec.Event) {
 			m.execTripleDuration.Observe(ev.Duration.Seconds())
 		default:
 			m.execTriples.With(string(ev.Status)).Inc()
-		}
-	}
-}
-
-// coordEventHook adapts the coordinator's telemetry stream to the
-// trid_coord_* meters. Called from RPC worker goroutines; the metrics
-// registry is concurrency-safe.
-func (mgr *Manager) coordEventHook() func(coord.Event) {
-	m := mgr.m
-	if m == nil || len(mgr.opts.Peers) == 0 {
-		return nil
-	}
-	return func(ev coord.Event) {
-		switch ev.Kind {
-		case coord.KindTask:
-			m.coordTasksByNode.With(ev.Node).Inc()
-			m.coordTasksByStatus.With(ev.Status).Inc()
-		case coord.KindRedispatch:
-			m.coordRedispatches.Inc()
-		case coord.KindNodeDown:
-			m.coordNodesDown.With(ev.Node).Inc()
-		case coord.KindShip:
-			m.coordBytesShipped.Add(ev.Bytes)
 		}
 	}
 }

@@ -52,23 +52,6 @@ type serverMetrics struct {
 	execStragglers     *metrics.Counter
 	execTripleDuration *metrics.Histogram
 
-	// Coordinator-side meters (this instance fanning a partitioned job
-	// across remote workers). The metrics registry's vectors carry one
-	// label each, so tasks are counted twice: once by node, once by
-	// status — the cross product is recoverable from either axis's sum.
-	coordTasksByNode   *metrics.CounterVec // remote triple executions per worker node
-	coordTasksByStatus *metrics.CounterVec // remote triple executions by outcome (ok, error)
-	coordRedispatches  *metrics.Counter
-	coordNodesDown     *metrics.CounterVec // node-death events per worker node
-	coordBytesShipped  *metrics.Counter
-
-	// Worker-side meters (this instance serving the internal triple API
-	// for some coordinator).
-	workerSets         *metrics.Gauge
-	workerSetBytes     *metrics.Gauge
-	workerSetEvictions *metrics.Counter
-	workerTriples      *metrics.Counter
-
 	uploadsOpen      *metrics.Gauge
 	uploadsCommitted *metrics.Counter
 	uploadBytes      *metrics.Counter
@@ -129,26 +112,6 @@ func newServerMetrics() *serverMetrics {
 			"Speculative straggler re-issues of in-flight block-triple passes."),
 		execTripleDuration: r.NewHistogram("trid_exec_triple_duration_seconds",
 			"Wall-clock duration of winning block-triple pass executions.", metrics.DefBuckets),
-
-		coordTasksByNode: r.NewCounterVec("trid_coord_tasks_total",
-			"Remote block-triple executions dispatched by this coordinator, per worker node.", "node"),
-		coordTasksByStatus: r.NewCounterVec("trid_coord_task_status_total",
-			"Remote block-triple executions dispatched by this coordinator, by outcome (ok, error).", "status"),
-		coordRedispatches: r.NewCounter("trid_coord_redispatches_total",
-			"Triple executions re-dispatched to a node after another node had been tried (retries and cross-node speculation)."),
-		coordNodesDown: r.NewCounterVec("trid_coord_nodes_down_total",
-			"Worker nodes marked dead after consecutive failures, per node.", "node"),
-		coordBytesShipped: r.NewCounter("trid_coord_bytes_shipped_total",
-			"Partition-set payload bytes shipped to worker nodes (re-ships included)."),
-
-		workerSets: r.NewGauge("trid_worker_partition_sets",
-			"Partition sets resident in this worker's cache."),
-		workerSetBytes: r.NewGauge("trid_worker_partition_set_bytes",
-			"Bytes of resident partition sets."),
-		workerSetEvictions: r.NewCounter("trid_worker_partition_set_evictions_total",
-			"Partition sets evicted to stay under the byte budget."),
-		workerTriples: r.NewCounter("trid_worker_triples_total",
-			"Block-triple passes executed for remote coordinators."),
 
 		uploadsOpen:      r.NewGauge("trid_uploads_open", "Chunked uploads currently spooling."),
 		uploadsCommitted: r.NewCounter("trid_uploads_committed_total", "Chunked uploads committed into the registry."),

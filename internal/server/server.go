@@ -71,15 +71,6 @@ type Options struct {
 	DefaultListLimit int
 	// MaxListLimit caps any requested limit. Default 100000.
 	MaxListLimit int
-	// Peers, when set, makes this instance a coordinator: partitioned
-	// jobs (JobSpec.Parts > 0) fan their block-triple passes across
-	// these trid worker base URLs instead of executing them locally.
-	// Results are byte-identical either way.
-	Peers []string
-	// PartitionSetBytes budgets the worker-side partition-set cache
-	// (the sets coordinators register via the internal API). Default
-	// 256 MiB; least-recently-used sets are evicted past it.
-	PartitionSetBytes int64
 }
 
 func (o Options) withDefaults() Options {
@@ -107,9 +98,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxListLimit <= 0 {
 		o.MaxListLimit = 100000
 	}
-	if o.PartitionSetBytes <= 0 {
-		o.PartitionSetBytes = 256 << 20
-	}
 	return o
 }
 
@@ -121,7 +109,6 @@ type Server struct {
 	jobs    *Manager
 	mux     *http.ServeMux
 	uploads *uploadSet
-	sets    *setCache
 
 	mappedMu sync.Mutex
 	mapped   []io.Closer // warm-start mmaps, released on Shutdown
@@ -139,7 +126,6 @@ func New(opts Options) *Server {
 		jobs:    NewManager(opts, reg, m),
 		mux:     http.NewServeMux(),
 		uploads: newUploadSet(opts.UploadDir, opts.MaxUploads),
-		sets:    newSetCache(opts.PartitionSetBytes, m),
 	}
 	s.mux.HandleFunc("POST /v1/graphs", s.handleRegisterGraph)
 	s.mux.HandleFunc("POST /v1/graphs/upload", s.handleUploadBegin)
@@ -153,10 +139,6 @@ func New(opts Options) *Server {
 	s.mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
-	// Internal worker API: coordinator-to-worker block-triple dispatch.
-	s.mux.HandleFunc("PUT /v1/internal/partitions/{id}", s.handleWorkerRegisterSet)
-	s.mux.HandleFunc("DELETE /v1/internal/partitions/{id}", s.handleWorkerDeleteSet)
-	s.mux.HandleFunc("POST /v1/internal/triple", s.handleWorkerTriple)
 	return s
 }
 

@@ -5,10 +5,9 @@ import (
 	"testing"
 )
 
-// tripleDurations fabricates a coordinated run's per-pass wall times:
-// a heavy-tailed mix (most passes cheap, same-partition triples much
-// bigger), the shape the coordinator's Report.TaskDurations actually
-// aggregates across nodes.
+// tripleDurations fabricates block-triple pass wall times: a
+// heavy-tailed mix (most passes cheap, same-partition triples much
+// bigger) — a skewed sample whose moments stress Merge's arithmetic.
 func tripleDurations(rng *RNG, n int) []float64 {
 	xs := make([]float64, n)
 	for i := range xs {
@@ -21,13 +20,13 @@ func tripleDurations(rng *RNG, n int) []float64 {
 	return xs
 }
 
-// TestMergeTripleShardProperty: the coordinator folds per-node Samples
-// of triple durations with Merge. For random shardings of one result
-// set across a random fleet, and for any order and grouping of the
+// TestMergeTripleShardProperty: Merge folds per-shard Samples into one
+// (the experiments engine merges per-sequence shards this way). For
+// random shardings of one sample, and for any order and grouping of the
 // merge fold, the aggregate must agree with the serial sample: N, Min
 // and Max bit-exactly (they are order-free by construction), moments
-// to 1e-12. This is the associativity/commutativity property the
-// Report's fleet-order fold relies on.
+// to 1e-12. This is the associativity/commutativity property any
+// shard fold relies on.
 func TestMergeTripleShardProperty(t *testing.T) {
 	rng := NewRNGFromSeed(0xC00D)
 	for trial := 0; trial < 60; trial++ {
@@ -35,35 +34,35 @@ func TestMergeTripleShardProperty(t *testing.T) {
 		xs := tripleDurations(rng, n)
 		serial := sampleOf(xs)
 
-		// Deal the passes to a random fleet, as the scheduler would.
-		nodes := 1 + rng.IntN(6)
-		shards := make([][]float64, nodes)
+		// Deal the passes to a random number of shards.
+		nshards := 1 + rng.IntN(6)
+		shards := make([][]float64, nshards)
 		for _, x := range xs {
-			nd := rng.IntN(nodes)
+			nd := rng.IntN(nshards)
 			shards[nd] = append(shards[nd], x)
 		}
-		perNode := make([]Sample, nodes)
+		perShard := make([]Sample, nshards)
 		for i, sh := range shards {
-			perNode[i] = sampleOf(sh)
+			perShard[i] = sampleOf(sh)
 		}
 
-		// Commutativity: fold in a random node order.
-		perm := make([]int, nodes)
+		// Commutativity: fold in a random shard order.
+		perm := make([]int, nshards)
 		for i := range perm {
 			perm[i] = i
 		}
-		for i := nodes - 1; i > 0; i-- {
+		for i := nshards - 1; i > 0; i-- {
 			j := rng.IntN(i + 1)
 			perm[i], perm[j] = perm[j], perm[i]
 		}
 		var permuted Sample
 		for _, i := range perm {
-			permuted.Merge(perNode[i])
+			permuted.Merge(perShard[i])
 		}
 
 		// Associativity: random binary grouping — repeatedly merge two
 		// random entries of a working set until one remains.
-		work := append([]Sample(nil), perNode...)
+		work := append([]Sample(nil), perShard...)
 		for len(work) > 1 {
 			i := rng.IntN(len(work))
 			j := rng.IntN(len(work))
@@ -93,7 +92,7 @@ func TestMergeTripleShardProperty(t *testing.T) {
 		}
 
 		// The two fold shapes also agree with each other to the same
-		// tolerance — no hidden dependence on the Report's fleet order.
+		// tolerance — no hidden dependence on the fold order.
 		assertClose(t, "permuted-vs-grouped", permuted, grouped)
 		if math.IsNaN(permuted.Mean()) {
 			t.Fatalf("trial %d: NaN mean from %d samples", trial, n)
