@@ -129,7 +129,7 @@ func BenchmarkAblationScanVsLookup(b *testing.B) {
 			listing.Run(o, listing.E1, nil)
 		}
 	})
-	b.Run("L1-hash-lookup", func(b *testing.B) {
+	b.Run("L1-stamp-lookup", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			listing.Run(o, listing.L1, nil)
 		}

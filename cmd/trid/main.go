@@ -44,10 +44,11 @@
 //	     localhost:8080/v1/jobs
 //
 // Jobs with method=auto (the default) execute the planner's
-// predicted-cheapest (method, order) pair for the graph's degree
-// distribution and report planned_method/planned_order/predicted_cost
-// plus the actual advertised work; GET /v1/graphs/{id}/plan previews
-// the full ranking without running anything.
+// predicted-fastest (method, order) pair for the graph's degree
+// distribution and report planned_method/planned_order/predicted_cost/
+// predicted_ns plus the actual advertised work; GET
+// /v1/graphs/{id}/plan previews the full ranking without running
+// anything.
 package main
 
 import (

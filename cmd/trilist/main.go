@@ -8,8 +8,9 @@
 //	        [-spill dir] [-timeout 0]
 //
 // -method auto (the default) plans the run: the empirical degree
-// distribution is fitted from the graph and the predicted-cheapest
-// (method, order) pair under eq. (50) is executed; an explicit -order
+// distribution is fitted from the graph and the (method, order) pair
+// with the lowest predicted time (eq. (50) ops × the planner's
+// per-family ns per op) is executed; an explicit -order
 // constrains the choice to that order (any but degenerate, which the
 // model cannot price from the distribution). -plan prints the full
 // ranked prediction table and exits without sweeping — the explain
@@ -155,7 +156,7 @@ func run(args []string, out io.Writer) error {
 			}
 		}
 		method, kind = c.Method, c.Order
-		fmt.Fprintf(w, "# planned: method=%v order=%v predicted-cost=%.6g\n", method, kind, c.Total)
+		fmt.Fprintf(w, "# planned: method=%v order=%v predicted-cost=%.6g predicted-ns=%.6g\n", method, kind, c.Total, c.PredictedNs)
 	} else if orderAuto {
 		kind = core.Recommended(method)
 	}

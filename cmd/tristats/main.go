@@ -1,12 +1,13 @@
 // Command tristats summarizes a graph through the lens of the paper:
 // degree statistics, degeneracy, triangle count, clustering
 // coefficients, the method × order cost matrix (which order to use for
-// which algorithm on THIS graph), and the §2.4 SEI-vs-VI method choice
-// for a given hardware speed ratio.
+// which algorithm on THIS graph), and the planner's pick: the
+// (method, order) pair with the lowest predicted time, with its
+// predicted model ops and nanoseconds.
 //
 // Usage:
 //
-//	tristats -in graph.txt [-format auto] [-matrix] [-speed-ratio 2.9] [-seed 1]
+//	tristats -in graph.txt [-format auto] [-matrix] [-seed 1]
 //
 // Input may be a MatrixMarket .mtx file, a SNAP-style edge list, the
 // mmap-able TRCSRF CSR format, or the binary CSR stream —
@@ -26,6 +27,7 @@ import (
 	"trilist/internal/ingest"
 	"trilist/internal/listing"
 	"trilist/internal/order"
+	"trilist/internal/planner"
 	"trilist/internal/stats"
 )
 
@@ -41,7 +43,6 @@ func run(args []string, w io.Writer) error {
 	in := fs.String("in", "", "input graph file (default stdin)")
 	formatName := fs.String("format", "auto", "input format: auto, mtx, snap, csr, binary")
 	matrix := fs.Bool("matrix", false, "print the 4-method × 6-order cost matrix (Table 12 layout)")
-	speedRatio := fs.Float64("speed-ratio", 2.9, "SEI-vs-hash per-operation speed ratio for the method choice (§2.4; Table 3 measures ≈95 for SIMD C++, ≈3 for this repo's Go)")
 	seed := fs.Uint64("seed", 1, "seed for the uniform order column")
 	workers := fs.Int("workers", 0, "goroutines for the cost matrix (0 = GOMAXPROCS)")
 	if err := fs.Parse(args); err != nil {
@@ -98,16 +99,12 @@ func run(args []string, w io.Writer) error {
 			local[n/2], local[9*n/10])
 	}
 
-	o, err := core.Prepare(g, core.Config{Order: order.KindDescending})
+	plan, err := planner.Compute(g, planner.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
-	choice, err := core.ChooseForOriented(o, *speedRatio)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "method choice (§2.4): %v  (w_n = %.2f vs speed ratio %.1f)\n",
-		choice.Method, choice.WN, choice.SpeedRatio)
+	best := plan.Best()
+	fmt.Fprintf(w, "planner pick %s  (predicted %.6g ops, %.6g ns)\n", best.Spec(), best.Total, best.PredictedNs)
 
 	if *matrix {
 		m, err := experiments.MatrixForGraph(g, 0, stats.NewRNGFromSeed(*seed), *workers)

@@ -30,7 +30,7 @@ func TestStatsOnK4(t *testing.T) {
 		"degeneracy 3",
 		"triangles 4",
 		"global clustering 1.000000",
-		"method choice",
+		"planner pick ",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)
@@ -65,7 +65,10 @@ func TestStatsErrors(t *testing.T) {
 	if err := run([]string{"-in", bad}, &out); err == nil {
 		t.Fatal("malformed input accepted")
 	}
-	if err := run([]string{"-in", writeGraph(t, "0 1\n"), "-speed-ratio", "0"}, &out); err == nil {
-		t.Fatal("zero speed ratio accepted")
+	// No -speed-ratio knob: the planner's checked-in per-op costs
+	// make the method choice.
+	err := run([]string{"-in", writeGraph(t, "0 1\n"), "-speed-ratio", "3"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+		t.Fatalf("-speed-ratio: got %v, want an unknown-flag error", err)
 	}
 }

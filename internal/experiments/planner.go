@@ -25,8 +25,11 @@ import (
 // realized orientation's degree sums, the same quantity an executed
 // sweep's Stats.ModelOps reports — so each row carries eq. (50)'s
 // prediction next to its ground truth. The summary answers the planning
-// question directly: does the predicted-cheapest cell win, and if not,
-// how much does executing it cost over the measured-cheapest?
+// question directly: does the planner's pick win, and if not, how much
+// does executing it cost over the measured-cheapest? Both sides of that
+// comparison are priced in time with the planner's own per-family
+// constants (planner.NsPerOp): the pick is ranked by predicted ops ×
+// ns/op, so measured cells are ranked by measured ops × the same ns/op.
 //
 // Every number here is deterministic given the seed (model arithmetic
 // and degree sums, no wall clocks), so the checked-in BENCH_planner.json
@@ -62,19 +65,21 @@ func (r PlannerRow) key() string {
 	return fmt.Sprintf("%s/%s/%s", r.Workload, r.Method, r.Order)
 }
 
-// PlannerSummary scores the planner's choice on one workload.
+// PlannerSummary scores the planner's choice on one workload. "Cost"
+// here is model ops × planner.NsPerOp of the cell's method, predicted
+// or measured.
 type PlannerSummary struct {
 	Workload string `json:"workload"`
-	// PredictedBest and MeasuredBest name the cheapest cell under each
-	// metric as "method+order".
+	// PredictedBest is the plan's pick and MeasuredBest the cell with
+	// the lowest measured cost, each as "method+order".
 	PredictedBest string `json:"predicted_best"`
 	MeasuredBest  string `json:"measured_best"`
 	// MeasuredRank is the predicted-best cell's 1-based position when
 	// cells are sorted by measured cost: 1 means the planner picked the
 	// true optimum.
 	MeasuredRank int `json:"predicted_best_measured_rank"`
-	// Overhead is measured(PredictedBest)/measured(MeasuredBest) — the
-	// cost multiplier actually paid for trusting the model; 1 means no
+	// Overhead is cost(PredictedBest)/cost(MeasuredBest), both measured —
+	// the multiplier actually paid for trusting the model; 1 means no
 	// regret.
 	Overhead float64 `json:"overhead"`
 }
@@ -157,8 +162,12 @@ func TablePlanner(cfg PlannerConfig) (*PlannerBench, error) {
 				measured[m.String()+"/"+kind.String()] = int64(math.Round(listing.ModelCost(o, m)))
 			}
 		}
+		// Cells are scored by measured ops priced with the planner's
+		// per-family ns/op, the quantity the plan ranks by.
+		pick := plan.Best()
 		var best, predBest PlannerRow
-		rank := 0
+		var bestNs, predNs float64
+		var cellNs []float64
 		for _, m := range listing.Methods {
 			for _, kind := range planner.Orders {
 				c, ok := plan.Lookup(m, kind)
@@ -176,16 +185,19 @@ func TablePlanner(cfg PlannerConfig) (*PlannerBench, error) {
 					row.Ratio = row.Predicted / float64(row.Measured)
 				}
 				bench.Rows = append(bench.Rows, row)
-				if best.Workload == "" || row.Measured < best.Measured {
-					best = row
+				ns := float64(row.Measured) * planner.NsPerOp(m)
+				cellNs = append(cellNs, ns)
+				if best.Workload == "" || ns < bestNs {
+					best, bestNs = row, ns
 				}
-				if m == plan.Best().Method && kind == plan.Best().Order {
-					predBest = row
+				if m == pick.Method && kind == pick.Order {
+					predBest, predNs = row, ns
 				}
 			}
 		}
-		for _, row := range bench.Rows {
-			if row.Workload == workload && row.Measured < predBest.Measured {
+		rank := 0
+		for _, ns := range cellNs {
+			if ns < predNs {
 				rank++
 			}
 		}
@@ -195,8 +207,8 @@ func TablePlanner(cfg PlannerConfig) (*PlannerBench, error) {
 			MeasuredBest:  best.Method + "+" + best.Order,
 			MeasuredRank:  rank + 1,
 		}
-		if best.Measured > 0 {
-			sum.Overhead = float64(predBest.Measured) / float64(best.Measured)
+		if bestNs > 0 {
+			sum.Overhead = predNs / bestNs
 		} else {
 			sum.Overhead = 1
 		}
@@ -209,7 +221,7 @@ func TablePlanner(cfg PlannerConfig) (*PlannerBench, error) {
 // planning verdict), then every grid cell.
 func FormatPlanner(b *PlannerBench) string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "Planner validation — predicted (eq. 50 on fitted distribution) vs measured model ops, n=%d, α=%g\n",
+	fmt.Fprintf(&sb, "Planner validation — predicted (eq. 50 on fitted distribution) vs measured model ops, n=%d, α=%g; picks ranked by ops × per-family ns/op\n",
 		b.N, b.Alpha)
 	for _, s := range b.Summary {
 		fmt.Fprintf(&sb, "%-8s predicted-best %-28s measured-best %-28s measured-rank %d overhead %.4f\n",

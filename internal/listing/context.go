@@ -152,8 +152,8 @@ func methodSweep(o *digraph.Oriented, m Method, visit Visitor, cfg *runConfig) (
 		}, 0
 	default:
 		return func() (func(lo, hi int32, s *Stats), func()) {
-			ms := newMemberSet(kern, n)
-			return func(lo, hi int32, s *Stats) { runLEI(o, m, ms, visit, s, lo, hi) }, ms.release
+			ar := getArena(n)
+			return func(lo, hi int32, s *Stats) { runLEI(o, m, ar, visit, s, lo, hi) }, func() { putArena(ar) }
 		}, 0
 	}
 }

@@ -5,13 +5,10 @@ import (
 	"slices"
 	"strings"
 	"sync"
-
-	"trilist/internal/hashset"
 )
 
 // Kernel selects the neighbor-intersection strategy used by the
-// scanning edge iterators (E1–E6) and the membership structure used by
-// the lookup edge iterators (L1–L6). The paper prices every method in
+// scanning edge iterators (E1–E6). The paper prices every method in
 // elementary operations over sorted adjacency lists; a kernel changes
 // how those operations are executed on real hardware, never how many
 // the model charges — Stats is bitwise identical under every kernel
@@ -19,7 +16,8 @@ import (
 // closed form, see mergeComps), so the analytical tables are untouched
 // while wall-clock drops on skewed inputs.
 //
-// Vertex iterators (T1–T6) probe a global arc hash table and perform no
+// Vertex iterators (T1–T6) probe a global arc hash table and lookup
+// edge iterators (L1–L6) the per-worker stamp arena; neither performs
 // list intersection, so the kernel choice does not affect them.
 type Kernel int
 
@@ -120,7 +118,7 @@ func ParseKernel(s string) (Kernel, error) {
 // galloping does at most a handful of probes per window element.
 const skewRatio = 8
 
-// arena is per-worker scratch for the bitmap kernel: for each node of
+// arena is per-worker scratch for the stamp kernels: for each node of
 // the currently stamped base list it records the node's index in that
 // list, validated by an epoch so re-stamping is O(|base|) with no
 // clearing. One arena serves both SEI window probes (which need the
@@ -430,49 +428,5 @@ func (it *intersector) win(alo, ahi int, owner int32, remote []int32, emit func(
 		// the merge's O(la+lr).
 		it.ensureStamp()
 		return mergeComps(local, remote, it.probe(alo, ahi, remote, emit))
-	}
-}
-
-// memberSet is the per-worker LEI membership structure: the paper's
-// per-node hash set by default, or the stamp arena under the bitmap and
-// auto kernels — same probe count (Stats.Lookups and HashBuild are
-// length-determined), O(1) probes with no hashing or clearing.
-type memberSet struct {
-	hash *hashset.NodeSet // non-nil iff the arena is nil
-	ar   *arena
-}
-
-func newMemberSet(kern Kernel, n int) *memberSet {
-	// The bit kernels have no LEI-specific structure (lookups are
-	// single-element probes, not intersections), so they share the
-	// arena membership path with bitmap/auto.
-	if kern == KernelBitmap || kern == KernelAuto || kern == KernelBits || kern == KernelHybrid {
-		return &memberSet{ar: getArena(n)}
-	}
-	return &memberSet{hash: hashset.NewNodeSet(16)}
-}
-
-func (ms *memberSet) fill(list []int32) {
-	if ms.ar != nil {
-		ms.ar.stamp(list)
-		return
-	}
-	ms.hash.Reset(len(list))
-	for _, v := range list {
-		ms.hash.Add(v)
-	}
-}
-
-func (ms *memberSet) contains(v int32) bool {
-	if ms.ar != nil {
-		return ms.ar.member(v)
-	}
-	return ms.hash.Contains(v)
-}
-
-func (ms *memberSet) release() {
-	if ms.ar != nil {
-		putArena(ms.ar)
-		ms.ar = nil
 	}
 }

@@ -11,13 +11,14 @@ import (
 // follow Table 2 — exactly the remote volumes of the corresponding SEI
 // methods, which is why LEI "can be reduced to vertex iterator in terms
 // of both operation speed and cost" and the paper's analysis folds it
-// into the VI family. The membership set is the paper's hash table by
-// default; under the bitmap/auto kernels it is the stamp arena instead,
-// which leaves HashBuild and Lookups (both length-determined) and the
-// triangle set untouched while replacing hashing with O(1) stamps.
-func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stats, lo, hi int32) {
+// into the VI family. The membership set is the per-worker stamp arena,
+// a direct-address table standing in for the paper's hash table: the
+// same insertions (HashBuild) and probes (Lookups), both
+// length-determined, with O(1) stamps instead of hashing and no
+// clearing. Every kernel uses it; kernels only change SEI intersections.
+func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, lo, hi int32) {
 	fill := func(list []int32) {
-		ms.fill(list)
+		ar.stamp(list)
 		s.HashBuild += int64(len(list))
 	}
 	switch m {
@@ -30,7 +31,7 @@ func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stat
 			for _, y := range out {
 				for _, x := range o.Out(y) {
 					s.Lookups++
-					if ms.contains(x) {
+					if ar.member(x) {
 						s.Triangles++
 						visit(x, y, z)
 					}
@@ -45,7 +46,7 @@ func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stat
 			for _, z := range o.In(y) {
 				for _, x := range prefixBelow(o.Out(z), y) {
 					s.Lookups++
-					if ms.contains(x) {
+					if ar.member(x) {
 						s.Triangles++
 						visit(x, y, z)
 					}
@@ -61,7 +62,7 @@ func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stat
 			for _, y := range in {
 				for _, z := range o.In(y) {
 					s.Lookups++
-					if ms.contains(z) {
+					if ar.member(z) {
 						s.Triangles++
 						visit(x, y, z)
 					}
@@ -77,7 +78,7 @@ func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stat
 			for _, x := range out {
 				for _, y := range prefixBelow(o.In(x), z) {
 					s.Lookups++
-					if ms.contains(y) {
+					if ar.member(y) {
 						s.Triangles++
 						visit(x, y, z)
 					}
@@ -92,7 +93,7 @@ func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stat
 			for _, x := range o.Out(y) {
 				for _, z := range suffixAbove(o.In(x), y) {
 					s.Lookups++
-					if ms.contains(z) {
+					if ar.member(z) {
 						s.Triangles++
 						visit(x, y, z)
 					}
@@ -108,7 +109,7 @@ func runLEI(o *digraph.Oriented, m Method, ms *memberSet, visit Visitor, s *Stat
 			for _, z := range in {
 				for _, y := range suffixAbove(o.Out(z), x) {
 					s.Lookups++
-					if ms.contains(y) {
+					if ar.member(y) {
 						s.Triangles++
 						visit(x, y, z)
 					}

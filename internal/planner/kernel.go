@@ -10,13 +10,14 @@ import (
 	"trilist/internal/listing"
 )
 
-// KernelCoeffs are the calibrated wall-clock costs of the elementary
-// operations the intersection kernels are built from, in nanoseconds.
-// The model of eq. (50) counts operations; these constants convert
-// counts into time so kernel=auto can be priced instead of guessed.
-// They are measured once per process by a tiny startup microbenchmark
-// (CalibrateKernels) — the paper's Table 3 "elementary operation speed"
-// measurement, automated.
+// KernelCoeffs are wall-clock costs of the elementary operations the
+// intersection kernels are built from, in nanoseconds. The model of
+// eq. (50) counts operations; these constants convert counts into time
+// so kernel=auto can be priced instead of guessed. Plans use the
+// checked-in plannedKernelCoeffs; CalibrateKernels measures the same
+// quantities on the running host (the paper's Table 3 "elementary
+// operation speed" measurement, automated) for reports that want to
+// compare the two.
 type KernelCoeffs struct {
 	// MergeNs is the cost of one two-pointer merge comparison/advance.
 	MergeNs float64 `json:"merge_ns"`
@@ -30,40 +31,24 @@ type KernelCoeffs struct {
 	WordNs float64 `json:"word_ns"`
 }
 
+// plannedKernelCoeffs prices every plan's kernel choice: the medians of
+// six CalibrateKernels runs, each in a fresh process, on a 2-CPU
+// x86-64 host. Checked in so that a plan never depends on the host it
+// is computed on.
+var plannedKernelCoeffs = KernelCoeffs{MergeNs: 3.2, GallopNs: 2.7, ProbeNs: 2.1, WordNs: 2.1}
+
 var (
-	coeffsMu  sync.Mutex
-	coeffsVal KernelCoeffs
-	coeffsSet bool
+	coeffsOnce sync.Once
+	coeffsVal  KernelCoeffs
 )
 
 // CalibrateKernels measures KernelCoeffs with a microbenchmark the
 // first time it is called and returns the cached value afterwards
-// (~1 ms once per process). Values are machine-dependent by design;
-// tests that need deterministic plans inject fixed coefficients via
-// SetKernelCoeffs.
+// (~1 ms once per process). Values are machine-dependent by design,
+// which is why plans do not use them.
 func CalibrateKernels() KernelCoeffs {
-	coeffsMu.Lock()
-	defer coeffsMu.Unlock()
-	if !coeffsSet {
-		coeffsVal = measureKernelCoeffs()
-		coeffsSet = true
-	}
+	coeffsOnce.Do(func() { coeffsVal = measureKernelCoeffs() })
 	return coeffsVal
-}
-
-// SetKernelCoeffs overrides the calibrated coefficients — deterministic
-// pricing for tests and for operators who want to pin Table-3 style
-// measurements. Returns a func restoring the previous state.
-func SetKernelCoeffs(c KernelCoeffs) (restore func()) {
-	coeffsMu.Lock()
-	defer coeffsMu.Unlock()
-	prevVal, prevSet := coeffsVal, coeffsSet
-	coeffsVal, coeffsSet = c, true
-	return func() {
-		coeffsMu.Lock()
-		defer coeffsMu.Unlock()
-		coeffsVal, coeffsSet = prevVal, prevSet
-	}
 }
 
 // calSink defeats dead-code elimination of the measurement loops.
@@ -236,7 +221,7 @@ type KernelPlan struct {
 	// word-vs-probe advantage on a core pair. The hybrid is chosen when
 	// Gain ≥ kernelGainMargin.
 	Gain float64
-	// Coeffs are the calibrated per-operation costs the prices used.
+	// Coeffs are the checked-in per-operation costs the prices used.
 	Coeffs KernelCoeffs
 }
 

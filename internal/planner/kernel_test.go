@@ -27,19 +27,6 @@ func TestCalibrateKernelsSaneAndCached(t *testing.T) {
 	}
 }
 
-func TestSetKernelCoeffsRestore(t *testing.T) {
-	orig := CalibrateKernels()
-	inj := KernelCoeffs{MergeNs: 1, GallopNs: 2, ProbeNs: 3, WordNs: 4}
-	restore := SetKernelCoeffs(inj)
-	if got := CalibrateKernels(); got != inj {
-		t.Fatalf("after SetKernelCoeffs got %+v, want %+v", got, inj)
-	}
-	restore()
-	if got := CalibrateKernels(); got != orig {
-		t.Fatalf("after restore got %+v, want original %+v", got, orig)
-	}
-}
-
 func TestPlanKernelPricedChoice(t *testing.T) {
 	const nodes = 100_000
 	heavy, err := degseq.TruncateFor(degseq.StandardPareto(1.5), degseq.LinearTruncation, nodes)
@@ -49,13 +36,8 @@ func TestPlanKernelPricedChoice(t *testing.T) {
 
 	// Cheap words on a heavy tail: the core carries most of the d²
 	// mass, so the hybrid must clear the margin.
-	restore := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
-	defer restore()
-	p, err := ComputeDist(heavy, nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kp := p.Kernel
+	cheapWords := KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01}
+	kp := planKernel(heavy, nodes, nodes, cheapWords)
 	if kp.Kernel != listing.KernelHybrid {
 		t.Fatalf("heavy tail + cheap words chose %v (gain %.3f), want hybrid", kp.Kernel, kp.Gain)
 	}
@@ -73,17 +55,12 @@ func TestPlanKernelPricedChoice(t *testing.T) {
 	}
 
 	// Absurdly expensive words: the bit tier can never win.
-	restore2 := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 1e6})
-	defer restore2()
-	p, err = ComputeDist(heavy, nodes)
-	if err != nil {
-		t.Fatal(err)
+	kp = planKernel(heavy, nodes, nodes, KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 1e6})
+	if kp.Kernel != listing.KernelAuto {
+		t.Fatalf("expensive words chose %v, want auto", kp.Kernel)
 	}
-	if p.Kernel.Kernel != listing.KernelAuto {
-		t.Fatalf("expensive words chose %v, want auto", p.Kernel.Kernel)
-	}
-	if p.Kernel.Gain != 0 {
-		t.Fatalf("expensive words predicted gain %v, want 0", p.Kernel.Gain)
+	if kp.Gain != 0 {
+		t.Fatalf("expensive words predicted gain %v, want 0", kp.Gain)
 	}
 
 	// A light uniform degree-5 population so large that the budget
@@ -92,24 +69,20 @@ func TestPlanKernelPricedChoice(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	restore3 := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
-	defer restore3()
-	p, err = ComputeDist(light, 1_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Kernel.Kernel != listing.KernelAuto || p.Kernel.CoreVertices != 0 {
+	kp = planKernel(light, 1_000_000, 1_000_000, cheapWords)
+	if kp.Kernel != listing.KernelAuto || kp.CoreVertices != 0 {
 		t.Fatalf("budget-starved light tail: got kernel %v core %d, want auto with empty core",
-			p.Kernel.Kernel, p.Kernel.CoreVertices)
+			kp.Kernel, kp.CoreVertices)
 	}
-	if p.Kernel.CoreThreshold <= 5 {
-		t.Fatalf("budget-starved τ = %d, want above the degree-5 support", p.Kernel.CoreThreshold)
+	if kp.CoreThreshold <= 5 {
+		t.Fatalf("budget-starved τ = %d, want above the degree-5 support", kp.CoreThreshold)
 	}
 }
 
+// TestComputeCarriesKernelPlanAndView: the plan's kernel choice is
+// priced with the checked-in coefficients, never the host calibration,
+// and its view round-trips through the job API.
 func TestComputeCarriesKernelPlanAndView(t *testing.T) {
-	restore := SetKernelCoeffs(KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.05})
-	defer restore()
 	g, _, err := gen.ParetoGraph(degseq.StandardPareto(1.5), 2000, degseq.LinearTruncation, stats.NewRNGFromSeed(11))
 	if err != nil {
 		t.Fatal(err)
@@ -118,8 +91,15 @@ func TestComputeCarriesKernelPlanAndView(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Kernel.CoreThreshold < 1 || p.Kernel.Coeffs.WordNs != 0.05 {
-		t.Fatalf("kernel plan not populated: %+v", p.Kernel)
+	if p.Kernel.CoreThreshold < 1 || p.Kernel.Coeffs != plannedKernelCoeffs {
+		t.Fatalf("kernel plan not populated from the checked-in coefficients: %+v", p.Kernel)
+	}
+	d, err := degseq.FromHistogram(g.DegreeHistogram())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.Kernel != planKernel(d, int64(g.NumNodes()), int64(g.NumNodes()), plannedKernelCoeffs) {
+		t.Fatalf("kernel plan %+v is not the checked-in pricing", p.Kernel)
 	}
 	v := p.View()
 	if v.Kernel.Kernel != p.Kernel.Kernel.String() || v.Kernel.CoreThreshold != p.Kernel.CoreThreshold {

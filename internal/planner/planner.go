@@ -2,8 +2,9 @@
 // online query optimizer: given a concrete graph, it fits the empirical
 // degree distribution from the degree histogram, evaluates the exact
 // discrete model of eq. (50) for every admissible (method, order) pair,
-// and returns a ranked Plan — the predicted-cheapest execution spec,
-// the full ranking, and the distribution-fit diagnostics behind it.
+// prices each in nanoseconds, and returns a ranked Plan — the
+// predicted-fastest execution spec, the full ranking, and the
+// distribution-fit diagnostics behind it.
 //
 // This is the decision-making layer over the mechanism layers below it:
 // internal/model prices a spec against a distribution, internal/listing
@@ -12,6 +13,13 @@
 // method=auto jobs through it; cmd/trilist -plan prints the ranked
 // table; cmd/experiments -table planner validates predictions against
 // measured sweep costs.
+//
+// The grid is ranked by predicted time, not by operation count: each
+// cell's eq. (50) total is weighted by a checked-in per-family cost of
+// one operation (NsPerOp). Per §2.3 a lookup edge iterator costs the
+// same operations as its vertex iterator, and per §2.4 methods with the
+// same count still differ in per-operation speed, so counts alone
+// cannot separate the families.
 //
 // The grid spans all 18 methods × the 5 distribution-only orders (θ_D,
 // θ_A, θ_RR, θ_CRR, θ_U). The degenerate (smallest-last) order is
@@ -67,6 +75,37 @@ func orderIndex(k order.Kind) int {
 	return len(Orders)
 }
 
+// Per-family cost of one eq. (50) model operation, in nanoseconds. Each
+// is the geometric mean of list wall time ÷ predicted ops over five
+// Pareto(1.5) graphs (both truncations at n = 10k and 40k, linear
+// truncation at 200k), timed with trilist -stages on a 2-CPU x86-64
+// host; the table is in EXPERIMENTS.md, "Planner validation". A vertex
+// iterator probes one global arc hash set per operation, a lookup edge
+// iterator the per-worker stamp arena that kernel=auto gives it, and a
+// scanning edge iterator takes one merge or stamp step. The constants
+// are checked in, never calibrated on the host, so a plan stays a pure
+// function of the degree histogram. They do not price an explicit
+// kernel=merge, which turns the lookup edge iterators' stamp probes
+// back into per-node hash probes.
+const (
+	vertexNsPerOp   = 42
+	lookupNsPerOp   = 16
+	scanningNsPerOp = 3.3
+)
+
+// NsPerOp returns the predicted cost of one model operation of m, in
+// nanoseconds.
+func NsPerOp(m listing.Method) float64 {
+	switch m.Family() {
+	case listing.VertexIterator:
+		return vertexNsPerOp
+	case listing.LookupEdgeIterator:
+		return lookupNsPerOp
+	default:
+		return scanningNsPerOp
+	}
+}
+
 // Candidate is one priced cell of the (method, order) grid.
 type Candidate struct {
 	Method listing.Method
@@ -77,6 +116,9 @@ type Candidate struct {
 	// Total is PerNode × (non-isolated nodes) — directly comparable to
 	// listing.ModelCost and Stats.ModelOps of an executed sweep.
 	Total float64
+	// PredictedNs is Total × NsPerOp(Method): the predicted sweep time
+	// the ranking sorts by.
+	PredictedNs float64
 }
 
 // Spec renders the candidate in the paper's notation, e.g. "E1+θ_D".
@@ -120,22 +162,21 @@ type Fit struct {
 // Plan is a ranked evaluation of the whole candidate grid for one graph.
 type Plan struct {
 	Fit Fit
-	// Ranking holds every candidate, cheapest first. Ties break by
-	// method declaration order (T1..L6), then by Orders position, so a
-	// plan is a pure function of the degree histogram.
+	// Ranking holds every candidate, fastest predicted time first. Ties
+	// break by method declaration order (T1..L6), then by Orders
+	// position, so a plan is a pure function of the degree histogram.
 	Ranking []Candidate
 	// Kernel is the priced intersection-kernel choice (kernel=auto
-	// resolution) with its core threshold and economics. Unlike
-	// Ranking, it depends on the calibrated per-operation costs of the
-	// host, so it is deliberately excluded from Format's golden output
-	// and from the BENCH_planner drift gate.
+	// resolution) with its core threshold and economics, priced with
+	// the checked-in plannedKernelCoeffs. It is left out of Format's
+	// golden output and of the BENCH_planner gate.
 	Kernel KernelPlan
 }
 
-// Best returns the predicted-cheapest candidate.
+// Best returns the candidate with the lowest predicted time.
 func (p *Plan) Best() Candidate { return p.Ranking[0] }
 
-// BestUnder returns the predicted-cheapest candidate constrained to a
+// BestUnder returns the predicted-fastest candidate constrained to a
 // fixed order — the method=auto + explicit-order case. ok is false for
 // un-plannable (degenerate) orders.
 func (p *Plan) BestUnder(k order.Kind) (Candidate, bool) {
@@ -194,8 +235,8 @@ func Compute(g *graph.Graph, opts ...Option) (*Plan, error) {
 	if active == 0 || fit.Edges == 0 {
 		// No triangles, no cost: every candidate prices to zero and the
 		// canonical tie-break (T1+θ_D) wins.
-		return &Plan{Fit: fit, Ranking: zeroGrid(),
-			Kernel: KernelPlan{Kernel: listing.KernelAuto, CoreThreshold: 1, Coeffs: CalibrateKernels()}}, nil
+		return &Plan{Fit: fit, Ranking: grid(),
+			Kernel: KernelPlan{Kernel: listing.KernelAuto, CoreThreshold: 1, Coeffs: plannedKernelCoeffs}}, nil
 	}
 	emp, err := degseq.FromHistogram(hist)
 	if err != nil {
@@ -209,7 +250,7 @@ func Compute(g *graph.Graph, opts ...Option) (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{Fit: fit, Ranking: ranking,
-		Kernel: planKernel(emp, active, int64(fit.Nodes), CalibrateKernels())}, nil
+		Kernel: planKernel(emp, active, int64(fit.Nodes), plannedKernelCoeffs)}, nil
 }
 
 // ComputeDist builds a plan directly from a finite-support degree
@@ -238,7 +279,7 @@ func ComputeDist(dist degseq.Dist, nodes int64, opts ...Option) (*Plan, error) {
 		return nil, err
 	}
 	return &Plan{Fit: fit, Ranking: ranking,
-		Kernel: planKernel(dist, nodes, nodes, CalibrateKernels())}, nil
+		Kernel: planKernel(dist, nodes, nodes, plannedKernelCoeffs)}, nil
 }
 
 // grid enumerates the candidate cells in deterministic declaration
@@ -253,9 +294,8 @@ func grid() []Candidate {
 	return cands
 }
 
-func zeroGrid() []Candidate { return grid() }
-
-// priceGrid evaluates eq. (50) for every cell and sorts cheapest-first.
+// priceGrid evaluates eq. (50) for every cell, prices it in ns and sorts
+// fastest-first.
 // Cells are independent, each worker writes only its own slots, and the
 // sort's tie-break is total, so the result is identical at any worker
 // count.
@@ -271,6 +311,7 @@ func priceGrid(dist degseq.Dist, nodes int64, workers int) ([]Candidate, error) 
 			}
 			cands[i].PerNode = per
 			cands[i].Total = per * float64(nodes)
+			cands[i].PredictedNs = cands[i].Total * NsPerOp(cands[i].Method)
 		}
 	})
 	for _, err := range errs {
@@ -280,8 +321,8 @@ func priceGrid(dist degseq.Dist, nodes int64, workers int) ([]Candidate, error) 
 	}
 	sort.Slice(cands, func(i, j int) bool {
 		a, b := cands[i], cands[j]
-		if a.Total != b.Total {
-			return a.Total < b.Total
+		if a.PredictedNs != b.PredictedNs {
+			return a.PredictedNs < b.PredictedNs
 		}
 		if a.Method != b.Method {
 			return a.Method < b.Method
@@ -337,30 +378,6 @@ func RecommendedOrder(m listing.Method) order.Kind {
 	}
 }
 
-// TwoMethod applies the paper's §2.4 runtime rule between the best
-// vertex iterator (T1+θ_D) and the best scanning edge iterator
-// (E1+θ_D): SEI performs w_n = e1Cost/t1Cost times more operations but
-// each is speedRatio times faster, so E1 wins iff w_n < speedRatio.
-// The costs may come from either side of the model/measurement divide —
-// listing.ModelCost sums for a prepared orientation, or eq. (50)
-// expectations for a distribution — as long as both come from the same
-// side.
-func TwoMethod(t1Cost, e1Cost, speedRatio float64) (listing.Method, float64, error) {
-	if speedRatio <= 0 {
-		return 0, 0, fmt.Errorf("planner: speed ratio must be positive, got %v", speedRatio)
-	}
-	wn := math.Inf(1)
-	if t1Cost > 0 {
-		wn = e1Cost / t1Cost
-	} else if e1Cost == 0 {
-		wn = 1
-	}
-	if wn < speedRatio {
-		return listing.E1, wn, nil
-	}
-	return listing.T1, wn, nil
-}
-
 // Format renders the plan as a fixed-width ranked table, stable across
 // runs and worker counts (golden-tested).
 func (p *Plan) Format() string {
@@ -376,10 +393,10 @@ func (p *Plan) Format() string {
 		b.WriteString(" pareto-tail: n/a")
 	}
 	b.WriteString("\n")
-	fmt.Fprintf(&b, "%4s  %-32s  %14s  %14s\n", "rank", "plan", "per-node", "total")
+	fmt.Fprintf(&b, "%4s  %-32s  %14s  %14s  %14s\n", "rank", "plan", "per-node", "total", "ns")
 	for i, c := range p.Ranking {
-		fmt.Fprintf(&b, "%4d  %-32s  %14.6g  %14.6g\n",
-			i+1, fmt.Sprintf("%v+%s", c.Method, c.Order), c.PerNode, c.Total)
+		fmt.Fprintf(&b, "%4d  %-32s  %14.6g  %14.6g  %14.6g\n",
+			i+1, fmt.Sprintf("%v+%s", c.Method, c.Order), c.PerNode, c.Total, c.PredictedNs)
 	}
 	return b.String()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -34,31 +35,6 @@ func TestPlannableOrders(t *testing.T) {
 	}
 	if got := orderIndex(order.KindDegenerate); got != len(Orders) {
 		t.Errorf("orderIndex(degenerate) = %d, want %d", got, len(Orders))
-	}
-}
-
-func TestTwoMethod(t *testing.T) {
-	// E1 does 1.5× the work at 2× the speed: E1 wins.
-	m, wn, err := TwoMethod(100, 150, 2)
-	if err != nil || m != listing.E1 || wn != 1.5 {
-		t.Fatalf("TwoMethod(100,150,2) = %v, %v, %v", m, wn, err)
-	}
-	// 3× the work at 2× the speed: T1 wins.
-	if m, _, _ := TwoMethod(100, 300, 2); m != listing.T1 {
-		t.Errorf("work ratio above speed ratio must pick T1, got %v", m)
-	}
-	// T1 free, E1 not: infinite work ratio, T1.
-	m, wn, err = TwoMethod(0, 5, 2)
-	if err != nil || m != listing.T1 || !math.IsInf(wn, 1) {
-		t.Fatalf("TwoMethod(0,5,2) = %v, %v, %v", m, wn, err)
-	}
-	// Both free: w_n defined as 1, E1 wins under any speedRatio > 1.
-	m, wn, err = TwoMethod(0, 0, 2)
-	if err != nil || m != listing.E1 || wn != 1 {
-		t.Fatalf("TwoMethod(0,0,2) = %v, %v, %v", m, wn, err)
-	}
-	if _, _, err := TwoMethod(1, 1, 0); err == nil {
-		t.Error("non-positive speed ratio accepted")
 	}
 }
 
@@ -136,8 +112,8 @@ func TestPlanAccessors(t *testing.T) {
 		t.Fatalf("BestUnder(ascending) = %+v, %v", c, ok)
 	}
 	// The constrained best can't beat the global best.
-	if c.Total < p.Best().Total {
-		t.Errorf("BestUnder total %v below global best %v", c.Total, p.Best().Total)
+	if c.PredictedNs < p.Best().PredictedNs {
+		t.Errorf("BestUnder price %v ns below global best %v ns", c.PredictedNs, p.Best().PredictedNs)
 	}
 	if _, ok := p.Lookup(listing.E3, order.KindCRR); !ok {
 		t.Error("Lookup missed a grid cell")
@@ -145,18 +121,27 @@ func TestPlanAccessors(t *testing.T) {
 	if _, ok := p.Lookup(listing.E3, order.KindDegenerate); ok {
 		t.Error("Lookup invented a degenerate cell")
 	}
-	// Ranking is sorted cheapest-first.
-	for i := 1; i < len(p.Ranking); i++ {
-		if p.Ranking[i].Total < p.Ranking[i-1].Total {
-			t.Fatalf("ranking out of order at %d: %v after %v", i,
-				p.Ranking[i].Total, p.Ranking[i-1].Total)
+	// Ranking is sorted by predicted time, and each price is the cell's
+	// model ops times its family's per-op cost.
+	for i, c := range p.Ranking {
+		if c.PredictedNs != c.Total*NsPerOp(c.Method) {
+			t.Fatalf("%s priced %v ns, want %v ops × %v ns", c.Spec(), c.PredictedNs, c.Total, NsPerOp(c.Method))
+		}
+		if i > 0 && c.PredictedNs < p.Ranking[i-1].PredictedNs {
+			t.Fatalf("ranking out of order at %d: %v ns after %v ns", i,
+				c.PredictedNs, p.Ranking[i-1].PredictedNs)
 		}
 	}
 }
 
 func paretoGraph(t *testing.T, alpha float64, n int, seed uint64) *graph.Graph {
 	t.Helper()
-	g, _, err := gen.ParetoGraph(degseq.StandardPareto(alpha), n, degseq.RootTruncation, stats.NewRNGFromSeed(seed))
+	return truncGraph(t, alpha, n, degseq.RootTruncation, seed)
+}
+
+func truncGraph(t *testing.T, alpha float64, n int, trunc degseq.Truncation, seed uint64) *graph.Graph {
+	t.Helper()
+	g, _, err := gen.ParetoGraph(degseq.StandardPareto(alpha), n, trunc, stats.NewRNGFromSeed(seed))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +199,7 @@ func TestComputeDistAgreesWithCompute(t *testing.T) {
 	}
 	for i := range fromDist.Ranking {
 		a, b := fromGraph.Ranking[i], fromDist.Ranking[i]
-		if a.Method != b.Method || a.Order != b.Order || a.Total != b.Total {
+		if a.Method != b.Method || a.Order != b.Order || a.Total != b.Total || a.PredictedNs != b.PredictedNs {
 			t.Fatalf("rank %d differs: graph %+v dist %+v", i, a, b)
 		}
 	}
@@ -250,17 +235,126 @@ func TestGoldenPlans(t *testing.T) {
 		{"florentine.txt", "florentine.plan.txt"},
 	} {
 		t.Run(tc.fixture, func(t *testing.T) {
-			ld, err := ingest.LoadFile(filepath.Join("..", "ingest", "testdata", tc.fixture),
-				ingest.FormatAuto, ingest.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer ld.Close()
-			p, err := Compute(ld.Graph, WithWorkers(4))
+			p, err := Compute(loadFixture(t, tc.fixture), WithWorkers(4))
 			if err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, tc.golden, []byte(p.Format()))
 		})
+	}
+}
+
+func loadFixture(t *testing.T, name string) *graph.Graph {
+	t.Helper()
+	ld, err := ingest.LoadFile(filepath.Join("..", "ingest", "testdata", name), ingest.FormatAuto, ingest.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ld.Close() })
+	return ld.Graph
+}
+
+// rankingGraphs are the workloads the time-priced ranking is checked
+// on: Pareto(1.5) at both truncations and two sizes, plus the two
+// real-graph fixtures.
+func rankingGraphs(t *testing.T) map[string]*graph.Graph {
+	t.Helper()
+	gs := map[string]*graph.Graph{
+		"karate":     loadFixture(t, "karate.mtx"),
+		"florentine": loadFixture(t, "florentine.txt"),
+	}
+	for _, trunc := range []degseq.Truncation{degseq.RootTruncation, degseq.LinearTruncation} {
+		for _, n := range []int{2000, 10000} {
+			gs[fmt.Sprintf("%v/n=%d", trunc, n)] = truncGraph(t, 1.5, n, trunc, uint64(n))
+		}
+	}
+	return gs
+}
+
+// TestAutoNeverPicksVertexIterator: a vertex iterator's cheapest cell
+// always ties in model ops with a lookup edge iterator's (§2.3), and a
+// global hash probe is priced above a stamp probe, so method=auto never
+// resolves to T1–T6, with or without an explicit order.
+func TestAutoNeverPicksVertexIterator(t *testing.T) {
+	for name, g := range rankingGraphs(t) {
+		p, err := Compute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b := p.Best(); b.Method.Family() == listing.VertexIterator {
+			t.Errorf("%s: method=auto picked %s", name, b.Spec())
+		}
+		for _, k := range Orders {
+			if c, _ := p.BestUnder(k); c.Method.Family() == listing.VertexIterator {
+				t.Errorf("%s: method=auto order=%v picked %s", name, k, c.Spec())
+			}
+		}
+	}
+}
+
+// TestLookupUndercutsVertex: every vertex-iterator cell has a
+// lookup-edge-iterator cell under the same order with the same eq. (50)
+// total, and that cell is priced lower in ns.
+func TestLookupUndercutsVertex(t *testing.T) {
+	for name, g := range rankingGraphs(t) {
+		p, err := Compute(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range p.Ranking {
+			if c.Method.Family() != listing.VertexIterator {
+				continue
+			}
+			found := false
+			for _, l := range p.Ranking {
+				if l.Method.Family() == listing.LookupEdgeIterator && l.Order == c.Order && l.Total == c.Total {
+					found = true
+					if l.PredictedNs >= c.PredictedNs {
+						t.Errorf("%s: %s priced %v ns, not below %s at %v ns", name, l.Spec(), l.PredictedNs, c.Spec(), c.PredictedNs)
+					}
+					break
+				}
+			}
+			if !found {
+				t.Errorf("%s: no lookup cell matches %s's %v ops", name, c.Spec(), c.Total)
+			}
+		}
+	}
+}
+
+// TestPickDivergingWN is the paper's §6.3 limit. For Pareto α = 1.45 ∈
+// (4/3, 1.5] under root truncation, the best vertex-iterator cost
+// converges while E1+θ_D's diverges, so w_n grows with n and the
+// scanning edge iterators lose at large n whatever their per-op speed.
+// The planner must show it: E1's price over the best non-E price grows
+// with n, and the pick at the largest n is not a scanning edge iterator.
+func TestPickDivergingWN(t *testing.T) {
+	p := degseq.StandardPareto(1.45)
+	var prev float64
+	var last *Plan
+	for i, n := range []int64{1e4, 1e6, 1e8} {
+		tr, err := degseq.TruncateFor(p, degseq.RootTruncation, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ComputeDist(tr, n, WithWorkers(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		e1, _ := plan.Lookup(listing.E1, order.KindDescending)
+		bestNonE := math.Inf(1)
+		for _, c := range plan.Ranking {
+			if c.Method.Family() != listing.ScanningEdgeIterator {
+				bestNonE = math.Min(bestNonE, c.PredictedNs)
+			}
+		}
+		ratio := e1.PredictedNs / bestNonE
+		if i > 0 && ratio <= prev {
+			t.Fatalf("n=%g: E1 price ratio %v not above %v at the previous n", float64(n), ratio, prev)
+		}
+		prev, last = ratio, plan
+	}
+	if b := last.Best(); b.Method.Family() == listing.ScanningEdgeIterator {
+		t.Fatalf("n=1e8: pick %s is a scanning edge iterator; §6.3 says it must lose", b.Spec())
 	}
 }

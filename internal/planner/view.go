@@ -14,8 +14,8 @@ type View struct {
 // KernelView is the JSON rendering of the priced kernel choice. The
 // kernel name round-trips through the job API; core_threshold is the
 // τ a bit-parallel run would receive. Predicted values come from the
-// fitted distribution and the host-calibrated operation costs, so
-// unlike the ranking they are machine-dependent.
+// fitted distribution and the checked-in operation costs, so like the
+// ranking they are the same on every host.
 type KernelView struct {
 	Kernel        string  `json:"kernel"`
 	CoreThreshold int32   `json:"core_threshold"`
@@ -42,17 +42,20 @@ type CandidateView struct {
 	Order  string `json:"order"`
 	// PerNode is the predicted model operations per non-isolated node
 	// (eq. 50); Total is the graph-wide prediction, comparable to a
-	// job's model_ops.
-	PerNode float64 `json:"predicted_cost_per_node"`
-	Total   float64 `json:"predicted_cost"`
+	// job's model_ops; PredictedNs is Total priced in nanoseconds, the
+	// quantity the ranking sorts by.
+	PerNode     float64 `json:"predicted_cost_per_node"`
+	Total       float64 `json:"predicted_cost"`
+	PredictedNs float64 `json:"predicted_ns"`
 }
 
 func (c Candidate) view() CandidateView {
 	return CandidateView{
-		Method:  c.Method.String(),
-		Order:   c.Order.String(),
-		PerNode: c.PerNode,
-		Total:   c.Total,
+		Method:      c.Method.String(),
+		Order:       c.Order.String(),
+		PerNode:     c.PerNode,
+		Total:       c.Total,
+		PredictedNs: c.PredictedNs,
 	}
 }
 

@@ -50,9 +50,9 @@ type JobSpec struct {
 	// triangles in the job result; count jobs only meter.
 	Mode string `json:"mode,omitempty"`
 	// Method is one of the 18 listing methods, or "auto" (the default):
-	// the planner prices every (method, order) pair from the graph's
-	// degree distribution and executes the predicted-cheapest. Explicit
-	// method names bypass the planner entirely.
+	// the planner prices every (method, order) pair in nanoseconds from
+	// the graph's degree distribution and executes the predicted-fastest.
+	// Explicit method names bypass the planner entirely.
 	Method string `json:"method,omitempty"`
 	// Order is a relabeling order name or "auto" (the default). The
 	// auto/explicit combinations resolve as:
@@ -112,9 +112,11 @@ type Job struct {
 	limit  int
 	parts  int
 	// planned marks a job whose method/order came from the planner;
-	// predicted is the plan's total model-op prediction for the pair.
-	planned   bool
-	predicted float64
+	// predicted is the plan's total model-op prediction for the pair and
+	// predictedNs the same prediction priced in nanoseconds.
+	planned     bool
+	predicted   float64
+	predictedNs float64
 	// plannedKernel marks a kernel=auto job whose kernel came from the
 	// plan's priced choice; coreThresh is the τ that choice carries
 	// (only consumed by the bit-parallel kernels).
@@ -168,7 +170,9 @@ type JobView struct {
 	// (= model_ops, the paper's advertised-work meter), and
 	// PredictedActualRatio their quotient — the live validation signal
 	// also exported as the trid_planner_predicted_actual_ratio
-	// histogram. Actuals appear once the job is done.
+	// histogram. Actuals appear once the job is done. PredictedNs is
+	// the plan's price for the pair in nanoseconds, the quantity the
+	// planner ranked by; compare it with list_ms.
 	PlannedMethod string `json:"planned_method,omitempty"`
 	PlannedOrder  string `json:"planned_order,omitempty"`
 	// PlannedKernel records the planner's priced kernel resolution on
@@ -176,6 +180,7 @@ type JobView struct {
 	// kernel as planner-chosen rather than client-named).
 	PlannedKernel        string  `json:"planned_kernel,omitempty"`
 	PredictedCost        float64 `json:"predicted_cost,omitempty"`
+	PredictedNs          float64 `json:"predicted_ns,omitempty"`
 	ActualAdvWork        int64   `json:"actual_adv_work,omitempty"`
 	PredictedActualRatio float64 `json:"predicted_actual_ratio,omitempty"`
 	// Parts, Passes and IO appear on partitioned jobs: the partition
@@ -221,6 +226,7 @@ func (j *Job) View() JobView {
 		v.PlannedMethod = j.method.String()
 		v.PlannedOrder = j.kind.String()
 		v.PredictedCost = j.predicted
+		v.PredictedNs = j.predictedNs
 		if j.plannedKernel {
 			v.PlannedKernel = j.kernel.String()
 		}
@@ -361,10 +367,11 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 		spec.Parts = MaxParts
 	}
 	var (
-		method    listing.Method
-		planned   bool
-		predicted float64
-		kplan     *planner.KernelPlan
+		method      listing.Method
+		planned     bool
+		predicted   float64
+		predictedNs float64
+		kplan       *planner.KernelPlan
 	)
 	if spec.Parts > 0 {
 		// Partitioned jobs run the fixed E2-style block-merge sweep; the
@@ -396,7 +403,7 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 			}
 		}
 		method, kind = c.Method, c.Order
-		planned, predicted = true, c.Total
+		planned, predicted, predictedNs = true, c.Total, c.PredictedNs
 		kplan = &plan.Kernel
 	} else {
 		method, err = parseMethod(spec.Method)
@@ -477,16 +484,17 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 	}
 	mgr.seq++
 	j := &Job{
-		id:        fmt.Sprintf("job-%d", mgr.seq),
-		spec:      spec,
-		method:    method,
-		kind:      kind,
-		kernel:    kern,
-		list:      isList,
-		limit:     limit,
-		parts:     spec.Parts,
-		planned:   planned,
-		predicted: predicted,
+		id:          fmt.Sprintf("job-%d", mgr.seq),
+		spec:        spec,
+		method:      method,
+		kind:        kind,
+		kernel:      kern,
+		list:        isList,
+		limit:       limit,
+		parts:       spec.Parts,
+		planned:     planned,
+		predicted:   predicted,
+		predictedNs: predictedNs,
 
 		plannedKernel: plannedKernel,
 		coreThresh:    coreThresh,

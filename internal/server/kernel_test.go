@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"trilist/internal/listing"
-	"trilist/internal/planner"
 )
 
 func TestJobKernelSelectionAndMetrics(t *testing.T) {
@@ -100,10 +99,6 @@ type kernelPlanView struct {
 // TestGraphPlanKernelView: /v1/graphs/{id}/plan carries the priced
 // kernel choice, and its name round-trips through the job API's parser.
 func TestGraphPlanKernelView(t *testing.T) {
-	// Pin the calibration so the priced choice is host-independent.
-	restore := planner.SetKernelCoeffs(planner.KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
-	defer restore()
-
 	e := newTestEnv(t, Options{})
 	info := e.register(t, erGraphText(t, 300, 2000, 5))
 
@@ -124,9 +119,10 @@ func TestGraphPlanKernelView(t *testing.T) {
 		t.Errorf("plan kernel %q does not parse: %v", pv.Kernel.Kernel, err)
 	}
 	// 300 nodes fit the row budget at τ=1, so every active vertex is
-	// core and cheap words make the bit tier a clear win.
+	// core, and a 5-word row undercuts a ≈13-probe list pair under the
+	// checked-in costs: the bit tier is a clear win.
 	if pv.Kernel.Kernel != "hybrid" {
-		t.Errorf("plan kernel = %q (gain %v), want hybrid under pinned cheap-word costs",
+		t.Errorf("plan kernel = %q (gain %v), want hybrid under the checked-in costs",
 			pv.Kernel.Kernel, pv.Kernel.Gain)
 	}
 	if pv.Kernel.CoreVertices <= 0 || pv.Kernel.RowBytes <= 0 {
@@ -139,9 +135,6 @@ func TestGraphPlanKernelView(t *testing.T) {
 // scanning-edge iterator; explicit kernel names execute as named and
 // never report planned_kernel.
 func TestKernelAutoResolution(t *testing.T) {
-	restore := planner.SetKernelCoeffs(planner.KernelCoeffs{MergeNs: 1, GallopNs: 1.5, ProbeNs: 1, WordNs: 0.01})
-	defer restore()
-
 	e := newTestEnv(t, Options{})
 	info := e.register(t, erGraphText(t, 300, 2000, 5))
 

@@ -1,10 +1,16 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"strings"
 	"testing"
+
+	"trilist/internal/degseq"
+	"trilist/internal/gen"
+	"trilist/internal/graph"
+	"trilist/internal/stats"
 )
 
 // TestPlannerExposition is the golden test for the three trid_planner_*
@@ -72,10 +78,12 @@ type planView struct {
 		Method        string  `json:"method"`
 		Order         string  `json:"order"`
 		PredictedCost float64 `json:"predicted_cost"`
+		PredictedNs   float64 `json:"predicted_ns"`
 	} `json:"chosen"`
 	Ranking []struct {
-		Method string `json:"method"`
-		Order  string `json:"order"`
+		Method      string  `json:"method"`
+		Order       string  `json:"order"`
+		PredictedNs float64 `json:"predicted_ns"`
 	} `json:"ranking"`
 	Fit struct {
 		Nodes    int   `json:"nodes"`
@@ -102,8 +110,14 @@ func TestGraphPlanEndpoint(t *testing.T) {
 	if len(pv.Ranking) != 18*5 {
 		t.Errorf("ranking has %d cells, want 90", len(pv.Ranking))
 	}
-	if pv.Chosen.Method == "" || pv.Chosen.Order == "" || pv.Chosen.PredictedCost <= 0 {
+	if pv.Chosen.Method == "" || pv.Chosen.Order == "" || pv.Chosen.PredictedCost <= 0 || pv.Chosen.PredictedNs <= 0 {
 		t.Errorf("chosen incomplete: %+v", pv.Chosen)
+	}
+	// The ranking is ordered by predicted time, fastest first.
+	for i := 1; i < len(pv.Ranking); i++ {
+		if pv.Ranking[i].PredictedNs < pv.Ranking[i-1].PredictedNs {
+			t.Fatalf("ranking out of order at %d: %+v after %+v", i, pv.Ranking[i], pv.Ranking[i-1])
+		}
 	}
 	if pv.Fit.Nodes != 300 {
 		t.Errorf("fit nodes = %d, want 300", pv.Fit.Nodes)
@@ -140,7 +154,7 @@ func TestPlannerAutoJob(t *testing.T) {
 			t.Errorf("job executed %s+%s, plan chose %s+%s",
 				jv.PlannedMethod, jv.PlannedOrder, pv.Chosen.Method, pv.Chosen.Order)
 		}
-		if jv.PredictedCost <= 0 || jv.ActualAdvWork <= 0 {
+		if jv.PredictedCost <= 0 || jv.ActualAdvWork <= 0 || jv.PredictedNs != pv.Chosen.PredictedNs {
 			t.Errorf("planned job missing cost fields: %+v", jv)
 		}
 		// ER graphs are the model's home turf; a ratio far from 1 means
@@ -154,7 +168,7 @@ func TestPlannerAutoJob(t *testing.T) {
 	if code != http.StatusOK || jv.Status != string(JobDone) {
 		t.Fatalf("explicit job: code=%d view=%+v", code, jv)
 	}
-	if jv.PlannedMethod != "" || jv.PredictedCost != 0 {
+	if jv.PlannedMethod != "" || jv.PredictedCost != 0 || jv.PredictedNs != 0 {
 		t.Errorf("explicit-method job reports planner fields: %+v", jv)
 	}
 
@@ -170,6 +184,45 @@ func TestPlannerAutoJob(t *testing.T) {
 	ratio := extractFamily(text, "trid_planner_predicted_actual_ratio")
 	if !strings.Contains(ratio, `_count{method="`+pv.Chosen.Method+`"} 2`) {
 		t.Errorf("ratio histogram missing observations:\n%s", ratio)
+	}
+}
+
+// TestPlannerAutoLinearRunsLookup: on a linear-truncation Pareto(1.5)
+// graph, method=auto runs L2/θ_D. It costs the same eq. (50) operations
+// as T1/θ_D, but probes the per-worker stamp arena instead of a global
+// arc hash set, so the time-priced plan prefers it. The auto job must
+// report exactly the triangles and model_ops of an explicit T1/θ_D job,
+// plus the plan's price in ns.
+func TestPlannerAutoLinearRunsLookup(t *testing.T) {
+	g, _, err := gen.ParetoGraph(degseq.StandardPareto(1.5), 10000, degseq.LinearTruncation, stats.NewRNGFromSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
+		t.Fatal(err)
+	}
+	e := newTestEnv(t, Options{})
+	info := e.register(t, buf.Bytes())
+
+	code, auto := e.postJob(t, JobSpec{Graph: info.ID, Method: "auto", Wait: true})
+	if code != http.StatusOK || auto.Status != string(JobDone) {
+		t.Fatalf("auto job: code=%d view=%+v", code, auto)
+	}
+	if auto.Method != "L2" || auto.Order != "descending" || auto.Kernel != "auto" {
+		t.Fatalf("method=auto ran %s/%s kernel %s, want L2/descending under kernel auto",
+			auto.Method, auto.Order, auto.Kernel)
+	}
+	if auto.PredictedNs <= 0 {
+		t.Errorf("auto job predicted_ns = %v, want > 0", auto.PredictedNs)
+	}
+	code, t1 := e.postJob(t, JobSpec{Graph: info.ID, Method: "T1", Order: "descending", Wait: true})
+	if code != http.StatusOK || t1.Status != string(JobDone) {
+		t.Fatalf("T1 job: code=%d view=%+v", code, t1)
+	}
+	if auto.Triangles != t1.Triangles || auto.ModelOps != t1.ModelOps {
+		t.Errorf("L2/θ_D found %d triangles in %d model ops, T1/θ_D %d in %d",
+			auto.Triangles, auto.ModelOps, t1.Triangles, t1.ModelOps)
 	}
 }
 

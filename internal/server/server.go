@@ -224,8 +224,8 @@ func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 
 // handleGraphPlan previews the planner's ranking for a resident graph
 // without running a job: the full (method, order) grid priced by
-// eq. (50) on the fitted degree distribution, cheapest first, plus the
-// fit diagnostics. The plan is memoized per graph, so repeated calls
+// eq. (50) on the fitted degree distribution and weighted into
+// nanoseconds, fastest first, plus the fit diagnostics. The plan is memoized per graph, so repeated calls
 // (and subsequent method=auto jobs) are free.
 func (s *Server) handleGraphPlan(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
