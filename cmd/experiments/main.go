@@ -10,9 +10,10 @@
 // The default scale runs every table in minutes on a laptop while
 // preserving all qualitative conclusions; -scale paper reproduces the
 // paper's full protocol (hours). -workers parallelizes the Monte-Carlo
-// trials (default GOMAXPROCS), and -table pipeline also times the rank
-// and orient stages at 1 and -workers goroutines; table output is
-// byte-identical for every worker count.
+// trials (default GOMAXPROCS); table output is byte-identical for every
+// worker count. -table kernels (a wall-clock kernel ablation) and
+// -table planner (predicted-vs-measured plan validation) are opt-in and
+// not part of -table all.
 package main
 
 import (
@@ -39,7 +40,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	table := fs.String("table", "all", "table to regenerate: 3, 5, 6, 7, 8, 9, 10, 11, 12, scaling, kernels, pipeline, planner, or all")
+	table := fs.String("table", "all", "table to regenerate: 3, 5, 6, 7, 8, 9, 10, 11, 12, scaling, kernels, planner, or all")
 	scale := fs.String("scale", "default", "protocol scale: default or paper")
 	sizes := fs.String("sizes", "", "comma-separated graph sizes (overrides scale)")
 	seqs := fs.Int("seqs", 0, "degree sequences per point (overrides scale)")
@@ -50,21 +51,9 @@ func run(args []string, w io.Writer) error {
 		"goroutines running Monte-Carlo trials and prepare stages; output is identical for any value")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	kernels := fs.String("kernel", "merge,gallop,bitmap,auto,bits,hybrid",
-		"comma-separated intersection kernels for -table kernels/pipeline")
-	kernelsBase := fs.String("kernels-baseline", "",
-		"recorded BENCH_kernels.json to gate -table kernels against (empty = no gate)")
-	benchOut := fs.String("bench-out", "BENCH_pipeline.json",
-		"where -table pipeline writes its JSON measurements (empty = don't write)")
-	baseline := fs.String("baseline", "",
-		"recorded BENCH_pipeline.json to gate -table pipeline against (empty = no gate)")
-	tolerance := fs.Float64("tolerance", 0.25,
-		"fractional best-ms slowdown the -baseline gate tolerates (0.25 = 25%)")
-	trials := fs.Int("trials", 0, "timed repetitions per pipeline/kernels cell (0 = default 3)")
-	pipeN := fs.Int("n", 0, "graph size for -table pipeline/planner/kernels (0 = table default)")
-	plannerOut := fs.String("planner-out", "BENCH_planner.json",
-		"where -table planner writes its JSON validation document (empty = don't write)")
-	plannerBase := fs.String("planner-baseline", "",
-		"recorded BENCH_planner.json to gate -table planner against (empty = no gate)")
+		"comma-separated intersection kernels for -table kernels")
+	trials := fs.Int("trials", 0, "timed repetitions per kernels cell (0 = default 3)")
+	tableN := fs.Int("n", 0, "graph size for -table planner/kernels (0 = table default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -226,7 +215,7 @@ func run(args []string, w io.Writer) error {
 		// Wall-clock kernel ablation; opt-in only (not part of "all",
 		// which stays purely analytical and machine-independent).
 		ran = true
-		kcfg := experiments.KernelConfig{N: *pipeN, Seed: cfg.Seed, Reps: *trials}
+		kcfg := experiments.KernelConfig{N: *tableN, Seed: cfg.Seed, Reps: *trials}
 		for _, s := range strings.Split(*kernels, ",") {
 			k, err := listing.ParseKernel(strings.TrimSpace(s))
 			if err != nil {
@@ -235,7 +224,7 @@ func run(args []string, w io.Writer) error {
 			kcfg.Kernels = append(kcfg.Kernels, k)
 		}
 		t0 := time.Now()
-		bench, rows, err := experiments.TableKernels(kcfg)
+		rows, err := experiments.TableKernels(kcfg)
 		if err != nil {
 			return err
 		}
@@ -246,150 +235,24 @@ func run(args []string, w io.Writer) error {
 		}); err != nil {
 			return err
 		}
-		if err := writeCSV("BENCH_kernels.json", func(f io.Writer) error {
-			return experiments.WriteKernelsJSON(f, bench)
-		}); err != nil {
-			return err
-		}
-		if *kernelsBase != "" {
-			f, err := os.Open(*kernelsBase)
-			if err != nil {
-				return err
-			}
-			base, err := experiments.ReadKernelsJSON(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			if !experiments.ComparableKernelHosts(bench, base) {
-				fmt.Fprintf(w, "note: baseline host shape unknown or different (baseline %d CPU / GOMAXPROCS %d, current %d/%d); wall-clock comparisons skipped\n",
-					base.NumCPU, base.GoMaxProcs, bench.NumCPU, bench.GoMaxProcs)
-			}
-			if violations := experiments.CompareKernels(bench, base, *tolerance); len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintln(w, "REGRESSION:", v)
-				}
-				return fmt.Errorf("kernels benchmark regressed against %s (%d violations)",
-					*kernelsBase, len(violations))
-			}
-			fmt.Fprintf(w, "kernels baseline gate passed (%s, tolerance %.0f%%)\n", *kernelsBase, *tolerance*100)
-		}
-	}
-	if *table == "pipeline" {
-		// Per-stage wall-clock benchmark with optional regression gate;
-		// opt-in only, like kernels (machine-dependent measurements).
-		ran = true
-		pcfg := experiments.PipelineConfig{N: *pipeN, Seed: cfg.Seed, Reps: *trials}
-		for _, s := range strings.Split(*kernels, ",") {
-			k, err := listing.ParseKernel(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			pcfg.Kernels = append(pcfg.Kernels, k)
-		}
-		if *workers > 1 {
-			pcfg.Workers = []int{1, *workers}
-		}
-		t0 := time.Now()
-		bench, err := experiments.TablePipeline(pcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, experiments.FormatPipeline(bench))
-		fmt.Fprintf(w, "(computed in %v)\n", time.Since(t0).Round(time.Millisecond))
-		if *benchOut != "" {
-			f, err := os.Create(*benchOut)
-			if err != nil {
-				return err
-			}
-			werr := experiments.WritePipelineJSON(f, bench)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
-			}
-			fmt.Fprintf(w, "wrote %s\n", *benchOut)
-		}
-		if err := writeCSV("pipeline.csv", func(f io.Writer) error {
-			return experiments.WritePipelineCSV(f, bench)
-		}); err != nil {
-			return err
-		}
-		if *baseline != "" {
-			f, err := os.Open(*baseline)
-			if err != nil {
-				return err
-			}
-			base, err := experiments.ReadPipelineJSON(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			if !experiments.ComparablePipelineHosts(bench, base) {
-				fmt.Fprintf(w, "note: baseline host shape unknown or different (baseline %d CPU / GOMAXPROCS %d, current %d/%d); multi-worker timing comparisons skipped\n",
-					base.NumCPU, base.GoMaxProcs, bench.NumCPU, bench.GoMaxProcs)
-			}
-			if violations := experiments.ComparePipeline(bench, base, *tolerance); len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintln(w, "REGRESSION:", v)
-				}
-				return fmt.Errorf("pipeline benchmark regressed against %s (%d violations)",
-					*baseline, len(violations))
-			}
-			fmt.Fprintf(w, "baseline gate passed (%s, tolerance %.0f%%)\n", *baseline, *tolerance*100)
-		}
 	}
 	if *table == "planner" {
-		// Predicted-vs-measured planner validation. Opt-in like pipeline,
-		// but every number is deterministic given the seed, so its gate is
-		// exact — no timing tolerance, no host exemptions.
+		// Predicted-vs-measured planner validation; opt-in like kernels.
+		// Every number is deterministic given the seed: the default
+		// workload is pinned by the internal/experiments golden.
 		ran = true
-		ncfg := experiments.PlannerConfig{N: *pipeN, Seed: cfg.Seed, Workers: *workers}
+		ncfg := experiments.PlannerConfig{N: *tableN, Seed: cfg.Seed, Workers: *workers}
 		t0 := time.Now()
-		bench, err := experiments.TablePlanner(ncfg)
+		tab, err := experiments.TablePlanner(ncfg)
 		if err != nil {
 			return err
 		}
-		fmt.Fprintln(w, experiments.FormatPlanner(bench))
+		fmt.Fprintln(w, experiments.FormatPlanner(tab))
 		fmt.Fprintf(w, "(computed in %v)\n", time.Since(t0).Round(time.Millisecond))
-		if *plannerOut != "" {
-			f, err := os.Create(*plannerOut)
-			if err != nil {
-				return err
-			}
-			werr := experiments.WritePlannerJSON(f, bench)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				return werr
-			}
-			fmt.Fprintf(w, "wrote %s\n", *plannerOut)
-		}
 		if err := writeCSV("planner.csv", func(f io.Writer) error {
-			return experiments.WritePlannerCSV(f, bench)
+			return experiments.WritePlannerCSV(f, tab)
 		}); err != nil {
 			return err
-		}
-		if *plannerBase != "" {
-			f, err := os.Open(*plannerBase)
-			if err != nil {
-				return err
-			}
-			base, err := experiments.ReadPlannerJSON(f)
-			f.Close()
-			if err != nil {
-				return err
-			}
-			if violations := experiments.ComparePlanner(bench, base); len(violations) > 0 {
-				for _, v := range violations {
-					fmt.Fprintln(w, "MISPREDICTION DRIFT:", v)
-				}
-				return fmt.Errorf("planner validation drifted from %s (%d violations)",
-					*plannerBase, len(violations))
-			}
-			fmt.Fprintf(w, "planner baseline gate passed (%s)\n", *plannerBase)
 		}
 	}
 	if !ran {

@@ -1,13 +1,11 @@
 package main
 
 import (
-	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"trilist/internal/experiments"
 )
 
 func tinyArgs(table string) []string {
@@ -106,205 +104,65 @@ func TestExperimentsWorkerDeterminism(t *testing.T) {
 	}
 }
 
-// pipelineArgs runs -table pipeline at a size small enough for CI.
-func pipelineArgs(benchOut string, extra ...string) []string {
-	args := []string{
-		"-table", "pipeline", "-n", "1500", "-trials", "1",
-		"-kernel", "merge,gallop", "-workers", "2",
-		"-bench-out", benchOut,
-	}
-	return append(args, extra...)
-}
-
-func TestExperimentsPipeline(t *testing.T) {
-	dir := t.TempDir()
-	benchOut := filepath.Join(dir, "BENCH_pipeline.json")
-	var out strings.Builder
-	if err := run(append(pipelineArgs(benchOut), "-csv", dir), &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Pipeline stage benchmark", "generate", "list", "wrote "} {
-		if !strings.Contains(out.String(), want) {
-			t.Fatalf("output missing %q:\n%s", want, out.String())
-		}
-	}
-	data, err := os.ReadFile(benchOut)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(data), `"schema": "`+experiments.PipelineSchema+`"`) {
-		t.Fatalf("bench JSON missing schema:\n%s", data)
-	}
-	// Schema v2 stamps the recording host; the gate checks below rely on
-	// it (rewritten baselines keep the same host, so timing rows gate).
-	if !strings.Contains(string(data), `"num_cpu"`) || !strings.Contains(string(data), `"gomaxprocs"`) {
-		t.Fatalf("bench JSON missing host shape:\n%s", data)
-	}
-	if _, err := os.ReadFile(filepath.Join(dir, "pipeline.csv")); err != nil {
-		t.Fatal(err)
-	}
-
-	// Gate pass: a baseline with huge best_ms can never be regressed
-	// against, whatever this machine's clock does.
-	pass := filepath.Join(dir, "pass.json")
-	if err := os.WriteFile(pass, rewriteBestMS(t, data, 1e9), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run(pipelineArgs(benchOut, "-baseline", pass), &out); err != nil {
-		t.Fatalf("gate against generous baseline failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "baseline gate passed") {
-		t.Fatalf("missing pass message:\n%s", out.String())
-	}
-
-	// Gate fail: a baseline with microscopic best_ms is always exceeded.
-	fail := filepath.Join(dir, "fail.json")
-	if err := os.WriteFile(fail, rewriteBestMS(t, data, 1e-9), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	err = run(pipelineArgs(benchOut, "-baseline", fail), &out)
-	if err == nil || !strings.Contains(err.Error(), "regressed") {
-		t.Fatalf("gate against impossible baseline passed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "REGRESSION:") {
-		t.Fatalf("missing regression lines:\n%s", out.String())
-	}
-
-	// Foreign-host baseline: impossible timings on the multi-worker rows
-	// only, recorded on a "different" host — those rows are exempt from
-	// the timing gate, so the run passes and says why. Single-worker rows
-	// still gate across hosts; make them generous first so this check
-	// exercises the exemption logic, not this machine's load level.
-	foreign := filepath.Join(dir, "foreign.json")
-	if err := os.WriteFile(foreign, rewriteForeignHost(t, rewriteBestMS(t, data, 1e9), 1e-9), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	out.Reset()
-	if err := run(pipelineArgs(benchOut, "-baseline", foreign), &out); err != nil {
-		t.Fatalf("gate against foreign-host baseline failed: %v\n%s", err, out.String())
-	}
-	if !strings.Contains(out.String(), "multi-worker timing comparisons skipped") {
-		t.Fatalf("missing host-mismatch note:\n%s", out.String())
-	}
-}
-
-// rewriteBestMS sets every row's best_ms in a bench JSON document.
-func rewriteBestMS(t *testing.T, data []byte, ms float64) []byte {
-	t.Helper()
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range doc["rows"].([]any) {
-		r.(map[string]any)["best_ms"] = ms
-	}
-	out, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-// rewriteForeignHost bumps the document's num_cpu (a different host
-// shape) and sets best_ms on multi-worker rows only.
-func rewriteForeignHost(t *testing.T, data []byte, ms float64) []byte {
-	t.Helper()
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	doc["num_cpu"] = doc["num_cpu"].(float64) + 7
-	for _, r := range doc["rows"].([]any) {
-		row := r.(map[string]any)
-		if row["workers"].(float64) > 1 {
-			row["best_ms"] = ms
-		}
-	}
-	out, err := json.Marshal(doc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return out
-}
-
-func TestExperimentsPipelineBadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	bad := filepath.Join(dir, "bad.json")
-	if err := os.WriteFile(bad, []byte(`{"schema":"nope"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var out strings.Builder
-	err := run(pipelineArgs(filepath.Join(dir, "out.json"), "-baseline", bad), &out)
-	if err == nil || !strings.Contains(err.Error(), "schema") {
-		t.Fatalf("bad baseline schema accepted: %v", err)
-	}
-	if err := run(pipelineArgs(filepath.Join(dir, "out2.json"),
-		"-baseline", filepath.Join(dir, "enoent.json")), &out); err == nil {
-		t.Fatal("missing baseline file accepted")
-	}
-}
-
 func TestExperimentsPlanner(t *testing.T) {
 	dir := t.TempDir()
-	benchOut := filepath.Join(dir, "BENCH_planner.json")
-	args := func(extra ...string) []string {
-		return append([]string{"-table", "planner", "-n", "1500", "-seed", "3",
-			"-planner-out", benchOut}, extra...)
-	}
 	var out strings.Builder
-	if err := run(args("-csv", dir), &out); err != nil {
+	args := []string{"-table", "planner", "-n", "1500", "-seed", "3", "-csv", dir}
+	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Planner validation", "predicted-best", "wrote "} {
+	for _, want := range []string{"Planner validation", "predicted-best", "measured-rank"} {
 		if !strings.Contains(out.String(), want) {
 			t.Fatalf("output missing %q:\n%s", want, out.String())
 		}
 	}
-	data, err := os.ReadFile(benchOut)
+	data, err := os.ReadFile(filepath.Join(dir, "planner.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(string(data), `"schema": "`+experiments.PlannerSchema+`"`) {
-		t.Fatalf("bench JSON missing schema:\n%s", data)
+	if !strings.HasPrefix(string(data), "workload,method,order,predicted_ops,measured_ops,ratio\n") {
+		t.Fatalf("planner CSV header wrong:\n%s", data)
 	}
-	if _, err := os.ReadFile(filepath.Join(dir, "planner.csv")); err != nil {
+}
+
+func TestExperimentsKernelsCSV(t *testing.T) {
+	dir := t.TempDir()
+	var out strings.Builder
+	args := []string{"-table", "kernels", "-n", "1500", "-trials", "1", "-csv", dir}
+	if err := run(args, &out); err != nil {
 		t.Fatal(err)
 	}
-
-	// Everything in the document is deterministic: gating a rerun against
-	// its own output passes, at any worker count.
-	out.Reset()
-	if err := run(args("-planner-baseline", benchOut, "-workers", "3"), &out); err != nil {
-		t.Fatalf("self-gate failed: %v\n%s", err, out.String())
+	if !strings.Contains(out.String(), "Kernel ablation") {
+		t.Fatalf("output incomplete:\n%s", out.String())
 	}
-	if !strings.Contains(out.String(), "planner baseline gate passed") {
-		t.Fatalf("missing pass message:\n%s", out.String())
-	}
-
-	// A perturbed measured_ops is a hard failure — no timing tolerance.
-	var doc map[string]any
-	if err := json.Unmarshal(data, &doc); err != nil {
-		t.Fatal(err)
-	}
-	row := doc["rows"].([]any)[0].(map[string]any)
-	row["measured_ops"] = row["measured_ops"].(float64) + 1
-	drifted, err := json.Marshal(doc)
+	data, err := os.ReadFile(filepath.Join(dir, "kernels.csv"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bad := filepath.Join(dir, "drifted.json")
-	if err := os.WriteFile(bad, drifted, 0o644); err != nil {
-		t.Fatal(err)
+	// Header plus 2 truncations × 2 methods × 6 kernels.
+	if lines := strings.Count(string(data), "\n"); lines != 1+2*2*6 {
+		t.Fatalf("kernels CSV has %d lines, want 25:\n%s", lines, data)
 	}
-	out.Reset()
-	err = run(args("-planner-baseline", bad), &out)
-	if err == nil || !strings.Contains(err.Error(), "drifted") {
-		t.Fatalf("drifted baseline accepted: %v\n%s", err, out.String())
+}
+
+// TestExperimentsRetiredTableAndFlags: the pipeline table and the
+// baseline-gate flags of the old JSON bench documents are gone, and
+// using them is an error rather than a silent no-op.
+func TestExperimentsRetiredTableAndFlags(t *testing.T) {
+	var out strings.Builder
+	err := run([]string{"-table", "pipeline", "-n", "1500"}, &out)
+	if err == nil || !strings.Contains(err.Error(), `unknown table "pipeline"`) {
+		t.Fatalf("-table pipeline: err %v, want unknown table", err)
 	}
-	if !strings.Contains(out.String(), "MISPREDICTION DRIFT:") {
-		t.Fatalf("missing drift lines:\n%s", out.String())
+	retired := []string{"-bench-out", "-tolerance", "-planner-out"}
+	for _, table := range []string{"", "kernels-", "planner-"} {
+		retired = append(retired, "-"+table+"baseline")
+	}
+	for _, flag := range retired {
+		err := run([]string{"-table", "planner", "-n", "1500", flag, "0.25"}, io.Discard)
+		if err == nil || !strings.Contains(err.Error(), "flag provided but not defined") {
+			t.Errorf("%s: err %v, want undefined flag", flag, err)
+		}
 	}
 }
 

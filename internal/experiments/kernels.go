@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
-	"slices"
 	"strings"
 	"time"
 
@@ -30,12 +27,6 @@ import (
 // kernels run at the planner's priced core threshold, recorded per row,
 // so the published numbers are the ones a kernel=auto job would see.
 
-// KernelsSchema versions the BENCH_kernels.json layout. v2 wrapped the
-// bare v1 row array in a document carrying the workload parameters and
-// the host shape (NumCPU, GoMaxProcs); readers accept v1 arrays, whose
-// missing host fields mean "unknown host".
-const KernelsSchema = "trilist/kernels-bench/v2"
-
 // KernelRow is one (truncation, method, kernel) measurement.
 type KernelRow struct {
 	Trunc     degseq.Truncation
@@ -52,39 +43,6 @@ type KernelRow struct {
 	// Speedup is merge BestMS / this kernel's BestMS on the same
 	// (truncation, method) sweep; 1.0 for merge itself.
 	Speedup float64
-}
-
-// KernelCell is the serialized form of one row in BENCH_kernels.json.
-type KernelCell struct {
-	Truncation    string  `json:"truncation"`
-	Method        string  `json:"method"`
-	Kernel        string  `json:"kernel"`
-	Triangles     int64   `json:"triangles"`
-	ModelOps      int64   `json:"model_ops"`
-	CoreThreshold int32   `json:"core_threshold,omitempty"`
-	BestMS        float64 `json:"best_ms"`
-	Speedup       float64 `json:"speedup_vs_merge"`
-}
-
-// key identifies a cell for baseline matching: everything but the
-// measurements.
-func (c KernelCell) key() string {
-	return fmt.Sprintf("%s/%s/%s", c.Truncation, c.Method, c.Kernel)
-}
-
-// KernelsBench is the persisted benchmark document.
-type KernelsBench struct {
-	Schema string  `json:"schema"`
-	N      int     `json:"n"`
-	Alpha  float64 `json:"alpha"`
-	Seed   uint64  `json:"seed"`
-	Reps   int     `json:"reps"`
-	// NumCPU and GoMaxProcs record the host the bench ran on (schema
-	// v2). Zero (v1 documents) means the host shape is unknown and
-	// wall-clock rows can't be compared meaningfully.
-	NumCPU     int          `json:"num_cpu,omitempty"`
-	GoMaxProcs int          `json:"gomaxprocs,omitempty"`
-	Rows       []KernelCell `json:"rows"`
 }
 
 // KernelConfig parameterizes TableKernels.
@@ -135,14 +93,14 @@ func (c KernelConfig) withDefaults() KernelConfig {
 // bit-parallel kernels run at the core threshold the planner prices
 // for each truncation's fitted degree distribution, so the table
 // reports exactly the configuration kernel=auto resolves to.
-func TableKernels(cfg KernelConfig) (*KernelsBench, []KernelRow, error) {
+func TableKernels(cfg KernelConfig) ([]KernelRow, error) {
 	cfg = cfg.withDefaults()
 	p := degseq.StandardPareto(cfg.Alpha)
 	var rows []KernelRow
 	for ti, trunc := range []degseq.Truncation{degseq.RootTruncation, degseq.LinearTruncation} {
 		g, _, err := gen.ParetoGraph(p, cfg.N, trunc, stats.NewRNGFromSeed(cfg.Seed+uint64(ti)))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		// The planner's τ for this workload: the threshold a kernel=auto
 		// job on this graph's fitted distribution would hand the bit tier.
@@ -151,20 +109,20 @@ func TableKernels(cfg KernelConfig) (*KernelsBench, []KernelRow, error) {
 		// kernel anyway.
 		dist, err := degseq.TruncateFor(p, trunc, int64(cfg.N))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		plan, err := planner.ComputeDist(dist, int64(cfg.N))
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		thresh := plan.Kernel.CoreThreshold
 		rank, err := order.Rank(g, order.KindDescending, nil)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		o, err := digraph.Orient(g, rank)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, m := range cfg.Methods {
 			var base listing.Stats
@@ -189,7 +147,7 @@ func TableKernels(cfg KernelConfig) (*KernelsBench, []KernelRow, error) {
 				if k == listing.KernelMerge {
 					base, baseMS, haveBase = st, best, true
 				} else if haveBase && st != base {
-					return nil, nil, fmt.Errorf("experiments: kernel %v diverged from merge on %v/%v: %+v vs %+v",
+					return nil, fmt.Errorf("experiments: kernel %v diverged from merge on %v/%v: %+v vs %+v",
 						k, trunc, m, st, base)
 				}
 				row := KernelRow{
@@ -211,29 +169,7 @@ func TableKernels(cfg KernelConfig) (*KernelsBench, []KernelRow, error) {
 			}
 		}
 	}
-	bench := &KernelsBench{
-		Schema:     KernelsSchema,
-		N:          cfg.N,
-		Alpha:      cfg.Alpha,
-		Seed:       cfg.Seed,
-		Reps:       cfg.Reps,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-		Rows:       make([]KernelCell, len(rows)),
-	}
-	for i, r := range rows {
-		bench.Rows[i] = KernelCell{
-			Truncation:    r.Trunc.String(),
-			Method:        r.Method.String(),
-			Kernel:        r.Kernel.String(),
-			Triangles:     r.Triangles,
-			ModelOps:      r.ModelOps,
-			CoreThreshold: r.CoreThreshold,
-			BestMS:        r.BestMS,
-			Speedup:       r.Speedup,
-		}
-	}
-	return bench, rows, nil
+	return rows, nil
 }
 
 // FormatKernels renders rows as the aligned text table the CLI prints.
@@ -265,90 +201,4 @@ func WriteKernelsCSV(w io.Writer, rows []KernelRow) error {
 		}
 	}
 	return nil
-}
-
-// WriteKernelsJSON emits the bench document as indented JSON — the
-// BENCH_kernels.json format.
-func WriteKernelsJSON(w io.Writer, b *KernelsBench) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// ReadKernelsJSON parses a bench document. v1 baselines — a bare JSON
-// row array with no envelope — are accepted and surface with empty
-// Schema and zero workload/host fields.
-func ReadKernelsJSON(r io.Reader) (*KernelsBench, error) {
-	raw, err := io.ReadAll(r)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: kernels bench: %w", err)
-	}
-	trimmed := strings.TrimSpace(string(raw))
-	if strings.HasPrefix(trimmed, "[") {
-		var rows []KernelCell
-		if err := json.Unmarshal(raw, &rows); err != nil {
-			return nil, fmt.Errorf("experiments: kernels bench (v1 array): %w", err)
-		}
-		return &KernelsBench{Rows: rows}, nil
-	}
-	var b KernelsBench
-	dec := json.NewDecoder(strings.NewReader(trimmed))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&b); err != nil {
-		return nil, fmt.Errorf("experiments: kernels bench: %w", err)
-	}
-	if b.Schema != KernelsSchema {
-		return nil, fmt.Errorf("experiments: kernels bench schema %q, want %q", b.Schema, KernelsSchema)
-	}
-	return &b, nil
-}
-
-// ComparableKernelHosts reports whether wall-clock rows of the two
-// documents were measured on the same host shape. v1 baselines (no host
-// fields) are never comparable.
-func ComparableKernelHosts(cur, base *KernelsBench) bool {
-	return cur.NumCPU > 0 && cur.NumCPU == base.NumCPU &&
-		cur.GoMaxProcs > 0 && cur.GoMaxProcs == base.GoMaxProcs
-}
-
-// CompareKernels gates cur against base: every baseline cell must be
-// present in cur, and its Triangles/ModelOps must match exactly (when
-// the baseline recorded them) — those are deterministic per seed, so
-// they gate unconditionally. BestMS must not exceed the baseline by
-// more than the fractional tolerance (tol 0.25 = 25% slower allowed),
-// but only when the two documents agree on the host shape (see
-// ComparableKernelHosts — including every v1 baseline, which recorded
-// none): absolute kernel timings do not transfer across hosts. Speedup
-// is BestMS-derived and is never gated. The returned strings describe
-// the violations, sorted; empty means the gate passes. Cells only in
-// cur are fine — adding kernels is not a regression.
-func CompareKernels(cur, base *KernelsBench, tol float64) []string {
-	curByKey := make(map[string]KernelCell, len(cur.Rows))
-	for _, r := range cur.Rows {
-		curByKey[r.key()] = r
-	}
-	sameHost := ComparableKernelHosts(cur, base)
-	var out []string
-	for _, b := range base.Rows {
-		c, ok := curByKey[b.key()]
-		if !ok {
-			out = append(out, fmt.Sprintf("%s: missing from current run", b.key()))
-			continue
-		}
-		if b.Triangles != 0 && c.Triangles != b.Triangles {
-			out = append(out, fmt.Sprintf("%s: triangles %d, baseline %d", b.key(), c.Triangles, b.Triangles))
-		}
-		if b.ModelOps != 0 && c.ModelOps != b.ModelOps {
-			out = append(out, fmt.Sprintf("%s: model_ops %d, baseline %d", b.key(), c.ModelOps, b.ModelOps))
-		}
-		if !sameHost {
-			continue
-		}
-		if limit := b.BestMS * (1 + tol); b.BestMS > 0 && c.BestMS > limit {
-			out = append(out, fmt.Sprintf("%s: best_ms %.3f exceeds baseline %.3f by more than %.0f%%",
-				b.key(), c.BestMS, b.BestMS, tol*100))
-		}
-	}
-	slices.Sort(out)
-	return out
 }

@@ -1,12 +1,9 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
-	"runtime"
-	"slices"
 	"strings"
 
 	"trilist/internal/core"
@@ -32,71 +29,51 @@ import (
 // ns/op, so measured cells are ranked by measured ops × the same ns/op.
 //
 // Every number here is deterministic given the seed (model arithmetic
-// and degree sums, no wall clocks), so the checked-in BENCH_planner.json
-// gates with exact integer comparisons and a tiny float tolerance for
-// libm-level drift — unlike the timing benches, host shape only
-// annotates the document, it never exempts rows.
-
-// PlannerSchema versions the BENCH_planner.json layout.
-const PlannerSchema = "trilist/planner-bench/v1"
-
-// plannerPredTol is the relative tolerance for comparing predicted
-// costs (and derived ratios) against a baseline: the model arithmetic
-// is pure float64 with a fixed evaluation order, but math.Exp/Pow may
-// drift by an ulp across architectures.
-const plannerPredTol = 1e-9
+// and degree sums, no wall clocks), so the printed table is pinned
+// byte for byte by the testdata/planner.txt golden (TestPlannerGolden;
+// regenerate with `go test ./internal/experiments -update`).
 
 // PlannerRow is one grid cell: eq. (50)'s prediction for a
 // (method, order) pair next to the exact measured model cost on the
 // realized graph.
 type PlannerRow struct {
-	Workload string `json:"workload"` // truncation: root or linear
-	Method   string `json:"method"`
-	Order    string `json:"order"`
+	Workload string // truncation: root or linear
+	Method   string
+	Order    string
 	// Predicted is the plan's total model-op prediction; Measured is
 	// listing.ModelCost on the prepared orientation (what an executed
 	// sweep would meter); Ratio is Predicted/Measured.
-	Predicted float64 `json:"predicted_ops"`
-	Measured  int64   `json:"measured_ops"`
-	Ratio     float64 `json:"ratio"`
-}
-
-func (r PlannerRow) key() string {
-	return fmt.Sprintf("%s/%s/%s", r.Workload, r.Method, r.Order)
+	Predicted float64
+	Measured  int64
+	Ratio     float64
 }
 
 // PlannerSummary scores the planner's choice on one workload. "Cost"
 // here is model ops × planner.NsPerOp of the cell's method, predicted
 // or measured.
 type PlannerSummary struct {
-	Workload string `json:"workload"`
+	Workload string
 	// PredictedBest is the plan's pick and MeasuredBest the cell with
 	// the lowest measured cost, each as "method+order".
-	PredictedBest string `json:"predicted_best"`
-	MeasuredBest  string `json:"measured_best"`
+	PredictedBest string
+	MeasuredBest  string
 	// MeasuredRank is the predicted-best cell's 1-based position when
 	// cells are sorted by measured cost: 1 means the planner picked the
 	// true optimum.
-	MeasuredRank int `json:"predicted_best_measured_rank"`
+	MeasuredRank int
 	// Overhead is cost(PredictedBest)/cost(MeasuredBest), both measured —
 	// the multiplier actually paid for trusting the model; 1 means no
 	// regret.
-	Overhead float64 `json:"overhead"`
+	Overhead float64
 }
 
-// PlannerBench is the persisted validation document.
-type PlannerBench struct {
-	Schema string  `json:"schema"`
-	N      int     `json:"n"`
-	Alpha  float64 `json:"alpha"`
-	Seed   uint64  `json:"seed"`
-	// NumCPU and GoMaxProcs record the host, matching the other bench
-	// schemas. Informational only: every measurement in this document is
-	// machine-independent.
-	NumCPU     int              `json:"num_cpu,omitempty"`
-	GoMaxProcs int              `json:"gomaxprocs,omitempty"`
-	Rows       []PlannerRow     `json:"rows"`
-	Summary    []PlannerSummary `json:"summary"`
+// PlannerTable is the validation result: every grid cell, then one
+// summary per workload.
+type PlannerTable struct {
+	N       int
+	Alpha   float64
+	Rows    []PlannerRow
+	Summary []PlannerSummary
 }
 
 // PlannerConfig parameterizes TablePlanner.
@@ -128,17 +105,10 @@ func (c PlannerConfig) withDefaults() PlannerConfig {
 
 // TablePlanner generates the workloads, plans them, measures every grid
 // cell, and scores the plan choices.
-func TablePlanner(cfg PlannerConfig) (*PlannerBench, error) {
+func TablePlanner(cfg PlannerConfig) (*PlannerTable, error) {
 	cfg = cfg.withDefaults()
 	p := degseq.StandardPareto(cfg.Alpha)
-	bench := &PlannerBench{
-		Schema:     PlannerSchema,
-		N:          cfg.N,
-		Alpha:      cfg.Alpha,
-		Seed:       cfg.Seed,
-		NumCPU:     runtime.NumCPU(),
-		GoMaxProcs: runtime.GOMAXPROCS(0),
-	}
+	tab := &PlannerTable{N: cfg.N, Alpha: cfg.Alpha}
 	for ti, trunc := range []degseq.Truncation{degseq.RootTruncation, degseq.LinearTruncation} {
 		workload := trunc.String()
 		g, _, err := gen.ParetoGraph(p, cfg.N, trunc, stats.NewRNGFromSeed(cfg.Seed+uint64(ti)))
@@ -184,7 +154,7 @@ func TablePlanner(cfg PlannerConfig) (*PlannerBench, error) {
 				if row.Measured > 0 {
 					row.Ratio = row.Predicted / float64(row.Measured)
 				}
-				bench.Rows = append(bench.Rows, row)
+				tab.Rows = append(tab.Rows, row)
 				ns := float64(row.Measured) * planner.NsPerOp(m)
 				cellNs = append(cellNs, ns)
 				if best.Workload == "" || ns < bestNs {
@@ -212,118 +182,41 @@ func TablePlanner(cfg PlannerConfig) (*PlannerBench, error) {
 		} else {
 			sum.Overhead = 1
 		}
-		bench.Summary = append(bench.Summary, sum)
+		tab.Summary = append(tab.Summary, sum)
 	}
-	return bench, nil
+	return tab, nil
 }
 
 // FormatPlanner renders the validation as text: the summary first (the
-// planning verdict), then every grid cell.
-func FormatPlanner(b *PlannerBench) string {
+// planning verdict), then every grid cell. Floats print at %.6f so the
+// text pins every predicted cost and overhead for the golden.
+func FormatPlanner(t *PlannerTable) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Planner validation — predicted (eq. 50 on fitted distribution) vs measured model ops, n=%d, α=%g; picks ranked by ops × per-family ns/op\n",
-		b.N, b.Alpha)
-	for _, s := range b.Summary {
-		fmt.Fprintf(&sb, "%-8s predicted-best %-28s measured-best %-28s measured-rank %d overhead %.4f\n",
+		t.N, t.Alpha)
+	for _, s := range t.Summary {
+		fmt.Fprintf(&sb, "%-8s predicted-best %-28s measured-best %-28s measured-rank %d overhead %.6f\n",
 			s.Workload, s.PredictedBest, s.MeasuredBest, s.MeasuredRank, s.Overhead)
 	}
-	fmt.Fprintf(&sb, "%-8s %-6s %-26s %14s %14s %8s\n",
+	fmt.Fprintf(&sb, "%-8s %-6s %-26s %18s %14s %8s\n",
 		"workload", "method", "order", "predicted", "measured", "ratio")
-	for _, r := range b.Rows {
-		fmt.Fprintf(&sb, "%-8s %-6s %-26s %14.6g %14d %8.4f\n",
+	for _, r := range t.Rows {
+		fmt.Fprintf(&sb, "%-8s %-6s %-26s %18.6f %14d %8.6f\n",
 			r.Workload, r.Method, r.Order, r.Predicted, r.Measured, r.Ratio)
 	}
 	return sb.String()
 }
 
 // WritePlannerCSV emits the rows as CSV.
-func WritePlannerCSV(w io.Writer, b *PlannerBench) error {
+func WritePlannerCSV(w io.Writer, t *PlannerTable) error {
 	if _, err := fmt.Fprintln(w, "workload,method,order,predicted_ops,measured_ops,ratio"); err != nil {
 		return err
 	}
-	for _, r := range b.Rows {
+	for _, r := range t.Rows {
 		if _, err := fmt.Fprintf(w, "%s,%s,%s,%.6f,%d,%.6f\n",
 			r.Workload, r.Method, r.Order, r.Predicted, r.Measured, r.Ratio); err != nil {
 			return err
 		}
 	}
 	return nil
-}
-
-// WritePlannerJSON emits the bench document as indented JSON — the
-// BENCH_planner.json format.
-func WritePlannerJSON(w io.Writer, b *PlannerBench) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(b)
-}
-
-// ReadPlannerJSON parses a bench document and validates its schema.
-func ReadPlannerJSON(r io.Reader) (*PlannerBench, error) {
-	var b PlannerBench
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&b); err != nil {
-		return nil, fmt.Errorf("experiments: planner bench: %w", err)
-	}
-	if b.Schema != PlannerSchema {
-		return nil, fmt.Errorf("experiments: planner bench schema %q, want %q", b.Schema, PlannerSchema)
-	}
-	return &b, nil
-}
-
-// relClose reports |a-b| <= tol·max(|a|,|b|), the float gate for
-// deterministic-but-libm-dependent quantities.
-func relClose(a, b, tol float64) bool {
-	if a == b {
-		return true
-	}
-	return math.Abs(a-b) <= tol*math.Max(math.Abs(a), math.Abs(b))
-}
-
-// ComparePlanner gates cur against base. Everything in this document is
-// deterministic given the seed, so the gate is strict: every baseline
-// row must exist with an exactly equal Measured and a Predicted within
-// plannerPredTol; every baseline summary must match its workload's
-// choices exactly, with Overhead within plannerPredTol. The returned
-// strings describe violations, sorted; empty means the gate passes.
-func ComparePlanner(cur, base *PlannerBench) []string {
-	curByKey := make(map[string]PlannerRow, len(cur.Rows))
-	for _, r := range cur.Rows {
-		curByKey[r.key()] = r
-	}
-	var out []string
-	for _, b := range base.Rows {
-		c, ok := curByKey[b.key()]
-		if !ok {
-			out = append(out, fmt.Sprintf("%s: missing from current run", b.key()))
-			continue
-		}
-		if c.Measured != b.Measured {
-			out = append(out, fmt.Sprintf("%s: measured_ops %d, baseline %d", b.key(), c.Measured, b.Measured))
-		}
-		if !relClose(c.Predicted, b.Predicted, plannerPredTol) {
-			out = append(out, fmt.Sprintf("%s: predicted_ops %g, baseline %g", b.key(), c.Predicted, b.Predicted))
-		}
-	}
-	curSum := make(map[string]PlannerSummary, len(cur.Summary))
-	for _, s := range cur.Summary {
-		curSum[s.Workload] = s
-	}
-	for _, b := range base.Summary {
-		c, ok := curSum[b.Workload]
-		if !ok {
-			out = append(out, fmt.Sprintf("%s: summary missing from current run", b.Workload))
-			continue
-		}
-		if c.PredictedBest != b.PredictedBest || c.MeasuredBest != b.MeasuredBest || c.MeasuredRank != b.MeasuredRank {
-			out = append(out, fmt.Sprintf("%s: summary %s/%s/rank %d, baseline %s/%s/rank %d", b.Workload,
-				c.PredictedBest, c.MeasuredBest, c.MeasuredRank, b.PredictedBest, b.MeasuredBest, b.MeasuredRank))
-		}
-		if !relClose(c.Overhead, b.Overhead, plannerPredTol) {
-			out = append(out, fmt.Sprintf("%s: overhead %g, baseline %g", b.Workload, c.Overhead, b.Overhead))
-		}
-	}
-	slices.Sort(out)
-	return out
 }

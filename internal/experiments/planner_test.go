@@ -17,8 +17,8 @@ func TestTablePlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if b.Schema != PlannerSchema || b.N != 1500 || b.Alpha != 1.5 {
-		t.Fatalf("bench header wrong: %+v", b)
+	if b.N != 1500 || b.Alpha != 1.5 {
+		t.Fatalf("table header wrong: %+v", b)
 	}
 	if len(b.Rows) != 2*18*5 {
 		t.Fatalf("got %d rows, want 180 (2 workloads × 18 methods × 5 orders)", len(b.Rows))
@@ -28,12 +28,12 @@ func TestTablePlanner(t *testing.T) {
 	}
 	for _, r := range b.Rows {
 		if r.Measured <= 0 || r.Predicted <= 0 {
-			t.Fatalf("row %s has non-positive cost: %+v", r.key(), r)
+			t.Fatalf("row %s/%s/%s has non-positive cost: %+v", r.Workload, r.Method, r.Order, r)
 		}
 		// Predictions track measurements within small-graph noise; an
 		// integer-factor miss means the model and the meter diverged.
 		if r.Ratio < 0.3 || r.Ratio > 3 {
-			t.Errorf("row %s ratio %v out of plausible range", r.key(), r.Ratio)
+			t.Errorf("row %s/%s/%s ratio %v out of plausible range", r.Workload, r.Method, r.Order, r.Ratio)
 		}
 	}
 	for _, s := range b.Summary {
@@ -44,7 +44,7 @@ func TestTablePlanner(t *testing.T) {
 }
 
 func TestTablePlannerWorkerDeterminism(t *testing.T) {
-	var want []byte
+	var want string
 	for _, workers := range []int{1, 4} {
 		cfg := tinyPlannerConfig()
 		cfg.Workers = workers
@@ -52,82 +52,26 @@ func TestTablePlannerWorkerDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The host stamp is the one worker-independent-but-machine-shaped
-		// field; blank it so the comparison pins only measurements.
-		b.NumCPU, b.GoMaxProcs = 0, 0
-		var buf bytes.Buffer
-		if err := WritePlannerJSON(&buf, b); err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = buf.Bytes()
-		} else if !bytes.Equal(buf.Bytes(), want) {
-			t.Errorf("workers=%d output differs:\n%s\nwant:\n%s", workers, buf.Bytes(), want)
+		got := FormatPlanner(b)
+		if want == "" {
+			want = got
+		} else if got != want {
+			t.Errorf("workers=%d output differs:\n%s\nwant:\n%s", workers, got, want)
 		}
 	}
 }
 
-func TestPlannerJSONRoundTrip(t *testing.T) {
-	b, err := TablePlanner(tinyPlannerConfig())
+// TestPlannerGolden pins the planner validation at its default
+// workload (n = 20000, seed 20170514) — every cell's predicted and
+// measured ops, and each workload's predicted best, measured best,
+// measured rank and overhead — byte for byte. Everything in it is
+// deterministic given the seed, at any worker count.
+func TestPlannerGolden(t *testing.T) {
+	b, err := TablePlanner(PlannerConfig{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WritePlannerJSON(&buf, b); err != nil {
-		t.Fatal(err)
-	}
-	back, err := ReadPlannerJSON(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := ComparePlanner(back, b); len(v) > 0 {
-		t.Fatalf("round-trip changed the document: %v", v)
-	}
-	if _, err := ReadPlannerJSON(strings.NewReader(`{"schema":"nope"}`)); err == nil {
-		t.Error("wrong schema accepted")
-	}
-	if _, err := ReadPlannerJSON(strings.NewReader(`{"schema":"` + PlannerSchema + `","bogus":1}`)); err == nil {
-		t.Error("unknown field accepted")
-	}
-}
-
-func TestComparePlanner(t *testing.T) {
-	b, err := TablePlanner(tinyPlannerConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := ComparePlanner(b, b); len(v) > 0 {
-		t.Fatalf("self-comparison found violations: %v", v)
-	}
-
-	drift := *b
-	drift.Rows = append([]PlannerRow(nil), b.Rows...)
-	drift.Rows[0].Measured += 7
-	v := ComparePlanner(&drift, b)
-	if len(v) != 1 || !strings.Contains(v[0], "measured_ops") {
-		t.Fatalf("measured drift not caught: %v", v)
-	}
-
-	short := *b
-	short.Rows = b.Rows[1:]
-	short.Summary = b.Summary[1:]
-	v = ComparePlanner(&short, b)
-	if len(v) != 2 {
-		t.Fatalf("missing row+summary should be 2 violations: %v", v)
-	}
-	for _, s := range v {
-		if !strings.Contains(s, "missing") {
-			t.Errorf("violation %q does not say missing", s)
-		}
-	}
-
-	pred := *b
-	pred.Rows = append([]PlannerRow(nil), b.Rows...)
-	pred.Rows[3].Predicted *= 1.5
-	v = ComparePlanner(&pred, b)
-	if len(v) != 1 || !strings.Contains(v[0], "predicted_ops") {
-		t.Fatalf("predicted drift not caught: %v", v)
-	}
+	checkGolden(t, "planner.txt", []byte(FormatPlanner(b)))
 }
 
 func TestFormatPlannerAndCSV(t *testing.T) {

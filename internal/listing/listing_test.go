@@ -2,6 +2,8 @@ package listing
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -10,6 +12,7 @@ import (
 	"trilist/internal/digraph"
 	"trilist/internal/gen"
 	"trilist/internal/graph"
+	"trilist/internal/ingest"
 	"trilist/internal/order"
 	"trilist/internal/stats"
 )
@@ -297,22 +300,143 @@ func TestEmptyAndEdgeOnlyGraphs(t *testing.T) {
 	}
 }
 
-func TestCompleteGraphCount(t *testing.T) {
-	// K_n has C(n,3) triangles.
-	n := 12
+// zooGraph builds an n-vertex graph from an edge list, failing the test
+// on a malformed list.
+func zooGraph(t *testing.T, n int, edges []graph.Edge) *graph.Graph {
+	t.Helper()
+	g, err := graph.FromEdges(n, edges, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
+}
+
+func completeEdges(n int) []graph.Edge {
 	var edges []graph.Edge
 	for i := int32(0); int(i) < n; i++ {
 		for j := i + 1; int(j) < n; j++ {
 			edges = append(edges, graph.Edge{U: i, V: j})
 		}
 	}
-	g, _ := graph.FromEdges(n, edges, false)
-	want := int64(n * (n - 1) * (n - 2) / 6)
-	for _, kind := range order.Kinds {
-		o := orientBy(t, g, kind, 9)
-		for _, m := range Core {
-			if got := Count(o, m); got != want {
-				t.Errorf("order %v method %v: %d triangles in K%d, want %d", kind, m, got, n, want)
+	return edges
+}
+
+// wheelEdges is W_n: hub 0 joined to every vertex of the rim cycle
+// 1..n.
+func wheelEdges(n int) []graph.Edge {
+	var edges []graph.Edge
+	for i := int32(1); int(i) <= n; i++ {
+		next := i%int32(n) + 1
+		edges = append(edges, graph.Edge{U: 0, V: i}, graph.Edge{U: i, V: next})
+	}
+	return edges
+}
+
+// friendshipEdges is F_k: k triangles sharing only vertex 0.
+func friendshipEdges(k int) []graph.Edge {
+	var edges []graph.Edge
+	for i := int32(0); int(i) < k; i++ {
+		a, b := 2*i+1, 2*i+2
+		edges = append(edges, graph.Edge{U: 0, V: a}, graph.Edge{U: 0, V: b}, graph.Edge{U: a, V: b})
+	}
+	return edges
+}
+
+// bookEdges is B_k: k triangles sharing the spine edge 0–1.
+func bookEdges(k int) []graph.Edge {
+	edges := []graph.Edge{{U: 0, V: 1}}
+	for i := int32(2); int(i) < k+2; i++ {
+		edges = append(edges, graph.Edge{U: 0, V: i}, graph.Edge{U: 1, V: i})
+	}
+	return edges
+}
+
+// bipartiteEdges is K_{a,b}: sides 0..a-1 and a..a+b-1.
+func bipartiteEdges(a, b int) []graph.Edge {
+	var edges []graph.Edge
+	for i := int32(0); int(i) < a; i++ {
+		for j := int32(a); int(j) < a+b; j++ {
+			edges = append(edges, graph.Edge{U: i, V: j})
+		}
+	}
+	return edges
+}
+
+// hypercubeEdges is Q_d: vertices are d-bit words, edges flip one bit.
+func hypercubeEdges(d int) []graph.Edge {
+	var edges []graph.Edge
+	for v := int32(0); v < 1<<d; v++ {
+		for b := 0; b < d; b++ {
+			if w := v ^ 1<<b; v < w {
+				edges = append(edges, graph.Edge{U: v, V: w})
+			}
+		}
+	}
+	return edges
+}
+
+// gridEdges is the r×c grid graph (4-neighbour lattice).
+func gridEdges(r, c int) []graph.Edge {
+	var edges []graph.Edge
+	for i := 0; i < r; i++ {
+		for j := 0; j < c; j++ {
+			v := int32(i*c + j)
+			if j+1 < c {
+				edges = append(edges, graph.Edge{U: v, V: v + 1})
+			}
+			if i+1 < r {
+				edges = append(edges, graph.Edge{U: v, V: v + int32(c)})
+			}
+		}
+	}
+	return edges
+}
+
+// TestKnownTriangleCounts is the known-answer zoo: graph families with
+// closed-form triangle counts plus the two published ingest fixtures.
+// The expected counts come from the construction, not from BruteForce,
+// so a bug shared by every listing path still shows. Every method ×
+// order runs under the merge and bitmap kernels.
+func TestKnownTriangleCounts(t *testing.T) {
+	fixture := func(name string) *graph.Graph {
+		data, err := os.ReadFile(filepath.Join("..", "ingest", "testdata", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, _, err := ingest.Parse(data, ingest.FormatAuto, ingest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return g
+	}
+	zoo := []struct {
+		name string
+		g    *graph.Graph
+		want int64
+	}{
+		{"K4", zooGraph(t, 4, completeEdges(4)), 4},
+		{"K12", zooGraph(t, 12, completeEdges(12)), 12 * 11 * 10 / 6},
+		{"W4", zooGraph(t, 5, wheelEdges(4)), 4},
+		{"W9", zooGraph(t, 10, wheelEdges(9)), 9},
+		{"F1", zooGraph(t, 3, friendshipEdges(1)), 1},
+		{"F7", zooGraph(t, 15, friendshipEdges(7)), 7},
+		{"B6", zooGraph(t, 8, bookEdges(6)), 6},
+		{"K3,4", zooGraph(t, 7, bipartiteEdges(3, 4)), 0},
+		{"Q4", zooGraph(t, 16, hypercubeEdges(4)), 0},
+		{"grid5x6", zooGraph(t, 30, gridEdges(5, 6)), 0},
+		{"karate", fixture("karate.mtx"), 45},
+		{"florentine", fixture("florentine.txt"), 3},
+	}
+	for _, tc := range zoo {
+		for _, kind := range order.Kinds {
+			o := orientBy(t, tc.g, kind, 9)
+			for _, m := range Methods {
+				for _, k := range []Kernel{KernelMerge, KernelBitmap} {
+					if got := Count(o, m, WithKernel(k)); got != tc.want {
+						t.Errorf("%s order %v method %v kernel %v: %d triangles, want %d",
+							tc.name, kind, m, k, got, tc.want)
+					}
+				}
 			}
 		}
 	}

@@ -12,7 +12,8 @@
 // daemon memoizes one Plan per registered graph and resolves
 // method=auto jobs through it; cmd/trilist -plan prints the ranked
 // table; cmd/experiments -table planner validates predictions against
-// measured sweep costs.
+// measured sweep costs, and internal/experiments pins that validation
+// with a golden file.
 //
 // The grid is ranked by predicted time, not by operation count: each
 // cell's eq. (50) total is weighted by a checked-in per-family cost of
@@ -169,7 +170,7 @@ type Plan struct {
 	// Kernel is the priced intersection-kernel choice (kernel=auto
 	// resolution) with its core threshold and economics, priced with
 	// the checked-in plannedKernelCoeffs. It is left out of Format's
-	// golden output and of the BENCH_planner gate.
+	// golden output and of the experiments planner golden.
 	Kernel KernelPlan
 }
 

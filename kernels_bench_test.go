@@ -3,11 +3,13 @@
 // regimes. The model cost is kernel-invariant by construction — these
 // benches measure the constant-factor wall-clock freedom the kernels
 // exploit, and report each kernel's auxiliary state (packed bit rows +
-// arena scratch) as aux-B/op. The recorded baseline lives in
-// BENCH_kernels.json (regenerate with
-// `go run ./cmd/experiments -table kernels -csv .`); the acceptance bar
-// is auto >= 1.3x merge on the linear-truncation graph and
-// hybrid >= 1.5x merge there at the planner-chosen threshold.
+// arena scratch) as aux-B/op. `go run ./cmd/experiments -table kernels`
+// prints the same comparison at n = 60000; the recorded rows, with the
+// host they ran on, are in EXPERIMENTS.md. The acceptance bar is
+// auto >= 1.3x merge on the linear-truncation graph and hybrid >= 1.5x
+// merge there at the planner-chosen threshold. The exact triangle and
+// model-op columns of those workloads are pinned by internal/experiments'
+// TestParetoWorkloadInvariants.
 package trilist_test
 
 import (
