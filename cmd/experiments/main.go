@@ -11,9 +11,8 @@
 // preserving all qualitative conclusions; -scale paper reproduces the
 // paper's full protocol (hours). -workers parallelizes the Monte-Carlo
 // trials (default GOMAXPROCS); table output is byte-identical for every
-// worker count. -table kernels (a wall-clock kernel ablation) and
-// -table planner (predicted-vs-measured plan validation) are opt-in and
-// not part of -table all.
+// worker count. -table planner (predicted-vs-measured plan validation)
+// is opt-in and not part of -table all.
 package main
 
 import (
@@ -28,7 +27,6 @@ import (
 	"time"
 
 	"trilist/internal/experiments"
-	"trilist/internal/listing"
 )
 
 func main() {
@@ -40,7 +38,7 @@ func main() {
 
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
-	table := fs.String("table", "all", "table to regenerate: 3, 5, 6, 7, 8, 9, 10, 11, 12, scaling, kernels, planner, or all")
+	table := fs.String("table", "all", "table to regenerate: 3, 5, 6, 7, 8, 9, 10, 11, 12, scaling, planner, or all")
 	scale := fs.String("scale", "default", "protocol scale: default or paper")
 	sizes := fs.String("sizes", "", "comma-separated graph sizes (overrides scale)")
 	seqs := fs.Int("seqs", 0, "degree sequences per point (overrides scale)")
@@ -50,10 +48,7 @@ func run(args []string, w io.Writer) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
 		"goroutines running Monte-Carlo trials and prepare stages; output is identical for any value")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
-	kernels := fs.String("kernel", "merge,gallop,bitmap,auto,bits,hybrid",
-		"comma-separated intersection kernels for -table kernels")
-	trials := fs.Int("trials", 0, "timed repetitions per kernels cell (0 = default 3)")
-	tableN := fs.Int("n", 0, "graph size for -table planner/kernels (0 = table default)")
+	tableN := fs.Int("n", 0, "graph size for -table planner (0 = table default)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -211,33 +206,9 @@ func run(args []string, w io.Writer) error {
 			return err
 		}
 	}
-	if *table == "kernels" {
-		// Wall-clock kernel ablation; opt-in only (not part of "all",
-		// which stays purely analytical and machine-independent).
-		ran = true
-		kcfg := experiments.KernelConfig{N: *tableN, Seed: cfg.Seed, Reps: *trials}
-		for _, s := range strings.Split(*kernels, ",") {
-			k, err := listing.ParseKernel(strings.TrimSpace(s))
-			if err != nil {
-				return err
-			}
-			kcfg.Kernels = append(kcfg.Kernels, k)
-		}
-		t0 := time.Now()
-		rows, err := experiments.TableKernels(kcfg)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(w, experiments.FormatKernels(rows))
-		fmt.Fprintf(w, "(computed in %v)\n", time.Since(t0).Round(time.Millisecond))
-		if err := writeCSV("kernels.csv", func(f io.Writer) error {
-			return experiments.WriteKernelsCSV(f, rows)
-		}); err != nil {
-			return err
-		}
-	}
 	if *table == "planner" {
-		// Predicted-vs-measured planner validation; opt-in like kernels.
+		// Predicted-vs-measured planner validation; opt-in only (not part
+		// of "all", which stays purely analytical).
 		// Every number is deterministic given the seed: the default
 		// workload is pinned by the internal/experiments golden.
 		ran = true

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	trilist -in graph.txt [-method auto] [-order auto] [-kernel auto] \
+//	trilist -in graph.txt [-method auto] [-order auto] \
 //	        [-plan] [-print] [-seed 1] [-workers 1] [-parts 1] \
 //	        [-spill dir] [-timeout 0]
 //
@@ -16,14 +16,8 @@
 // ranked prediction table and exits without sweeping — the explain
 // mode. With an explicit method and -order auto, the paper-optimal
 // order for the method is used (θ_D for T1/E1, RR for T2, CRR for
-// E4, ...). -kernel picks the neighbor-intersection strategy (merge,
-// gallop, bitmap, the bit-parallel bits/hybrid pair, or auto, the
-// adaptive default); kernels change only wall-clock speed — the
-// triangle set and every reported cost meter are kernel-invariant.
-// -core-thresh sets the bit tier's core degree threshold τ for
-// -kernel bits/hybrid (0 = every vertex with a neighbor list gets a
-// packed row, budget permitting). -print emits each triangle as "x y z" in relabeled
-// IDs; omit it to report only the count and cost meters. Input may be a
+// E4, ...). -print emits each triangle as "x y z" in relabeled IDs;
+// omit it to report only the count and cost meters. Input may be a
 // MatrixMarket .mtx file, a SNAP-style text edge list, the mmap-able
 // TRCSRF CSR format, or the binary CSR stream — auto-detected, or
 // pinned with -format (mtx, snap, csr, binary). TRCSRF files given via
@@ -77,8 +71,6 @@ func run(args []string, out io.Writer) error {
 	formatName := fs.String("format", "auto", "input format: auto, mtx, snap, csr, binary")
 	methodName := fs.String("method", "auto", "listing method: auto (planner-chosen) or T1-T6, E1-E6, L1-L6")
 	orderName := fs.String("order", "auto", "order: auto, ascending, descending, round-robin, crr, uniform, degenerate")
-	kernelName := fs.String("kernel", "auto", "intersection kernel: merge, gallop, bitmap, bits, hybrid, auto")
-	coreThresh := fs.Int("core-thresh", 0, "bit-tier core degree threshold for -kernel bits/hybrid (0 = all listed vertices)")
 	plan := fs.Bool("plan", false, "print the planner's ranked (method, order) cost table and exit without running")
 	print := fs.Bool("print", false, "print each triangle (relabeled IDs x y z)")
 	seed := fs.Uint64("seed", 1, "seed for the uniform order")
@@ -160,10 +152,6 @@ func run(args []string, out io.Writer) error {
 	} else if orderAuto {
 		kind = core.Recommended(method)
 	}
-	kern, err := listing.ParseKernel(*kernelName)
-	if err != nil {
-		return err
-	}
 	var visit listing.Visitor
 	if *print {
 		visit = func(x, y, z int32) { fmt.Fprintf(w, "%d %d %d\n", x, y, z) }
@@ -191,7 +179,7 @@ func run(args []string, out io.Writer) error {
 		return err
 	}
 	res, err := core.ListCtx(ctx, g, core.Config{Method: method, Order: kind, Seed: *seed, Workers: *workers,
-		Kernel: kern, CoreThreshold: int32(*coreThresh), Recorder: rec}, visit)
+		Recorder: rec}, visit)
 	if errors.Is(err, context.DeadlineExceeded) {
 		// Non-zero exit, but report how far the sweep got.
 		printStages(w, rec)
@@ -201,15 +189,11 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "# method=%v order=%v kernel=%v\n", method, kind, kern)
+	fmt.Fprintf(w, "# method=%v order=%v\n", method, kind)
 	fmt.Fprintf(w, "# triangles=%d\n", res.Triangles)
 	fmt.Fprintf(w, "# model-ops=%d (per-node cost %.3f)\n",
 		res.ModelOps(), float64(res.ModelOps())/float64(g.NumNodes()))
 	fmt.Fprintf(w, "# max-out-degree=%d\n", res.MaxOutDeg)
-	if kern == listing.KernelBits || kern == listing.KernelHybrid {
-		fmt.Fprintf(w, "# bit-tier: tau=%d core-vertices=%d row-bytes=%d core-pairs=%d fringe-pairs=%d\n",
-			res.Tier.Threshold, res.Tier.CoreVertices, res.Tier.RowBytes, res.Tier.CorePairs, res.Tier.FringePairs)
-	}
 	fmt.Fprintf(w, "# prep=%v list=%v\n", res.PrepTime, res.ListTime)
 	printStages(w, rec)
 	return nil

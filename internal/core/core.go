@@ -46,17 +46,6 @@ type Config struct {
 	// Prepare parallelize the rank and orient stages; 0 or 1 runs
 	// serially. Results are bitwise identical either way.
 	Workers int
-	// Kernel selects the neighbor-intersection strategy for the sweep
-	// (listing.KernelMerge, KernelGallop, KernelBitmap, KernelAuto,
-	// KernelBits, KernelHybrid). The zero value is KernelMerge, the
-	// historical behavior; every kernel returns the same triangles and
-	// bitwise-identical Stats, differing only in wall-clock speed.
-	Kernel listing.Kernel
-	// CoreThreshold is the bit-parallel kernels' core degree threshold
-	// τ (listing.WithCoreThreshold): vertices whose remote-side degree
-	// reaches τ carry packed bit rows. ≤ 0 selects automatically under
-	// the row-memory budget. Ignored by the list kernels.
-	CoreThreshold int32
 	// Recorder, when non-nil, receives one span per pipeline stage
 	// (rank and orient from Prepare, list from the sweep; partitioned
 	// runs add one extmem.StageTriple span per block-triple attempt).
@@ -66,9 +55,9 @@ type Config struct {
 	// Parts > 0 routes the sweep through the external-memory partitioned
 	// lister (internal/extmem): the orientation is split into Parts label
 	// ranges and listed one block-triple at a time, with Workers passes
-	// in flight concurrently. Method and Kernel are ignored — the
-	// partitioned sweep is the E2-style block merge. Results are bitwise
-	// identical at any Workers count. 0 keeps the in-memory sweep.
+	// in flight concurrently. Method is ignored — the partitioned sweep
+	// is the E2-style block merge. Results are bitwise identical at any
+	// Workers count. 0 keeps the in-memory sweep.
 	Parts int
 	// SpillDir, with Parts > 0, spills partition blocks to real files in
 	// that directory (created if needed; block files are removed when the
@@ -106,10 +95,6 @@ type Result struct {
 	// Partitioned carries the external-memory meters (passes, block I/O)
 	// when the run went through Config.Parts; nil for in-memory sweeps.
 	Partitioned *extmem.Result
-	// Tier reports the bit-parallel core/fringe split when the run used
-	// KernelBits or KernelHybrid on an in-memory SEI sweep; zero
-	// otherwise. Telemetry only — Stats stays kernel-invariant.
-	Tier listing.TierStats
 }
 
 // Prepare performs steps 1–2 of the framework: relabel g by cfg.Order and
@@ -172,16 +157,12 @@ func ListOriented(ctx context.Context, o *digraph.Oriented, cfg Config, visit li
 	}
 	t1 := time.Now()
 	var st listing.Stats
-	var tier listing.TierStats
 	var runErr error
-	opts := []listing.Option{
-		listing.WithKernel(cfg.Kernel), listing.WithRecorder(cfg.Recorder),
-		listing.WithCoreThreshold(cfg.CoreThreshold), listing.WithTierStats(&tier),
-	}
+	rec := listing.WithRecorder(cfg.Recorder)
 	if cfg.Workers > 1 {
-		st, runErr = listing.RunParallelCtx(ctx, o, cfg.Method, cfg.Workers, visit, opts...)
+		st, runErr = listing.RunParallelCtx(ctx, o, cfg.Method, cfg.Workers, visit, rec)
 	} else {
-		st, runErr = listing.RunCtx(ctx, o, cfg.Method, visit, opts...)
+		st, runErr = listing.RunCtx(ctx, o, cfg.Method, visit, rec)
 	}
 	t2 := time.Now()
 	return Result{
@@ -189,7 +170,6 @@ func ListOriented(ctx context.Context, o *digraph.Oriented, cfg Config, visit li
 		Order:     cfg.Order,
 		MaxOutDeg: o.MaxOutDeg(),
 		ListTime:  t2.Sub(t1),
-		Tier:      tier,
 	}, runErr
 }
 

@@ -55,12 +55,24 @@ func renderAllTables(t *testing.T, workers int, rec *obsv.Recorder) string {
 	return b.String()
 }
 
+// serialRender caches the workers=1, nil-recorder render that both
+// invariance tests compare against, so the package renders it once.
+var serialRender string
+
+func serialTables(t *testing.T) string {
+	t.Helper()
+	if serialRender == "" {
+		serialRender = renderAllTables(t, 1, nil)
+	}
+	return serialRender
+}
+
 // TestWorkerCountInvariance enforces the engine's hard determinism
 // contract: the formatted output of Tables 6–12 and the scaling study is
 // byte-identical for any worker count, because RNG derivation stays
 // serial and the sample merge tree is fixed by the protocol (engine.go).
 func TestWorkerCountInvariance(t *testing.T) {
-	want := renderAllTables(t, 1, nil)
+	want := serialTables(t)
 	for _, workers := range []int{2, 8} {
 		if got := renderAllTables(t, workers, nil); got != want {
 			t.Errorf("workers=%d output differs from workers=1:\n--- workers=1 ---\n%s\n--- workers=%d ---\n%s",
@@ -72,13 +84,13 @@ func TestWorkerCountInvariance(t *testing.T) {
 // TestRecorderOutputInvariance is the observability half of the
 // determinism contract: attaching a stage recorder to the engine — with
 // trials running across several workers — leaves every rendered table
-// byte-identical to the nil-recorder run, while the recorder itself
-// accumulates the per-trial stage aggregates.
+// byte-identical to the serial nil-recorder run, while the recorder
+// itself accumulates the per-trial stage aggregates.
 func TestRecorderOutputInvariance(t *testing.T) {
-	want := renderAllTables(t, 4, nil)
+	want := serialTables(t)
 	rec := obsv.NewRecorder()
 	if got := renderAllTables(t, 4, rec); got != want {
-		t.Errorf("recorder-attached output differs from nil-recorder output:\n--- nil ---\n%s\n--- recorder ---\n%s",
+		t.Errorf("workers=4 recorder-attached output differs from workers=1 nil-recorder output:\n--- nil ---\n%s\n--- recorder ---\n%s",
 			want, got)
 	}
 	snap := rec.Snapshot()

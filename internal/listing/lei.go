@@ -15,7 +15,7 @@ import (
 // a direct-address table standing in for the paper's hash table: the
 // same insertions (HashBuild) and probes (Lookups), both
 // length-determined, with O(1) stamps instead of hashing and no
-// clearing. Every kernel uses it; kernels only change SEI intersections.
+// clearing.
 func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, lo, hi int32) {
 	fill := func(list []int32) {
 		ar.stamp(list)

@@ -396,7 +396,8 @@ func gridEdges(r, c int) []graph.Edge {
 // closed-form triangle counts plus the two published ingest fixtures.
 // The expected counts come from the construction, not from BruteForce,
 // so a bug shared by every listing path still shows. Every method ×
-// order runs under the merge and bitmap kernels.
+// order runs on the adaptive path and on the merge reference, whose
+// Stats must agree.
 func TestKnownTriangleCounts(t *testing.T) {
 	fixture := func(name string) *graph.Graph {
 		data, err := os.ReadFile(filepath.Join("..", "ingest", "testdata", name))
@@ -431,11 +432,10 @@ func TestKnownTriangleCounts(t *testing.T) {
 		for _, kind := range order.Kinds {
 			o := orientBy(t, tc.g, kind, 9)
 			for _, m := range Methods {
-				for _, k := range []Kernel{KernelMerge, KernelBitmap} {
-					if got := Count(o, m, WithKernel(k)); got != tc.want {
-						t.Errorf("%s order %v method %v kernel %v: %d triangles, want %d",
-							tc.name, kind, m, k, got, tc.want)
-					}
+				s, ref := Run(o, m, nil), Run(o, m, nil, mergeReference())
+				if s.Triangles != tc.want || s != ref {
+					t.Errorf("%s order %v method %v: %d triangles (Stats %+v), want %d (merge reference %+v)",
+						tc.name, kind, m, s.Triangles, s, tc.want, ref)
 				}
 			}
 		}

@@ -16,10 +16,11 @@
 //     hash probes for VI/LEI — which tests use to confirm that real work
 //     never exceeds the model bound.
 //
-// Orthogonally to the method, WithKernel selects how intersections are
-// executed (merge scan, galloping, bitmap stamps, or adaptive — see
-// Kernel): a kernel changes wall-clock speed on skewed lists but never
-// the triangle set, the visit order, or a single Stats meter.
+// Scanning edge iterators intersect each window pair along one adaptive
+// path: they stamp the anchor's list once and probe it, or gallop when
+// the window is much shorter than the remote list (see intersector).
+// The path yields the merge scan's triangles, visit order and every
+// Stats meter, Comparisons included.
 package listing
 
 import (
@@ -230,10 +231,11 @@ type Stats struct {
 	// Lookups is the LEI model cost: hash probes of the local set
 	// (Table 2).
 	Lookups int64
-	// Comparisons counts the two-pointer advances of the merge-scan SEI
-	// kernel; always <= LocalScan + RemoteScan. The galloping and bitmap
-	// kernels perform fewer operations but report this same number (via
-	// a closed form, see mergeComps), keeping Stats kernel-invariant.
+	// Comparisons counts the two-pointer advances a merge scan of every
+	// SEI window pair performs; always <= LocalScan + RemoteScan. The
+	// sweep's stamp probes and gallops do fewer operations but report
+	// this same number (via a closed form, see mergeComps), so the
+	// meter depends on the lists alone.
 	Comparisons int64
 	// HashBuild counts insertions: the global arc set for VI (= m) or the
 	// per-node local sets for LEI (= m as well, per §2.3).
@@ -255,9 +257,8 @@ func (s Stats) ModelOps() int64 {
 // Run executes method m on the oriented graph o, invoking visit (which
 // may be nil) for every triangle, and returns the run's Stats. It is
 // RunCtx with a background context: unstoppable once started; servers
-// and CLIs with deadlines use RunCtx instead. Options select the
-// intersection kernel (WithKernel); every kernel yields the same
-// triangles and bitwise-identical Stats.
+// and CLIs with deadlines use RunCtx instead. Options attach telemetry
+// (WithRecorder) and never change the triangles or Stats.
 func Run(o *digraph.Oriented, m Method, visit Visitor, opts ...Option) Stats {
 	s, _ := RunCtx(context.Background(), o, m, visit, opts...)
 	return s

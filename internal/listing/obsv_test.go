@@ -2,8 +2,7 @@ package listing
 
 import (
 	"context"
-	"sort"
-	"sync"
+	"slices"
 	"testing"
 
 	"trilist/internal/obsv"
@@ -12,58 +11,31 @@ import (
 
 // TestRecorderInvariance is the observability contract at the listing
 // layer: attaching a recorder changes no observable output. For every
-// kernel × worker count, Stats must be bitwise identical to the
+// method × worker count, Stats must be bitwise identical to the
 // nil-recorder run and the triangle set must match exactly.
 func TestRecorderInvariance(t *testing.T) {
 	g := randomTestGraph(t, 7, 300, 3000)
 	o := orientBy(t, g, order.KindDescending, 1)
 	for _, m := range []Method{T1, T2, E1, E4, L2} {
-		for _, k := range Kernels {
-			for _, workers := range []int{1, 3} {
-				bare := RunParallel(o, m, workers, nil, WithKernel(k))
-
-				rec := obsv.NewRecorder()
-				var mu sync.Mutex
-				var tris []triKey
-				instrumented := RunParallel(o, m, workers, func(x, y, z int32) {
-					mu.Lock()
-					tris = append(tris, triKey{x, y, z})
-					mu.Unlock()
-				}, WithKernel(k), WithRecorder(rec))
-
-				if instrumented != bare {
-					t.Fatalf("%v/%v workers=%d: recorder changed Stats: %+v != %+v",
-						m, k, workers, instrumented, bare)
-				}
-				if int64(len(tris)) != bare.Triangles {
-					t.Fatalf("%v/%v workers=%d: recorder run reported %d triangles, want %d",
-						m, k, workers, len(tris), bare.Triangles)
-				}
-				sort.Slice(tris, func(i, j int) bool {
-					a, b := tris[i], tris[j]
-					if a[0] != b[0] {
-						return a[0] < b[0]
-					}
-					if a[1] != b[1] {
-						return a[1] < b[1]
-					}
-					return a[2] < b[2]
-				})
-				ref := sortedTriangles(func() map[triKey]bool {
-					s, _ := collect(o, m)
-					return s
-				}())
-				for i := range ref {
-					if tris[i] != ref[i] {
-						t.Fatalf("%v/%v workers=%d: triangle %d is %v, want %v",
-							m, k, workers, i, tris[i], ref[i])
-					}
-				}
-
-				// The recorder itself saw exactly one list span.
-				if st := rec.Snapshot()[obsv.StageList]; st.Count != 1 {
-					t.Fatalf("%v/%v workers=%d: %d list spans, want 1", m, k, workers, st.Count)
-				}
+		for _, workers := range []int{1, 3} {
+			bare := RunParallel(o, m, workers, nil)
+			rec := obsv.NewRecorder()
+			tris, instrumented := sortedSequence(o, m, workers, WithRecorder(rec))
+			if instrumented != bare {
+				t.Fatalf("%v workers=%d: recorder changed Stats: %+v != %+v",
+					m, workers, instrumented, bare)
+			}
+			ref := sortedTriangles(func() map[triKey]bool {
+				s, _ := collect(o, m)
+				return s
+			}())
+			if !slices.Equal(tris, ref) {
+				t.Fatalf("%v workers=%d: recorder run reported %d triangles, want the %d of a bare run",
+					m, workers, len(tris), len(ref))
+			}
+			// The recorder itself saw exactly one list span.
+			if st := rec.Snapshot()[obsv.StageList]; st.Count != 1 {
+				t.Fatalf("%v workers=%d: %d list spans, want 1", m, workers, st.Count)
 			}
 		}
 	}
@@ -78,7 +50,7 @@ func TestNilRecorderOptionZeroOverhead(t *testing.T) {
 	o := orientBy(t, g, order.KindDescending, 1)
 	recOpt := WithRecorder(nil)
 	for _, m := range []Method{T1, E1} {
-		// Warm the kernel arena pools so sync.Pool refills don't alias
+		// Warm the arena pools so sync.Pool refills don't alias
 		// as option overhead.
 		Run(o, m, nil)
 		Run(o, m, nil, recOpt)

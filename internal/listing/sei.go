@@ -11,8 +11,9 @@ import (
 // performed. A real scan early-exits when either list is exhausted, so
 // the return value is at most len(a)+len(b) and may be much less — the
 // paper's model cost charges the full sublist volumes instead, which is
-// why Stats tracks both. This is the KernelMerge implementation; the
-// other kernels report the same count via the mergeComps closed form.
+// why Stats tracks both. The baselines scan with it, and it is the SEI
+// sweep's merge reference; the sweep's adaptive path reports the same
+// count via the mergeComps closed form.
 func intersect(a, b []int32, visit func(int32)) int64 {
 	var i, j int
 	var comps int64
@@ -49,12 +50,12 @@ func suffixAbove(list []int32, v int32) []int32 {
 
 // runSEI executes a scanning edge iterator (§2.3): for every directed
 // edge it intersects a sublist at each endpoint through the worker's
-// kernel engine. The local list belongs to the first visited node, the
+// intersector. The local list belongs to the first visited node, the
 // remote list to the second; their model volumes follow Table 1 and are
-// charged by length, so LocalScan/RemoteScan (and, via mergeComps, the
-// measured Comparisons) are identical under every kernel. The local
-// sublist is always a window of the anchor's base adjacency list,
-// which is what lets the bitmap kernel stamp the base once per anchor
+// charged by length, and Comparisons is the merge scan's count (via
+// mergeComps), so no meter depends on how a window was intersected. The
+// local sublist is always a window of the anchor's base adjacency list,
+// which is what lets the intersector stamp the base once per anchor
 // and answer every window probe in O(1). Methods E5 and E6 start the
 // remote scan mid-list (located here by binary search), the property
 // that makes them uncompetitive on real hardware (§2.3).
@@ -71,7 +72,7 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 				s.LocalScan += int64(j)
 				s.RemoteScan += int64(len(remote))
 				yy, zz := y, z
-				s.Comparisons += it.win(0, j, y, remote, func(x int32) {
+				s.Comparisons += it.win(0, j, remote, func(x int32) {
 					s.Triangles++
 					visit(x, yy, zz)
 				})
@@ -88,7 +89,7 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 				s.LocalScan += int64(len(local))
 				s.RemoteScan += int64(len(remote))
 				yy, zz := y, z
-				s.Comparisons += it.win(0, len(local), z, remote, func(x int32) {
+				s.Comparisons += it.win(0, len(local), remote, func(x int32) {
 					s.Triangles++
 					visit(x, yy, zz)
 				})
@@ -105,7 +106,7 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 				s.LocalScan += int64(len(in) - j - 1)
 				s.RemoteScan += int64(len(remote))
 				xx, yy := x, y
-				s.Comparisons += it.win(j+1, len(in), y, remote, func(z int32) {
+				s.Comparisons += it.win(j+1, len(in), remote, func(z int32) {
 					s.Triangles++
 					visit(xx, yy, z)
 				})
@@ -122,7 +123,7 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 				s.LocalScan += int64(len(out) - j - 1)
 				s.RemoteScan += int64(len(remote))
 				xx, zz := x, z
-				s.Comparisons += it.win(j+1, len(out), x, remote, func(y int32) {
+				s.Comparisons += it.win(j+1, len(out), remote, func(y int32) {
 					s.Triangles++
 					visit(xx, y, zz)
 				})
@@ -139,7 +140,7 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 				s.LocalScan += int64(len(local))
 				s.RemoteScan += int64(len(remote))
 				xx, yy := x, y
-				s.Comparisons += it.win(0, len(local), x, remote, func(z int32) {
+				s.Comparisons += it.win(0, len(local), remote, func(z int32) {
 					s.Triangles++
 					visit(xx, yy, z)
 				})
@@ -156,7 +157,7 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 				s.LocalScan += int64(j)
 				s.RemoteScan += int64(len(remote))
 				xx, zz := x, z
-				s.Comparisons += it.win(0, j, z, remote, func(y int32) {
+				s.Comparisons += it.win(0, j, remote, func(y int32) {
 					s.Triangles++
 					visit(xx, y, zz)
 				})

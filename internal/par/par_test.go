@@ -125,8 +125,8 @@ func TestCheckBijectionRangeError(t *testing.T) {
 	for i := range perm {
 		perm[i] = int32(i)
 	}
-	perm[70] = int32(n)  // out of range
-	perm[250] = -1       // also out of range, higher index
+	perm[70] = int32(n) // out of range
+	perm[250] = -1      // also out of range, higher index
 	for _, w := range []int{1, 2, 8} {
 		err := CheckBijection(perm, w)
 		var re *RangeError

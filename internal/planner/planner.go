@@ -82,12 +82,10 @@ func orderIndex(k order.Kind) int {
 // truncation at 200k), timed with trilist -stages on a 2-CPU x86-64
 // host; the table is in EXPERIMENTS.md, "Planner validation". A vertex
 // iterator probes one global arc hash set per operation, a lookup edge
-// iterator the per-worker stamp arena that kernel=auto gives it, and a
-// scanning edge iterator takes one merge or stamp step. The constants
-// are checked in, never calibrated on the host, so a plan stays a pure
-// function of the degree histogram. They do not price an explicit
-// kernel=merge, which turns the lookup edge iterators' stamp probes
-// back into per-node hash probes.
+// iterator the per-worker stamp arena, and a scanning edge iterator
+// takes one stamp-probe or gallop step. The constants are checked in,
+// never calibrated on the host, so a plan stays a pure function of the
+// degree histogram.
 const (
 	vertexNsPerOp   = 42
 	lookupNsPerOp   = 16
@@ -167,11 +165,6 @@ type Plan struct {
 	// break by method declaration order (T1..L6), then by Orders
 	// position, so a plan is a pure function of the degree histogram.
 	Ranking []Candidate
-	// Kernel is the priced intersection-kernel choice (kernel=auto
-	// resolution) with its core threshold and economics, priced with
-	// the checked-in plannedKernelCoeffs. It is left out of Format's
-	// golden output and of the experiments planner golden.
-	Kernel KernelPlan
 }
 
 // Best returns the candidate with the lowest predicted time.
@@ -236,8 +229,7 @@ func Compute(g *graph.Graph, opts ...Option) (*Plan, error) {
 	if active == 0 || fit.Edges == 0 {
 		// No triangles, no cost: every candidate prices to zero and the
 		// canonical tie-break (T1+θ_D) wins.
-		return &Plan{Fit: fit, Ranking: grid(),
-			Kernel: KernelPlan{Kernel: listing.KernelAuto, CoreThreshold: 1, Coeffs: plannedKernelCoeffs}}, nil
+		return &Plan{Fit: fit, Ranking: grid()}, nil
 	}
 	emp, err := degseq.FromHistogram(hist)
 	if err != nil {
@@ -250,8 +242,7 @@ func Compute(g *graph.Graph, opts ...Option) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Fit: fit, Ranking: ranking,
-		Kernel: planKernel(emp, active, int64(fit.Nodes), plannedKernelCoeffs)}, nil
+	return &Plan{Fit: fit, Ranking: ranking}, nil
 }
 
 // ComputeDist builds a plan directly from a finite-support degree
@@ -279,8 +270,7 @@ func ComputeDist(dist degseq.Dist, nodes int64, opts ...Option) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Plan{Fit: fit, Ranking: ranking,
-		Kernel: planKernel(dist, nodes, nodes, plannedKernelCoeffs)}, nil
+	return &Plan{Fit: fit, Ranking: ranking}, nil
 }
 
 // grid enumerates the candidate cells in deterministic declaration

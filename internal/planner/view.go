@@ -6,34 +6,8 @@ package planner
 // plan's choice.
 type View struct {
 	Chosen  CandidateView   `json:"chosen"`
-	Kernel  KernelView      `json:"kernel"`
 	Ranking []CandidateView `json:"ranking"`
 	Fit     Fit             `json:"fit"`
-}
-
-// KernelView is the JSON rendering of the priced kernel choice. The
-// kernel name round-trips through the job API; core_threshold is the
-// τ a bit-parallel run would receive. Predicted values come from the
-// fitted distribution and the checked-in operation costs, so like the
-// ranking they are the same on every host.
-type KernelView struct {
-	Kernel        string  `json:"kernel"`
-	CoreThreshold int32   `json:"core_threshold"`
-	CoreVertices  int64   `json:"core_vertices"`
-	RowBytes      int64   `json:"row_bytes"`
-	CoreShare     float64 `json:"core_share"`
-	Gain          float64 `json:"predicted_gain"`
-}
-
-func (k KernelPlan) view() KernelView {
-	return KernelView{
-		Kernel:        k.Kernel.String(),
-		CoreThreshold: k.CoreThreshold,
-		CoreVertices:  k.CoreVertices,
-		RowBytes:      k.RowBytes,
-		CoreShare:     k.CoreShare,
-		Gain:          k.Gain,
-	}
 }
 
 // CandidateView is the JSON rendering of one grid cell.
@@ -63,7 +37,6 @@ func (c Candidate) view() CandidateView {
 func (p *Plan) View() View {
 	v := View{
 		Chosen:  p.Best().view(),
-		Kernel:  p.Kernel.view(),
 		Ranking: make([]CandidateView, len(p.Ranking)),
 		Fit:     p.Fit,
 	}

@@ -17,7 +17,6 @@ import (
 	"trilist/internal/listing"
 	"trilist/internal/obsv"
 	"trilist/internal/order"
-	"trilist/internal/planner"
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -67,15 +66,6 @@ type JobSpec struct {
 	//	                                 method (Corollaries 1–2)
 	//	method=<name>,   order=<name>    exactly as requested
 	Order string `json:"order,omitempty"`
-	// Kernel is the intersection kernel: "merge", "gallop", "bitmap",
-	// "bits", "hybrid", or "auto" (default). Kernels change only
-	// wall-clock speed — the triangle set and every cost meter are
-	// kernel-invariant. On planner-driven jobs (method auto) "auto"
-	// resolves through the planner's priced kernel choice when the
-	// chosen method is a scanning-edge iterator; the resolution is
-	// reported as planned_kernel. Explicit kernel names always execute
-	// exactly as named.
-	Kernel string `json:"kernel,omitempty"`
 	// Seed feeds the uniform order's RNG; other orders ignore it.
 	Seed uint64 `json:"seed,omitempty"`
 	// Workers parallelizes the sweep (0 = serial). Capped at GOMAXPROCS.
@@ -107,7 +97,6 @@ type Job struct {
 	spec   JobSpec
 	method listing.Method
 	kind   order.Kind
-	kernel listing.Kernel
 	list   bool
 	limit  int
 	parts  int
@@ -117,11 +106,6 @@ type Job struct {
 	planned     bool
 	predicted   float64
 	predictedNs float64
-	// plannedKernel marks a kernel=auto job whose kernel came from the
-	// plan's priced choice; coreThresh is the τ that choice carries
-	// (only consumed by the bit-parallel kernels).
-	plannedKernel bool
-	coreThresh    int32
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -151,7 +135,6 @@ type JobView struct {
 	Mode     string `json:"mode"`
 	Method   string `json:"method"`
 	Order    string `json:"order"`
-	Kernel   string `json:"kernel"`
 	Workers  int    `json:"workers"`
 	Limit    int    `json:"limit,omitempty"`
 	Error    string `json:"error,omitempty"`
@@ -175,9 +158,11 @@ type JobView struct {
 	// planner ranked by; compare it with list_ms.
 	PlannedMethod string `json:"planned_method,omitempty"`
 	PlannedOrder  string `json:"planned_order,omitempty"`
-	// PlannedKernel records the planner's priced kernel resolution on
-	// kernel=auto jobs (it matches Kernel; its presence marks the
-	// kernel as planner-chosen rather than client-named).
+	// PlannedKernel is never set, so it never appears in the JSON:
+	// every sweep takes the same intersection path and there is no
+	// kernel to plan. It stays only because the job benchmark reads it
+	// into its plan-change check, where an always-empty value keeps
+	// that check consistent.
 	PlannedKernel        string  `json:"planned_kernel,omitempty"`
 	PredictedCost        float64 `json:"predicted_cost,omitempty"`
 	PredictedNs          float64 `json:"predicted_ns,omitempty"`
@@ -213,7 +198,6 @@ func (j *Job) View() JobView {
 		Mode:      map[bool]string{true: "list", false: "count"}[j.list],
 		Method:    j.method.String(),
 		Order:     j.kind.String(),
-		Kernel:    j.kernel.String(),
 		Workers:   j.spec.Workers,
 		Error:     j.errMsg,
 		CacheHit:  j.cacheHit,
@@ -227,9 +211,6 @@ func (j *Job) View() JobView {
 		v.PlannedOrder = j.kind.String()
 		v.PredictedCost = j.predicted
 		v.PredictedNs = j.predictedNs
-		if j.plannedKernel {
-			v.PlannedKernel = j.kernel.String()
-		}
 		if j.status == JobDone {
 			v.ActualAdvWork = j.stats.ModelOps()
 			if v.ActualAdvWork > 0 {
@@ -371,7 +352,6 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 		planned     bool
 		predicted   float64
 		predictedNs float64
-		kplan       *planner.KernelPlan
 	)
 	if spec.Parts > 0 {
 		// Partitioned jobs run the fixed E2-style block-merge sweep; the
@@ -404,7 +384,6 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 		}
 		method, kind = c.Method, c.Order
 		planned, predicted, predictedNs = true, c.Total, c.PredictedNs
-		kplan = &plan.Kernel
 	} else {
 		method, err = parseMethod(spec.Method)
 		if err != nil {
@@ -413,26 +392,6 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 		if orderAuto {
 			kind = core.Recommended(method)
 		}
-	}
-	kern, err := listing.ParseKernel(spec.Kernel)
-	if err != nil {
-		return nil, err
-	}
-	// kernel=auto on a planner-driven job resolves through the plan's
-	// priced kernel choice — but only when the planner put the job on a
-	// scanning-edge iterator: the other families do no list
-	// intersection, so the adaptive default already costs nothing.
-	// Explicit kernel names (and explicit-method jobs) bypass pricing
-	// and behave exactly as before.
-	var (
-		plannedKernel bool
-		coreThresh    int32
-	)
-	if kern == listing.KernelAuto && kplan != nil &&
-		method.Family() == listing.ScanningEdgeIterator {
-		kern = kplan.Kernel
-		coreThresh = kplan.CoreThreshold
-		plannedKernel = true
 	}
 	var isList bool
 	switch spec.Mode {
@@ -488,16 +447,12 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 		spec:        spec,
 		method:      method,
 		kind:        kind,
-		kernel:      kern,
 		list:        isList,
 		limit:       limit,
 		parts:       spec.Parts,
 		planned:     planned,
 		predicted:   predicted,
 		predictedNs: predictedNs,
-
-		plannedKernel: plannedKernel,
-		coreThresh:    coreThresh,
 
 		ctx:      ctx,
 		cancel:   cancel,
@@ -607,7 +562,6 @@ func (mgr *Manager) runJob(j *Job) {
 	}
 	start := time.Now()
 	var st listing.Stats
-	var tier listing.TierStats
 	var runErr error
 	if j.parts > 0 {
 		// Partitioned sweep: block-triple schedule on the scatter/gather
@@ -637,8 +591,7 @@ func (mgr *Manager) runJob(j *Job) {
 		}
 	} else {
 		st, runErr = listing.RunParallelCtx(j.ctx, o, j.method, j.spec.Workers, visit,
-			listing.WithKernel(j.kernel), listing.WithRecorder(rec),
-			listing.WithCoreThreshold(j.coreThresh), listing.WithTierStats(&tier))
+			listing.WithRecorder(rec))
 	}
 
 	snap := rec.Snapshot()
@@ -652,16 +605,7 @@ func (mgr *Manager) runJob(j *Job) {
 	mgr.finalize(j, st, o.MaxOutDeg(), runErr)
 	if mgr.m != nil {
 		mgr.m.jobDuration.With(j.method.String()).Observe(time.Since(start).Seconds())
-		mgr.m.kernelDuration.With(j.kernel.String()).Observe(time.Since(start).Seconds())
-		mgr.m.jobsByKernel.With(j.kernel.String()).Inc()
 		mgr.m.trianglesListed.Add(st.Triangles)
-		if j.kernel == listing.KernelBits || j.kernel == listing.KernelHybrid {
-			// TierStats are zeroed unless the sweep actually built the
-			// bit tier, so the gauge tracks the latest bit-parallel run.
-			mgr.m.kernelCoreVertices.Set(tier.CoreVertices)
-			mgr.m.kernelTierTotal.With("core").Add(tier.CorePairs)
-			mgr.m.kernelTierTotal.With("fringe").Add(tier.FringePairs)
-		}
 		for stage, ss := range snap {
 			mgr.m.stageDuration.With(string(stage)).Observe(ss.Wall.Seconds())
 		}

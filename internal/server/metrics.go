@@ -26,12 +26,7 @@ type serverMetrics struct {
 
 	trianglesListed *metrics.Counter
 	jobDuration     *metrics.HistogramVec // labeled by listing method
-	jobsByKernel    *metrics.CounterVec   // labeled by intersection kernel
-	kernelDuration  *metrics.HistogramVec // labeled by intersection kernel
 	stageDuration   *metrics.HistogramVec // labeled by pipeline stage
-
-	kernelCoreVertices *metrics.Gauge      // bit-tier core size of the latest bits/hybrid sweep
-	kernelTierTotal    *metrics.CounterVec // intersection windows by tier (core, fringe)
 
 	cacheHits      *metrics.Counter
 	cacheMisses    *metrics.Counter
@@ -73,18 +68,9 @@ func newServerMetrics() *serverMetrics {
 		trianglesListed: r.NewCounter("trid_triangles_listed_total", "Triangles reported across all jobs (partial sweeps included)."),
 		jobDuration: r.NewHistogramVec("trid_job_duration_seconds",
 			"Wall-clock sweep duration per listing method.", "method", metrics.DefBuckets),
-		jobsByKernel: r.NewCounterVec("trid_jobs_kernel_total",
-			"Jobs executed per intersection kernel.", "kernel"),
-		kernelDuration: r.NewHistogramVec("trid_kernel_duration_seconds",
-			"Wall-clock sweep duration per intersection kernel.", "kernel", metrics.DefBuckets),
 		stageDuration: r.NewHistogramVec("trid_stage_duration_seconds",
 			"Wall-clock duration per pipeline stage (rank, orient on cache misses; list every job).",
 			"stage", metrics.DefBuckets),
-
-		kernelCoreVertices: r.NewGauge("trid_kernel_core_vertices",
-			"Vertices holding packed bit rows (degree ≥ τ) in the most recent bits/hybrid sweep."),
-		kernelTierTotal: r.NewCounterVec("trid_kernel_tier_total",
-			"Intersection windows executed by bits/hybrid sweeps, per tier (core = bit-parallel path, fringe = list fallback).", "tier"),
 
 		cacheHits:      r.NewCounter("trid_graph_cache_hits_total", "Registry lookups served from a resident orientation."),
 		cacheMisses:    r.NewCounter("trid_graph_cache_misses_total", "Registry lookups that had to relabel and orient."),

@@ -190,39 +190,67 @@ func TestPlannerAutoJob(t *testing.T) {
 // TestPlannerAutoLinearRunsLookup: on a linear-truncation Pareto(1.5)
 // graph, method=auto runs L2/θ_D. It costs the same eq. (50) operations
 // as T1/θ_D, but probes the per-worker stamp arena instead of a global
-// arc hash set, so the time-priced plan prefers it. The auto job must
-// report exactly the triangles and model_ops of an explicit T1/θ_D job,
-// plus the plan's price in ns.
+// arc hash set, so the time-priced plan prefers it. On a root-truncation
+// graph it runs E1/θ_D, the one scanning-edge-iterator pick and so the
+// one job path through the adaptive intersection. Each auto job must
+// report exactly the triangles and model_ops of the explicit job named
+// beside it, plus the plan's price in ns, and no planned kernel.
 func TestPlannerAutoLinearRunsLookup(t *testing.T) {
-	g, _, err := gen.ParetoGraph(degseq.StandardPareto(1.5), 10000, degseq.LinearTruncation, stats.NewRNGFromSeed(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	e := newTestEnv(t, Options{})
-	info := e.register(t, buf.Bytes())
+	for _, tc := range []struct {
+		trunc          degseq.Truncation
+		method, equals string
+	}{
+		{degseq.LinearTruncation, "L2", "T1"},
+		{degseq.RootTruncation, "E1", "E1"},
+	} {
+		g, _, err := gen.ParetoGraph(degseq.StandardPareto(1.5), 10000, tc.trunc, stats.NewRNGFromSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := graph.WriteEdgeList(&buf, g); err != nil {
+			t.Fatal(err)
+		}
+		e := newTestEnv(t, Options{})
+		info := e.register(t, buf.Bytes())
 
-	code, auto := e.postJob(t, JobSpec{Graph: info.ID, Method: "auto", Wait: true})
-	if code != http.StatusOK || auto.Status != string(JobDone) {
-		t.Fatalf("auto job: code=%d view=%+v", code, auto)
+		code, auto := e.postJob(t, JobSpec{Graph: info.ID, Method: "auto", Wait: true})
+		if code != http.StatusOK || auto.Status != string(JobDone) {
+			t.Fatalf("%v auto job: code=%d view=%+v", tc.trunc, code, auto)
+		}
+		if auto.Method != tc.method || auto.Order != "descending" || auto.PlannedKernel != "" {
+			t.Fatalf("%v: method=auto ran %s/%s (planned kernel %q), want %s/descending and none",
+				tc.trunc, auto.Method, auto.Order, auto.PlannedKernel, tc.method)
+		}
+		if auto.PredictedNs <= 0 {
+			t.Errorf("%v: auto job predicted_ns = %v, want > 0", tc.trunc, auto.PredictedNs)
+		}
+		code, ref := e.postJob(t, JobSpec{Graph: info.ID, Method: tc.equals, Order: "descending", Wait: true})
+		if code != http.StatusOK || ref.Status != string(JobDone) {
+			t.Fatalf("%v %s job: code=%d view=%+v", tc.trunc, tc.equals, code, ref)
+		}
+		if auto.Triangles != ref.Triangles || auto.ModelOps != ref.ModelOps {
+			t.Errorf("%v: %s/θ_D found %d triangles in %d model ops, %s/θ_D %d in %d", tc.trunc,
+				tc.method, auto.Triangles, auto.ModelOps, tc.equals, ref.Triangles, ref.ModelOps)
+		}
 	}
-	if auto.Method != "L2" || auto.Order != "descending" || auto.Kernel != "auto" {
-		t.Fatalf("method=auto ran %s/%s kernel %s, want L2/descending under kernel auto",
-			auto.Method, auto.Order, auto.Kernel)
+}
+
+// TestJobKernelFieldRejected: jobs no longer choose an intersection
+// kernel, and the strict job decoder turns a body that still names one
+// into a 400 instead of silently ignoring it.
+func TestJobKernelFieldRejected(t *testing.T) {
+	e := newTestEnv(t, Options{})
+	info := e.register(t, erGraphText(t, 120, 900, 6))
+	for _, kern := range []string{"auto", "merge", "hybrid"} {
+		body := []byte(`{"graph":"` + info.ID + `","method":"E1","kernel":"` + kern + `","wait":true}`)
+		code, out := e.do(t, "POST", "/v1/jobs", body)
+		if code != http.StatusBadRequest || !strings.Contains(string(out), `unknown field \"kernel\"`) {
+			t.Errorf("kernel %q: status %d %s, want 400 naming the unknown field", kern, code, out)
+		}
 	}
-	if auto.PredictedNs <= 0 {
-		t.Errorf("auto job predicted_ns = %v, want > 0", auto.PredictedNs)
-	}
-	code, t1 := e.postJob(t, JobSpec{Graph: info.ID, Method: "T1", Order: "descending", Wait: true})
-	if code != http.StatusOK || t1.Status != string(JobDone) {
-		t.Fatalf("T1 job: code=%d view=%+v", code, t1)
-	}
-	if auto.Triangles != t1.Triangles || auto.ModelOps != t1.ModelOps {
-		t.Errorf("L2/θ_D found %d triangles in %d model ops, T1/θ_D %d in %d",
-			auto.Triangles, auto.ModelOps, t1.Triangles, t1.ModelOps)
+	if code, jv := e.postJob(t, JobSpec{Graph: info.ID, Method: "E1", Wait: true}); code != http.StatusOK || jv.Status != string(JobDone) {
+		t.Fatalf("job without kernel: code=%d view=%+v", code, jv)
 	}
 }
 

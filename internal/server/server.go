@@ -1,6 +1,6 @@
 // Package server implements trid, the triangle-listing service daemon:
 // an HTTP JSON API over a resident-graph registry and a bounded job
-// queue, turning the repo's run-to-completion listing kernels into a
+// queue, turning the repo's run-to-completion listing sweeps into a
 // serving system.
 //
 //	POST   /v1/graphs            register an edge-list or binary-CSR graph body
