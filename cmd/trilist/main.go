@@ -25,12 +25,13 @@
 // chunk-parallel under -workers. -workers N parallelizes the sweep and
 // the rank and orient stages (results are identical at any worker
 // count); -parts P > 1 switches to the external-memory partitioned
-// lister (ignoring -method), spilling blocks to -spill (or memory if
-// unset). Partitioned runs schedule the P³/streamable block triples on
-// a scatter/gather executor: -workers passes run concurrently (output
-// stays byte-identical at any worker count, with straggler re-issue
-// when workers > 1), and -retries N with -retry-backoff D re-runs a
-// pass after transient spill-store failures. -timeout bounds the sweep
+// lister, spilling blocks to -spill (or memory if unset). That lister
+// runs the E2 block sweep, so -method must be auto or E2 there, and
+// -order auto means θ_D. Partitioned runs schedule the P³/streamable
+// block triples on a scatter/gather executor: -workers passes run
+// concurrently (output stays byte-identical at any worker count, with
+// straggler re-issue when workers > 1), and -retries N with
+// -retry-backoff D re-runs a pass after transient spill-store failures. -timeout bounds the sweep
 // (including partitioned runs, cancelled between block triples); on
 // expiry trilist exits non-zero after reporting the partial triangle
 // count. -stages prints a per-stage wall-clock breakdown (rank, orient,
@@ -100,6 +101,11 @@ func run(args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
+	partitioned := *parts > 1
+	if partitioned && methodAuto {
+		// The partitioned lister has one method; there is nothing to plan.
+		method, methodAuto = listing.E2, false
+	}
 	var rec *obsv.Recorder
 	if *stages {
 		rec = obsv.NewRecorder()
@@ -150,7 +156,7 @@ func run(args []string, out io.Writer) error {
 		method, kind = c.Method, c.Order
 		fmt.Fprintf(w, "# planned: method=%v order=%v predicted-cost=%.6g predicted-ns=%.6g\n", method, kind, c.Total, c.PredictedNs)
 	} else if orderAuto {
-		kind = core.Recommended(method)
+		kind = planner.RecommendedOrder(method)
 	}
 	var visit listing.Visitor
 	if *print {
@@ -162,24 +168,18 @@ func run(args []string, out io.Writer) error {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	if *parts > 1 {
-		pcfg := core.Config{
-			Order:    kind,
-			Seed:     *seed,
-			Workers:  *workers,
-			Recorder: rec,
+	cfg := core.Config{Method: method, Order: kind, Seed: *seed, Workers: *workers, Recorder: rec}
+	if partitioned {
+		cfg.Partition = &core.Partition{
 			Parts:    *parts,
 			SpillDir: *spill,
 			Retry:    extmem.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff},
-			// Straggler re-issue only makes sense with idle workers to spare.
-			Speculate: *workers > 1,
 		}
-		err := runPartitioned(ctx, g, pcfg, *timeout, visit, w)
+		err := runPartitioned(ctx, g, cfg, *timeout, visit, w)
 		printStages(w, rec)
 		return err
 	}
-	res, err := core.ListCtx(ctx, g, core.Config{Method: method, Order: kind, Seed: *seed, Workers: *workers,
-		Recorder: rec}, visit)
+	res, err := core.ListCtx(ctx, g, cfg, visit)
 	if errors.Is(err, context.DeadlineExceeded) {
 		// Non-zero exit, but report how far the sweep got.
 		printStages(w, rec)
@@ -230,7 +230,7 @@ func runPartitioned(ctx context.Context, g *graph.Graph, cfg core.Config,
 		return err
 	}
 	er := res.Partitioned
-	fmt.Fprintf(w, "# external-memory: parts=%d order=%v workers=%d\n", cfg.Parts, cfg.Order, cfg.Workers)
+	fmt.Fprintf(w, "# external-memory: parts=%d order=%v workers=%d\n", cfg.Partition.Parts, cfg.Order, cfg.Workers)
 	fmt.Fprintf(w, "# triangles=%d\n", res.Triangles)
 	fmt.Fprintf(w, "# passes=%d arcs-read=%d arcs-written=%d block-reads=%d\n",
 		er.Passes, er.IO.ArcsRead, er.IO.ArcsWritten, er.IO.BlockReads)

@@ -83,7 +83,7 @@ func TestRunWorkersAndPartitions(t *testing.T) {
 		{"-parts", "2", "-workers", "8", "-spill", t.TempDir()},
 	} {
 		var out strings.Builder
-		if err := run(append([]string{"-in", path, "-method", "E1"}, extra...), &out); err != nil {
+		if err := run(append([]string{"-in", path, "-method", "E2"}, extra...), &out); err != nil {
 			t.Fatalf("%v: %v", extra, err)
 		}
 		if !strings.Contains(out.String(), "triangles=4") {
@@ -93,11 +93,38 @@ func TestRunWorkersAndPartitions(t *testing.T) {
 	// A spill dir routed through the core façade is left clean.
 	spill := t.TempDir()
 	var out strings.Builder
-	if err := run([]string{"-in", path, "-method", "E1", "-parts", "2", "-workers", "2", "-spill", spill}, &out); err != nil {
+	if err := run([]string{"-in", path, "-parts", "2", "-workers", "2", "-spill", spill}, &out); err != nil {
 		t.Fatal(err)
 	}
 	if files, err := filepath.Glob(filepath.Join(spill, "block_*.arcs")); err != nil || len(files) != 0 {
 		t.Fatalf("spill dir not cleaned: files=%v err=%v", files, err)
+	}
+}
+
+// TestRunPartitionedMethod: the partitioned lister runs the E2 block
+// sweep, so -method auto resolves to E2 under θ_D, an explicit E2 is
+// accepted, and any other explicit method is rejected before sweeping.
+func TestRunPartitionedMethod(t *testing.T) {
+	path := writeTempGraph(t, k4)
+	for _, m := range []string{"auto", "e2"} {
+		var out strings.Builder
+		if err := run([]string{"-in", path, "-method", m, "-parts", "2"}, &out); err != nil {
+			t.Fatalf("-method %s -parts 2: %v", m, err)
+		}
+		if !strings.Contains(out.String(), "# external-memory: parts=2 order=descending") ||
+			!strings.Contains(out.String(), "triangles=4") {
+			t.Fatalf("-method %s -parts 2: wrong output:\n%s", m, out.String())
+		}
+	}
+	for _, m := range []string{"E1", "T1", "L2"} {
+		var out strings.Builder
+		err := run([]string{"-in", path, "-method", m, "-parts", "2"}, &out)
+		if err == nil || !strings.Contains(err.Error(), "E2 block sweep") {
+			t.Fatalf("-method %s -parts 2: err = %v, want a rejection naming the E2 block sweep", m, err)
+		}
+		if strings.Contains(out.String(), "triangles=") {
+			t.Fatalf("-method %s -parts 2: rejected run still listed:\n%s", m, out.String())
+		}
 	}
 }
 

@@ -1,9 +1,8 @@
 // Command tristats summarizes a graph through the lens of the paper:
-// degree statistics, degeneracy, triangle count, clustering
-// coefficients, the method × order cost matrix (which order to use for
-// which algorithm on THIS graph), and the planner's pick: the
-// (method, order) pair with the lowest predicted time, with its
-// predicted model ops and nanoseconds.
+// degree statistics, degeneracy, triangle count and clustering
+// coefficients (from one sweep), and optionally the method × order
+// cost matrix (which order to use for which algorithm on THIS graph).
+// The planner's pick for the graph is `trilist -plan`.
 //
 // Usage:
 //
@@ -25,9 +24,7 @@ import (
 	"trilist/internal/experiments"
 	"trilist/internal/graph"
 	"trilist/internal/ingest"
-	"trilist/internal/listing"
 	"trilist/internal/order"
-	"trilist/internal/planner"
 	"trilist/internal/stats"
 )
 
@@ -79,32 +76,17 @@ func run(args []string, w io.Writer) error {
 	_, comps := g.ConnectedComponents()
 	fmt.Fprintf(w, "components %d\n", comps)
 
-	res, err := core.List(g, core.Config{Method: listing.E1, Order: order.KindDescending}, nil)
+	tri, gc, local, err := core.Clustering(g)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(w, "triangles %d\n", res.Triangles)
-	gc, err := core.GlobalClustering(g)
-	if err != nil {
-		return err
-	}
+	fmt.Fprintf(w, "triangles %d\n", tri)
 	fmt.Fprintf(w, "global clustering %.6f\n", gc)
-	local, err := core.LocalClustering(g)
-	if err != nil {
-		return err
-	}
 	slices.Sort(local)
 	if n := len(local); n > 0 {
 		fmt.Fprintf(w, "local clustering  median %.6f  p90 %.6f\n",
 			local[n/2], local[9*n/10])
 	}
-
-	plan, err := planner.Compute(g, planner.WithWorkers(*workers))
-	if err != nil {
-		return err
-	}
-	best := plan.Best()
-	fmt.Fprintf(w, "planner pick %s  (predicted %.6g ops, %.6g ns)\n", best.Spec(), best.Total, best.PredictedNs)
 
 	if *matrix {
 		m, err := experiments.MatrixForGraph(g, 0, stats.NewRNGFromSeed(*seed), *workers)

@@ -30,7 +30,6 @@ func TestStatsOnK4(t *testing.T) {
 		"degeneracy 3",
 		"triangles 4",
 		"global clustering 1.000000",
-		"planner pick ",
 	} {
 		if !strings.Contains(s, want) {
 			t.Errorf("output missing %q:\n%s", want, s)

@@ -21,35 +21,44 @@ func ctxTestGraph(t testing.TB, n int, m int64) *graph.Graph {
 	return g
 }
 
-func TestListCtxMatchesList(t *testing.T) {
-	g := ctxTestGraph(t, 400, 4000)
+// TestListCtxMatchesListOriented: ListCtx is Prepare followed by
+// ListOriented, with Stats bitwise identical to a serial listing.Run on
+// the prepared orientation.
+func TestListCtxMatchesListOriented(t *testing.T) {
+	g := ctxTestGraph(t, 1500, 15000)
 	cfg := Config{Method: listing.E1, Order: order.KindDescending, Workers: 3}
-	want, err := List(g, cfg, nil)
+	o, err := Prepare(g, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := listing.Run(o, cfg.Method, nil)
 	got, err := ListCtx(context.Background(), g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Stats != want.Stats {
-		t.Fatalf("ListCtx stats %+v != List stats %+v", got.Stats, want.Stats)
+	oriented, err := ListOriented(context.Background(), o, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Stats != want || oriented.Stats != want {
+		t.Fatalf("ListCtx stats %+v, ListOriented stats %+v, listing.Run %+v", got.Stats, oriented.Stats, want)
 	}
 }
 
 func TestListCtxCancelledReturnsPartial(t *testing.T) {
 	g := ctxTestGraph(t, 3000, 40000)
 	cfg := Config{Method: listing.E1, Order: order.KindDescending}
-	total, err := Count(g, cfg)
+	res, err := ListCtx(context.Background(), g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	total := res.Triangles
 	if total < 10 {
 		t.Fatalf("test graph too sparse: %d triangles", total)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var seen int64
-	res, err := ListCtx(ctx, g, cfg, func(x, y, z int32) {
+	res, err = ListCtx(ctx, g, cfg, func(x, y, z int32) {
 		if atomic.AddInt64(&seen, 1) == 4 {
 			cancel()
 		}

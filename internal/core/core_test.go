@@ -1,14 +1,18 @@
 package core
 
 import (
+	"context"
 	"math"
+	"strings"
 	"testing"
 
 	"trilist/internal/degseq"
 	"trilist/internal/gen"
 	"trilist/internal/graph"
 	"trilist/internal/listing"
+	"trilist/internal/model"
 	"trilist/internal/order"
+	"trilist/internal/planner"
 	"trilist/internal/stats"
 )
 
@@ -21,22 +25,25 @@ func testGraph(t *testing.T) *graph.Graph {
 	return g
 }
 
-func TestCountConsistentAcrossConfigs(t *testing.T) {
-	g := testGraph(t)
-	want, err := Count(g, Config{Method: listing.T1, Order: order.KindDescending})
+// list runs ListCtx with a background context and no visitor.
+func list(t *testing.T, g *graph.Graph, cfg Config) Result {
+	t.Helper()
+	res, err := ListCtx(context.Background(), g, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return res
+}
+
+func TestCountConsistentAcrossConfigs(t *testing.T) {
+	g := testGraph(t)
+	want := list(t, g, Config{Method: listing.T1, Order: order.KindDescending}).Triangles
 	if want == 0 {
 		t.Fatal("no triangles in test graph")
 	}
 	for _, m := range listing.Core {
 		for _, k := range order.Kinds {
-			got, err := Count(g, Config{Method: m, Order: k, Seed: 9})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != want {
+			if got := list(t, g, Config{Method: m, Order: k, Seed: 9}).Triangles; got != want {
 				t.Errorf("%v+%v: %d triangles, want %d", m, k, got, want)
 			}
 		}
@@ -46,7 +53,7 @@ func TestCountConsistentAcrossConfigs(t *testing.T) {
 func TestListResultMeters(t *testing.T) {
 	g := testGraph(t)
 	calls := 0
-	res, err := List(g, Config{Method: listing.E1, Order: order.KindDescending},
+	res, err := ListCtx(context.Background(), g, Config{Method: listing.E1, Order: order.KindDescending},
 		func(x, y, z int32) { calls++ })
 	if err != nil {
 		t.Fatal(err)
@@ -64,14 +71,15 @@ func TestListResultMeters(t *testing.T) {
 
 func TestRecommendedOrders(t *testing.T) {
 	// The paper's optimality results.
-	if Recommended(listing.T1) != order.KindDescending ||
-		Recommended(listing.E1) != order.KindDescending ||
-		Recommended(listing.T2) != order.KindRoundRobin ||
-		Recommended(listing.E4) != order.KindCRR ||
-		Recommended(listing.T3) != order.KindAscending {
+	rec := planner.RecommendedOrder
+	if rec(listing.T1) != order.KindDescending ||
+		rec(listing.E1) != order.KindDescending ||
+		rec(listing.T2) != order.KindRoundRobin ||
+		rec(listing.E4) != order.KindCRR ||
+		rec(listing.T3) != order.KindAscending {
 		t.Fatal("recommended orders disagree with Corollaries 1-2")
 	}
-	// Recommended must actually be no worse than the other named
+	// The recommended order must actually be no worse than the other named
 	// degree-based orders on a heavy-tailed instance.
 	p := degseq.StandardPareto(1.7)
 	g, _, err := gen.ParetoGraph(p, 5000, degseq.RootTruncation, stats.NewRNGFromSeed(4))
@@ -79,19 +87,13 @@ func TestRecommendedOrders(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, m := range listing.Core {
-		best, err := List(g, Config{Method: m, Order: Recommended(m)}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		best := list(t, g, Config{Method: m, Order: rec(m)})
 		for _, k := range []order.Kind{order.KindAscending, order.KindDescending,
 			order.KindRoundRobin, order.KindCRR} {
-			res, err := List(g, Config{Method: m, Order: k}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := list(t, g, Config{Method: m, Order: k})
 			if float64(res.ModelOps()) < 0.95*float64(best.ModelOps()) {
 				t.Errorf("%v: order %v ops %d beat recommended %v ops %d by >5%%",
-					m, k, res.ModelOps(), Recommended(m), best.ModelOps())
+					m, k, res.ModelOps(), rec(m), best.ModelOps())
 			}
 		}
 	}
@@ -113,36 +115,15 @@ func TestPredictCostTracksMeasured(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		res, err := List(g, Config{Method: listing.T1, Order: order.KindDescending}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		res := list(t, g, Config{Method: listing.T1, Order: order.KindDescending})
 		sim.Add(float64(res.ModelOps()) / float64(n))
 	}
-	pred, err := PredictCost(listing.T1, order.KindDescending, tr)
+	pred, err := model.DiscreteCost(model.Spec{Method: listing.T1, Order: order.KindDescending}, tr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(sim.Mean()-pred)/pred > 0.10 {
 		t.Fatalf("sim %v vs predicted %v", sim.Mean(), pred)
-	}
-}
-
-func TestPredictLimit(t *testing.T) {
-	p := degseq.StandardPareto(1.5)
-	lim, err := PredictLimit(listing.T1, order.KindDescending, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(lim-356.3)/356.3 > 0.005 {
-		t.Fatalf("limit %v, want ≈356.3 (paper Table 6)", lim)
-	}
-	inf, err := PredictLimit(listing.E1, order.KindDescending, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !math.IsInf(inf, 1) {
-		t.Fatalf("E1 limit at α=1.5 should be +Inf, got %v", inf)
 	}
 }
 
@@ -155,17 +136,17 @@ func TestGlobalClusteringKnownGraphs(t *testing.T) {
 		}
 	}
 	k4, _ := graph.FromEdges(4, edges, false)
-	if cc, err := GlobalClustering(k4); err != nil || math.Abs(cc-1) > 1e-12 {
-		t.Fatalf("K4 clustering = %v (%v), want 1", cc, err)
+	if tri, cc, _, err := Clustering(k4); err != nil || tri != 4 || math.Abs(cc-1) > 1e-12 {
+		t.Fatalf("K4: %d triangles, clustering = %v (%v), want 4 and 1", tri, cc, err)
 	}
 	// Star: no triangles.
 	star, _ := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}}, false)
-	if cc, err := GlobalClustering(star); err != nil || cc != 0 {
-		t.Fatalf("star clustering = %v (%v), want 0", cc, err)
+	if tri, cc, _, err := Clustering(star); err != nil || tri != 0 || cc != 0 {
+		t.Fatalf("star: %d triangles, clustering = %v (%v), want 0", tri, cc, err)
 	}
 	// Edgeless graph: zero wedges handled.
 	empty, _ := graph.FromEdges(3, nil, false)
-	if cc, err := GlobalClustering(empty); err != nil || cc != 0 {
+	if _, cc, _, err := Clustering(empty); err != nil || cc != 0 {
 		t.Fatalf("empty clustering = %v (%v)", cc, err)
 	}
 }
@@ -176,7 +157,7 @@ func TestLocalClustering(t *testing.T) {
 	g, _ := graph.FromEdges(4, []graph.Edge{
 		{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3},
 	}, false)
-	cc, err := LocalClustering(g)
+	_, _, cc, err := Clustering(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,14 +171,8 @@ func TestLocalClustering(t *testing.T) {
 
 func TestWorkersMatchSerial(t *testing.T) {
 	g := testGraph(t)
-	serial, err := List(g, Config{Method: listing.E1, Order: order.KindDescending}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := List(g, Config{Method: listing.E1, Order: order.KindDescending, Workers: 4}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	serial := list(t, g, Config{Method: listing.E1, Order: order.KindDescending})
+	par := list(t, g, Config{Method: listing.E1, Order: order.KindDescending, Workers: 4})
 	if par.Stats != serial.Stats {
 		t.Fatalf("parallel stats %+v != serial %+v", par.Stats, serial.Stats)
 	}
@@ -205,12 +180,51 @@ func TestWorkersMatchSerial(t *testing.T) {
 
 func TestUniformOrderDeterministicBySeed(t *testing.T) {
 	g := testGraph(t)
-	r1, err := List(g, Config{Method: listing.T2, Order: order.KindUniform, Seed: 42}, nil)
+	r1 := list(t, g, Config{Method: listing.T2, Order: order.KindUniform, Seed: 42})
+	r2 := list(t, g, Config{Method: listing.T2, Order: order.KindUniform, Seed: 42})
+	if r1.ModelOps() != r2.ModelOps() {
+		t.Fatal("uniform order not deterministic by seed")
+	}
+}
+
+// TestPartitionValidation: a partitioned config must name E2 and at
+// least one part; both entry points reject anything else before
+// sweeping, and the E2 config they accept lists every triangle.
+func TestPartitionValidation(t *testing.T) {
+	g := testGraph(t)
+	want := list(t, g, Config{Order: order.KindDescending}).Triangles
+	o, err := Prepare(g, Config{Order: order.KindDescending})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := List(g, Config{Method: listing.T2, Order: order.KindUniform, Seed: 42}, nil)
-	if r1.ModelOps() != r2.ModelOps() {
-		t.Fatal("uniform order not deterministic by seed")
+	for _, c := range []struct {
+		cfg  Config
+		want string // error substring; "" = accepted
+	}{
+		{Config{Method: listing.E2, Partition: &Partition{Parts: 3}}, ""},
+		{Config{Method: listing.E1, Partition: &Partition{Parts: 3}}, "method E1"},
+		{Config{Partition: &Partition{Parts: 3}}, "method T1"},
+		{Config{Method: listing.E2, Partition: &Partition{}}, "at least 1 part"},
+		{Config{Method: listing.E2, Partition: &Partition{Parts: -2}}, "at least 1 part"},
+	} {
+		visits := 0
+		visit := func(x, y, z int32) { visits++ }
+		r1, err1 := ListCtx(context.Background(), g, c.cfg, visit)
+		r2, err2 := ListOriented(context.Background(), o, c.cfg, visit)
+		for _, err := range []error{err1, err2} {
+			if c.want == "" && err != nil {
+				t.Fatalf("%+v: %v", *c.cfg.Partition, err)
+			}
+			if c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)) {
+				t.Fatalf("method %v parts %d: err = %v, want %q", c.cfg.Method, c.cfg.Partition.Parts, err, c.want)
+			}
+		}
+		if c.want != "" && visits != 0 {
+			t.Fatalf("method %v parts %d: rejected config still listed %d triangles",
+				c.cfg.Method, c.cfg.Partition.Parts, visits)
+		}
+		if c.want == "" && (r1.Triangles != want || r2.Triangles != want || r1.Partitioned == nil) {
+			t.Fatalf("partitioned run: %d/%d triangles, want %d", r1.Triangles, r2.Triangles, want)
+		}
 	}
 }

@@ -36,7 +36,7 @@ func orientedTestGraph(t testing.TB, seed uint64, n int, m int64) *digraph.Orien
 
 func TestRunMatchesInMemoryAcrossPartitionCounts(t *testing.T) {
 	o := orientedTestGraph(t, 7, 200, 2500)
-	want := listing.Count(o, listing.E1)
+	want := listing.Run(o, listing.E1, nil).Triangles
 	if want == 0 {
 		t.Fatal("test graph has no triangles")
 	}
@@ -113,7 +113,7 @@ func TestIOGrowsWithPartitions(t *testing.T) {
 
 func TestFileStoreEndToEnd(t *testing.T) {
 	o := orientedTestGraph(t, 31, 150, 1800)
-	want := listing.Count(o, listing.E1)
+	want := listing.Run(o, listing.E1, nil).Triangles
 	store, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestParetoWorkload(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := listing.Count(o, listing.T1)
+	want := listing.Run(o, listing.T1, nil).Triangles
 	store, err := NewFileStore(t.TempDir())
 	if err != nil {
 		t.Fatal(err)

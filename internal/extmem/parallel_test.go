@@ -220,7 +220,7 @@ func TestFileStoreStaleSweep(t *testing.T) {
 	}
 
 	o := orientedTestGraph(t, 31, 150, 1800)
-	want := listing.Count(o, listing.E1)
+	want := listing.Run(o, listing.E1, nil).Triangles
 	s2, err := NewFileStore(dir)
 	if err != nil {
 		t.Fatal(err)

@@ -3,30 +3,31 @@ package listing
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"trilist/internal/digraph"
 	"trilist/internal/obsv"
 )
 
-// cancelBlock is the anchor granularity at which cancellable runs poll
-// their context. Every method's outer loop ranges over an anchor corner
-// of the triangle and the per-anchor work touches only read-only
-// structures, so splitting the sweep into blocks leaves every meter in
-// Stats bitwise identical to an unsplit run (the same property the
-// parallel runner relies on); the context check between blocks is the
-// only extra work. 512 anchors keep the polling overhead unmeasurable
-// while bounding cancellation latency to one block of inner-loop work.
+// cancelBlock is the anchor granularity of a sweep: workers claim
+// blocks of this many anchors and poll their context between blocks.
+// Every method's outer loop ranges over an anchor corner of the
+// triangle and the per-anchor work touches only read-only structures,
+// so splitting the sweep into blocks leaves every meter in Stats
+// bitwise identical to an unsplit run, at any worker count; the
+// context check between blocks is the only extra work. 512 anchors
+// keep the polling overhead unmeasurable while bounding cancellation
+// latency to one block of inner-loop work.
 const cancelBlock = 512
 
-// Option configures a listing run (Run, RunCtx, RunParallel,
-// RunParallelCtx). Omitting all options reproduces the historical
-// behavior exactly.
+// Option configures a listing run (RunCtx, Run). Omitting all options
+// gives a serial run with no telemetry.
 type Option func(*runConfig)
 
 type runConfig struct {
-	rec *obsv.Recorder
+	rec     *obsv.Recorder
+	workers int
 	// mergeRef makes SEI sweeps merge-scan every window instead of
 	// taking the adaptive path. Only tests set it, to compare the two.
 	mergeRef bool
@@ -40,6 +41,16 @@ type runConfig struct {
 // meter.
 func WithRecorder(r *obsv.Recorder) Option {
 	return func(c *runConfig) { c.rec = r }
+}
+
+// WithWorkers splits the sweep across n workers. n <= 1 (the default)
+// runs serially on the caller's goroutine and starts no goroutine;
+// n > 1 runs worker 0 on the caller's goroutine and n-1 more alongside
+// it, and the visitor must then be safe for concurrent use. Triangles
+// and every Stats meter are identical at any n; only the interleaving
+// of visits differs.
+func WithWorkers(n int) Option {
+	return func(c *runConfig) { c.workers = n }
 }
 
 func applyOptions(opts []Option) runConfig {
@@ -83,100 +94,67 @@ func methodSweep(o *digraph.Oriented, m Method, visit Visitor, cfg *runConfig) (
 	}
 }
 
-// RunCtx is Run with cooperative cancellation: the sweep polls ctx every
-// cancelBlock anchors and stops at the first checkpoint after ctx is
-// done, returning the partial Stats accumulated so far together with
-// ctx.Err(). An uncancelled run returns Stats bitwise identical to
-// Run's and a nil error. Triangles reported before cancellation were
-// delivered to the visitor exactly once; none are reported afterwards.
+// RunCtx executes method m on the oriented graph o, invoking visit
+// (which may be nil) once for every triangle, and returns the run's
+// Stats. It is the package's one sweep: anchors are split into
+// cancelBlock blocks, and worker w of WithWorkers(n) takes blocks
+// w, w+n, w+2n, … so the heavy labels (which cluster at one end under
+// θ_A/θ_D) spread across workers. A serial run visits triangles in the
+// method's canonical order.
+//
+// Each worker polls ctx before claiming its next block. If ctx ends
+// before every block has run, RunCtx returns the partial Stats of the
+// blocks that did run together with ctx.Err(); every triangle counted
+// there was delivered to the visitor exactly once. A sweep that covers
+// every block returns nil, even if ctx ended during its last blocks.
+// Options attach telemetry (WithRecorder) and workers (WithWorkers) and
+// never change the triangles or Stats.
+//
+// Orientation makes anchors independent, so vertex and edge iterators
+// parallelize embarrassingly; this is the scalability story of the
+// parallel systems the paper cites (PATRIC [3], OPT [25],
+// Shun–Tangwongsan [35]) applied to its unified framework.
 func RunCtx(ctx context.Context, o *digraph.Oriented, m Method, visit Visitor, opts ...Option) (Stats, error) {
 	cfg := applyOptions(opts)
-	if visit == nil {
-		visit = func(x, y, z int32) {}
-	}
-	s := Stats{Method: m}
-	if err := ctx.Err(); err != nil {
-		return s, err
-	}
-	sp := cfg.rec.Start(obsv.StageList)
-	defer sp.End()
-	newWorker, hashBuild := methodSweep(o, m, visit, &cfg)
-	s.HashBuild = hashBuild
-	run, release := newWorker()
-	defer release()
-	n := int32(o.NumNodes())
-	for lo := int32(0); lo < n; lo += cancelBlock {
-		if err := ctx.Err(); err != nil {
-			return s, err
-		}
-		hi := lo + cancelBlock
-		if hi > n {
-			hi = n
-		}
-		run(lo, hi, &s)
-	}
-	return s, nil
-}
-
-// RunParallelCtx is RunParallel with cooperative cancellation: each
-// worker polls ctx before claiming its next anchor block and stops once
-// ctx is done. The merged partial Stats and ctx.Err() are returned; an
-// uncancelled run returns exactly RunParallel's Stats and a nil error.
-func RunParallelCtx(ctx context.Context, o *digraph.Oriented, m Method, workers int, visit Visitor, opts ...Option) (Stats, error) {
-	cfg := applyOptions(opts)
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	n := int32(o.NumNodes())
-	if workers > int(n) {
-		workers = int(n)
-	}
-	if workers <= 1 {
-		return RunCtx(ctx, o, m, visit, opts...)
-	}
 	if visit == nil {
 		visit = func(x, y, z int32) {}
 	}
 	if err := ctx.Err(); err != nil {
 		return Stats{Method: m}, err
 	}
-	// The span opens here, not before the workers<=1 delegation above:
-	// RunCtx opens its own on that path, so exactly one list span covers
-	// any run.
 	sp := cfg.rec.Start(obsv.StageList)
 	defer sp.End()
 	newWorker, hashBuild := methodSweep(o, m, visit, &cfg)
 
-	// Interleaved blocks: worker w takes blocks w, w+workers, w+2·workers…
-	// so the heavy labels (which cluster at one end under θ_A/θ_D) spread
-	// across workers.
+	n := int32(o.NumNodes())
 	numBlocks := (int(n) + cancelBlock - 1) / cancelBlock
+	workers := max(1, min(cfg.workers, numBlocks))
 	parts := make([]Stats, workers)
 	done := ctx.Done()
+	var cut atomic.Bool
+	sweep := func(w int) {
+		run, release := newWorker()
+		defer release()
+		for b := w; b < numBlocks; b += workers {
+			select {
+			case <-done:
+				cut.Store(true)
+				return
+			default:
+			}
+			lo := int32(b * cancelBlock)
+			run(lo, min(lo+cancelBlock, n), &parts[w])
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 1; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			run, release := newWorker()
-			defer release()
-			s := &parts[w]
-			s.Method = m
-			for b := w; b < numBlocks; b += workers {
-				select {
-				case <-done:
-					return
-				default:
-				}
-				lo := int32(b * cancelBlock)
-				hi := lo + cancelBlock
-				if hi > n {
-					hi = n
-				}
-				run(lo, hi, s)
-			}
+			sweep(w)
 		}(w)
 	}
+	sweep(0)
 	wg.Wait()
 
 	total := Stats{Method: m, HashBuild: hashBuild}
@@ -187,9 +165,10 @@ func RunParallelCtx(ctx context.Context, o *digraph.Oriented, m Method, workers 
 		total.RemoteScan += p.RemoteScan
 		total.Lookups += p.Lookups
 		total.Comparisons += p.Comparisons
-		if m.Family() == LookupEdgeIterator {
-			total.HashBuild += p.HashBuild
-		}
+		total.HashBuild += p.HashBuild
 	}
-	return total, ctx.Err()
+	if cut.Load() {
+		return total, ctx.Err()
+	}
+	return total, nil
 }

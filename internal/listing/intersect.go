@@ -12,13 +12,11 @@ import (
 // galloping does at most a handful of probes per window element.
 const skewRatio = 8
 
-// arena is per-worker scratch for the stamp probes: for each node of
-// the currently stamped base list it records the node's index in that
-// list, validated by an epoch so re-stamping is O(|base|) with no
-// clearing. One arena serves both SEI window probes (which need the
-// position) and LEI membership tests (which only need the epoch).
+// arena is per-worker scratch for the stamp probes: it marks the nodes
+// of the currently stamped base list, validated by an epoch so
+// re-stamping is O(|base|) with no clearing. One arena serves both SEI
+// window probes and LEI membership tests.
 type arena struct {
-	pos   []int32  // pos[v] = index of v in the stamped base list
 	epoch []uint32 // epoch[v] == cur ⇔ v is in the stamped base list
 	cur   uint32
 }
@@ -40,10 +38,9 @@ func getArena(n int) *arena {
 func putArena(a *arena) { arenaPool.Put(a) }
 
 func (a *arena) ensure(n int) {
-	if len(a.pos) >= n {
+	if len(a.epoch) >= n {
 		return
 	}
-	a.pos = make([]int32, n)
 	a.epoch = make([]uint32, n)
 	// cur must differ from the zeroed epoch array or an unstamped arena
 	// would report every node as a member.
@@ -59,8 +56,7 @@ func (a *arena) stamp(base []int32) {
 		clear(a.epoch)
 		a.cur = 1
 	}
-	for i, v := range base {
-		a.pos[v] = int32(i)
+	for _, v := range base {
 		a.epoch[v] = a.cur
 	}
 }
@@ -172,7 +168,7 @@ func gallopIntersect(a, b []int32, emit func(int32)) int64 {
 type intersector struct {
 	ar       *arena
 	base     []int32
-	stamped  bool // pos/epoch stamp valid for base
+	stamped  bool // epoch stamp valid for base
 	mergeRef bool
 }
 
@@ -199,9 +195,15 @@ func (it *intersector) setBase(base []int32) {
 	it.stamped = false
 }
 
-// probe intersects base[alo:ahi] with remote via the stamped arena,
-// emitting matches in ascending order (remote is ascending).
-func (it *intersector) probe(alo, ahi int, remote []int32, emit func(int32)) int64 {
+// probe intersects the window with remote via the stamped arena,
+// emitting matches in ascending order (remote is ascending). It tests
+// membership in the whole base list, which is exact for every SEI
+// method: the base elements outside the window lie outside the remote
+// list's value range. E1 and E6 take the prefix below a bound that
+// every remote element is also below; E3 and E4 take the suffix above
+// a bound that every remote element is also above; E2 and E5 take the
+// whole list.
+func (it *intersector) probe(remote []int32, emit func(int32)) int64 {
 	if !it.stamped {
 		it.ar.stamp(it.base)
 		it.stamped = true
@@ -210,10 +212,8 @@ func (it *intersector) probe(alo, ahi int, remote []int32, emit func(int32)) int
 	var matches int64
 	for _, v := range remote {
 		if ar.epoch[v] == ar.cur {
-			if p := ar.pos[v]; p >= int32(alo) && p < int32(ahi) {
-				matches++
-				emit(v)
-			}
+			matches++
+			emit(v)
 		}
 	}
 	return matches
@@ -232,6 +232,6 @@ func (it *intersector) win(alo, ahi int, remote []int32, emit func(int32)) int64
 	case len(local)*skewRatio <= len(remote):
 		return mergeComps(local, remote, gallopIntersect(local, remote, emit))
 	default:
-		return mergeComps(local, remote, it.probe(alo, ahi, remote, emit))
+		return mergeComps(local, remote, it.probe(remote, emit))
 	}
 }

@@ -166,11 +166,11 @@ func sequence(o *digraph.Oriented, m Method, opts ...Option) ([]triKey, Stats) {
 func sortedSequence(o *digraph.Oriented, m Method, workers int, opts ...Option) ([]triKey, Stats) {
 	var mu sync.Mutex
 	var tris []triKey
-	s := RunParallel(o, m, workers, func(x, y, z int32) {
+	s := Run(o, m, func(x, y, z int32) {
 		mu.Lock()
 		tris = append(tris, triKey{x, y, z})
 		mu.Unlock()
-	}, opts...)
+	}, append(opts, WithWorkers(workers))...)
 	sort.Slice(tris, func(i, j int) bool {
 		a, b := tris[i], tris[j]
 		if a[0] != b[0] {
@@ -234,6 +234,14 @@ func TestAdaptiveMatchesMergeReferenceSequence(t *testing.T) {
 	}
 }
 
+// triHash is a 64-bit mix of one triangle, summed by fingerprint.
+func triHash(x, y, z int32) uint64 {
+	h := uint64(x)<<42 ^ uint64(y)<<21 ^ uint64(z)
+	h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
+	h = (h ^ h>>27) * 0x94d049bb133111eb
+	return h ^ h>>31
+}
+
 // fingerprint runs m on workers goroutines and returns an
 // order-independent digest of the triangles visited: the wrapping sum of
 // a 64-bit mix of each one. Two different triangle multisets collide
@@ -241,12 +249,9 @@ func TestAdaptiveMatchesMergeReferenceSequence(t *testing.T) {
 // compare parallel runs, whose visit order is not deterministic.
 func fingerprint(o *digraph.Oriented, m Method, workers int, opts ...Option) (uint64, Stats) {
 	var sum atomic.Uint64
-	s := RunParallel(o, m, workers, func(x, y, z int32) {
-		h := uint64(x)<<42 ^ uint64(y)<<21 ^ uint64(z)
-		h = (h ^ h>>30) * 0xbf58476d1ce4e5b9
-		h = (h ^ h>>27) * 0x94d049bb133111eb
-		sum.Add(h ^ h>>31)
-	}, opts...)
+	s := Run(o, m, func(x, y, z int32) {
+		sum.Add(triHash(x, y, z))
+	}, append(opts, WithWorkers(workers))...)
 	return sum.Load(), s
 }
 

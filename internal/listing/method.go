@@ -254,17 +254,9 @@ func (s Stats) ModelOps() int64 {
 	}
 }
 
-// Run executes method m on the oriented graph o, invoking visit (which
-// may be nil) for every triangle, and returns the run's Stats. It is
-// RunCtx with a background context: unstoppable once started; servers
-// and CLIs with deadlines use RunCtx instead. Options attach telemetry
-// (WithRecorder) and never change the triangles or Stats.
+// Run is RunCtx with a background context: unstoppable once started.
+// Servers and CLIs with deadlines use RunCtx.
 func Run(o *digraph.Oriented, m Method, visit Visitor, opts ...Option) Stats {
 	s, _ := RunCtx(context.Background(), o, m, visit, opts...)
 	return s
-}
-
-// Count is a convenience wrapper that returns only the triangle count.
-func Count(o *digraph.Oriented, m Method, opts ...Option) int64 {
-	return Run(o, m, nil, opts...).Triangles
 }

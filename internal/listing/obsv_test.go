@@ -18,7 +18,7 @@ func TestRecorderInvariance(t *testing.T) {
 	o := orientBy(t, g, order.KindDescending, 1)
 	for _, m := range []Method{T1, T2, E1, E4, L2} {
 		for _, workers := range []int{1, 3} {
-			bare := RunParallel(o, m, workers, nil)
+			bare := Run(o, m, nil, WithWorkers(workers))
 			rec := obsv.NewRecorder()
 			tris, instrumented := sortedSequence(o, m, workers, WithRecorder(rec))
 			if instrumented != bare {

@@ -17,6 +17,7 @@ import (
 	"trilist/internal/listing"
 	"trilist/internal/obsv"
 	"trilist/internal/order"
+	"trilist/internal/planner"
 )
 
 // Sentinel errors the HTTP layer maps to status codes.
@@ -68,9 +69,11 @@ type JobSpec struct {
 	Order string `json:"order,omitempty"`
 	// Seed feeds the uniform order's RNG; other orders ignore it.
 	Seed uint64 `json:"seed,omitempty"`
-	// Workers parallelizes the sweep (0 = serial). Capped at GOMAXPROCS.
-	// With Parts > 0 it sizes the block-triple worker pool instead;
-	// results are identical at any worker count either way.
+	// Workers is the number of goroutines for the sweep; 0 (omitted)
+	// and 1 both mean serial. Capped at GOMAXPROCS. With Parts > 0 it
+	// sizes the block-triple worker pool instead. Results are identical
+	// at any worker count either way, and a serial list job records the
+	// first Limit triangles of the method's canonical sequence.
 	Workers int `json:"workers,omitempty"`
 	// Parts > 0 runs the job through the external-memory partitioned
 	// lister: the orientation is split into Parts label ranges and swept
@@ -114,9 +117,7 @@ type Job struct {
 	mu        sync.Mutex
 	status    JobStatus
 	errMsg    string
-	stats     listing.Stats
-	partRes   *extmem.Result
-	maxOutDeg int64
+	res       core.Result
 	truncated bool
 	limitHit  bool
 	cacheHit  bool
@@ -202,9 +203,9 @@ func (j *Job) View() JobView {
 		Error:     j.errMsg,
 		CacheHit:  j.cacheHit,
 		Truncated: j.truncated,
-		Triangles: j.stats.Triangles,
-		ModelOps:  j.stats.ModelOps(),
-		MaxOutDeg: j.maxOutDeg,
+		Triangles: j.res.Triangles,
+		ModelOps:  j.res.ModelOps(),
+		MaxOutDeg: j.res.MaxOutDeg,
 	}
 	if j.planned {
 		v.PlannedMethod = j.method.String()
@@ -212,7 +213,7 @@ func (j *Job) View() JobView {
 		v.PredictedCost = j.predicted
 		v.PredictedNs = j.predictedNs
 		if j.status == JobDone {
-			v.ActualAdvWork = j.stats.ModelOps()
+			v.ActualAdvWork = j.res.ModelOps()
 			if v.ActualAdvWork > 0 {
 				v.PredictedActualRatio = j.predicted / float64(v.ActualAdvWork)
 			}
@@ -221,9 +222,9 @@ func (j *Job) View() JobView {
 	if j.parts > 0 {
 		v.Parts = j.parts
 	}
-	if j.partRes != nil {
-		v.Passes = j.partRes.Passes
-		io := j.partRes.IO
+	if pr := j.res.Partitioned; pr != nil {
+		v.Passes = pr.Passes
+		io := pr.IO
 		v.IO = &io
 	}
 	if j.list {
@@ -390,7 +391,7 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 			return nil, err
 		}
 		if orderAuto {
-			kind = core.Recommended(method)
+			kind = planner.RecommendedOrder(method)
 		}
 	}
 	var isList bool
@@ -525,7 +526,7 @@ func (mgr *Manager) runJob(j *Job) {
 	// A job cancelled (or timed out) while queued never touches the
 	// registry or the sweep.
 	if err := j.ctx.Err(); err != nil {
-		mgr.finalize(j, listing.Stats{Method: j.method}, 0, err)
+		mgr.finalize(j, core.Result{Stats: listing.Stats{Method: j.method}}, err)
 		return
 	}
 
@@ -560,38 +561,22 @@ func (mgr *Manager) runJob(j *Job) {
 			}
 		}
 	}
-	start := time.Now()
-	var st listing.Stats
-	var runErr error
+	cfg := core.Config{Method: j.method, Order: j.kind, Workers: j.spec.Workers, Recorder: rec}
+	spill := ""
 	if j.parts > 0 {
 		// Partitioned sweep: block-triple schedule on the scatter/gather
 		// executor. Spills go to a per-job subdir when configured (core
 		// removes the block files on every path; the subdir itself is
 		// dropped here).
-		spill := ""
 		if mgr.opts.SpillDir != "" {
 			spill = filepath.Join(mgr.opts.SpillDir, j.id)
 		}
-		var res core.Result
-		res, runErr = core.ListOriented(j.ctx, o, core.Config{
-			Order:      j.kind,
-			Workers:    j.spec.Workers,
-			Recorder:   rec,
-			Parts:      j.parts,
-			SpillDir:   spill,
-			Speculate:  j.spec.Workers > 1,
-			ExecEvents: mgr.execEventHook(),
-		}, visit)
-		st = res.Stats
-		j.mu.Lock()
-		j.partRes = res.Partitioned
-		j.mu.Unlock()
-		if spill != "" {
-			_ = os.Remove(spill)
-		}
-	} else {
-		st, runErr = listing.RunParallelCtx(j.ctx, o, j.method, j.spec.Workers, visit,
-			listing.WithRecorder(rec))
+		cfg.Partition = &core.Partition{Parts: j.parts, SpillDir: spill, Events: mgr.execEventHook()}
+	}
+	start := time.Now()
+	res, runErr := core.ListOriented(j.ctx, o, cfg, visit)
+	if spill != "" {
+		_ = os.Remove(spill)
 	}
 
 	snap := rec.Snapshot()
@@ -602,10 +587,10 @@ func (mgr *Manager) runJob(j *Job) {
 	}
 	j.mu.Unlock()
 
-	mgr.finalize(j, st, o.MaxOutDeg(), runErr)
+	mgr.finalize(j, res, runErr)
 	if mgr.m != nil {
 		mgr.m.jobDuration.With(j.method.String()).Observe(time.Since(start).Seconds())
-		mgr.m.trianglesListed.Add(st.Triangles)
+		mgr.m.trianglesListed.Add(res.Triangles)
 		for stage, ss := range snap {
 			mgr.m.stageDuration.With(string(stage)).Observe(ss.Wall.Seconds())
 		}
@@ -616,7 +601,7 @@ func (mgr *Manager) runJob(j *Job) {
 			// advertised work.
 			j.mu.Lock()
 			completed := j.status == JobDone
-			actual := j.stats.ModelOps()
+			actual := j.res.ModelOps()
 			j.mu.Unlock()
 			if completed && actual > 0 {
 				mgr.m.plannerRatio.With(j.method.String()).Observe(j.predicted / float64(actual))
@@ -627,11 +612,10 @@ func (mgr *Manager) runJob(j *Job) {
 
 // finalize records the sweep outcome. A limit-stopped list job is done
 // (truncated), not cancelled: the client got exactly what it asked for.
-func (mgr *Manager) finalize(j *Job, st listing.Stats, maxOut int64, runErr error) {
+func (mgr *Manager) finalize(j *Job, res core.Result, runErr error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.stats = st
-	j.maxOutDeg = maxOut
+	j.res = res
 	j.endedAt = time.Now()
 	switch {
 	case runErr == nil, j.limitHit:

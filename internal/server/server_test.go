@@ -8,12 +8,15 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
 	"trilist/internal/gen"
 	"trilist/internal/graph"
+	"trilist/internal/listing"
+	"trilist/internal/order"
 	"trilist/internal/stats"
 )
 
@@ -235,6 +238,33 @@ func TestListJobLimitTruncatesSweep(t *testing.T) {
 	_, all := e.postJob(t, JobSpec{Graph: giK4.ID, Mode: "list", Wait: true})
 	if all.Truncated || len(all.TriangleList) != 4 {
 		t.Fatalf("unlimited list job: %+v", all)
+	}
+}
+
+// TestListJobDefaultWorkersIsSerial: a list job with workers omitted
+// runs the serial sweep, so its limit returns a prefix of the method's
+// canonical sequence — listing.Run's on the same orientation. The graph
+// spans several sweep blocks, which a parallel sweep would interleave.
+func TestListJobDefaultWorkersIsSerial(t *testing.T) {
+	e := newTestEnv(t, Options{})
+	gi := e.register(t, erGraphText(t, 4096, 40000, 5))
+	const limit = 200
+	_, v := e.postJob(t, JobSpec{Graph: gi.ID, Method: "E1", Mode: "list", Limit: limit, Wait: true})
+	if v.Status != "done" || !v.Truncated || len(v.TriangleList) != limit {
+		t.Fatalf("list job: status %s truncated %v, %d triangles", v.Status, v.Truncated, len(v.TriangleList))
+	}
+	o, _, err := e.srv.reg.Oriented(gi.ID, order.KindDescending, 0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want [][3]int32
+	listing.Run(o, listing.E1, func(x, y, z int32) {
+		if len(want) < limit {
+			want = append(want, [3]int32{x, y, z})
+		}
+	})
+	if !slices.Equal(v.TriangleList, want) {
+		t.Fatalf("workers omitted: triangle_list is not the serial sequence's first %d triangles", limit)
 	}
 }
 
