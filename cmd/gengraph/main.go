@@ -1,10 +1,13 @@
 // Command gengraph generates random graphs from the paper's stochastic
-// model and writes them as text edge lists.
+// model and writes them as text edge lists or TRCSRF binary CSR files.
 //
 // Usage:
 //
 //	gengraph -n 100000 -alpha 1.5 [-beta 15] [-trunc root] [-gen residual] \
-//	         [-seed 1] [-out graph.txt]
+//	         [-seed 1] [-format text] [-out graph.txt]
+//
+// Every flag is checked before generation starts, and -out is created
+// only once the graph exists, so a rejected flag leaves no file behind.
 //
 // Generators: residual (the paper's §7.2 method, exact degrees),
 // config (erased configuration model), chunglu (eq. 10 edge
@@ -16,6 +19,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -45,42 +49,60 @@ func run(args []string) error {
 	rewire := fs.Float64("rewire", 0.1, "rewiring probability for -gen ws")
 	seed := fs.Uint64("seed", 1, "random seed")
 	out := fs.String("out", "", "output file (default stdout)")
-	format := fs.String("format", "text", "output format: text (edge list), binary (CSR stream), or csr (mmap-able TRCSRF)")
+	format := fs.String("format", "text", "output format: text (edge list) or csr (mmap-able TRCSRF)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if *n < 1 {
 		return fmt.Errorf("need -n >= 1")
 	}
+	var encode func(io.Writer, *graph.Graph) error
+	switch strings.ToLower(*format) {
+	case "text":
+		encode = graph.WriteEdgeList
+	case "csr":
+		encode = csrfile.Write
+	default:
+		return fmt.Errorf("unknown format %q (want text or csr)", *format)
+	}
+	genKey := strings.ToLower(*genName)
+	switch genKey {
+	case "er", "ba", "ws", "residual", "config", "chunglu":
+	default:
+		return fmt.Errorf("unknown generator %q", *genName)
+	}
+	if genKey == "er" && *m <= 0 {
+		return fmt.Errorf("-gen er requires -m > 0")
+	}
+	var rule degseq.Truncation
+	switch strings.ToLower(*trunc) {
+	case "root":
+		rule = degseq.RootTruncation
+	case "linear":
+		rule = degseq.LinearTruncation
+	default:
+		return fmt.Errorf("unknown truncation %q", *trunc)
+	}
 	rng := stats.NewRNGFromSeed(*seed)
-	w := os.Stdout
-	if *out != "" {
+	// -out is created only once the graph exists: a generator error
+	// leaves no file behind either.
+	write := func(g *graph.Graph) error {
+		if *out == "" {
+			return encode(os.Stdout, g)
+		}
 		f, err := os.Create(*out)
 		if err != nil {
 			return err
 		}
-		defer f.Close()
-		w = f
-	}
-
-	write := func(g *graph.Graph) error {
-		switch strings.ToLower(*format) {
-		case "text":
-			return graph.WriteEdgeList(w, g)
-		case "binary":
-			return graph.WriteBinary(w, g)
-		case "csr":
-			return csrfile.Write(w, g)
-		default:
-			return fmt.Errorf("unknown format %q", *format)
+		if err := encode(f, g); err != nil {
+			f.Close()
+			return err
 		}
+		return f.Close()
 	}
 
-	switch strings.ToLower(*genName) {
+	switch genKey {
 	case "er":
-		if *m <= 0 {
-			return fmt.Errorf("-gen er requires -m > 0")
-		}
 		g, err := gen.ErdosRenyi(*n, *m, rng)
 		if err != nil {
 			return err
@@ -110,15 +132,6 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	var rule degseq.Truncation
-	switch strings.ToLower(*trunc) {
-	case "root":
-		rule = degseq.RootTruncation
-	case "linear":
-		rule = degseq.LinearTruncation
-	default:
-		return fmt.Errorf("unknown truncation %q", *trunc)
-	}
 	tr, err := degseq.TruncateFor(p, rule, int64(*n))
 	if err != nil {
 		return err
@@ -128,15 +141,13 @@ func run(args []string) error {
 
 	var g *graph.Graph
 	var rep gen.Report
-	switch strings.ToLower(*genName) {
+	switch genKey {
 	case "residual":
 		g, rep, err = gen.ResidualDegree(d, rng)
 	case "config":
 		g, rep, err = gen.ConfigurationModel(d, rng)
 	case "chunglu":
 		g, rep, err = gen.ChungLu(d, rng)
-	default:
-		return fmt.Errorf("unknown generator %q", *genName)
 	}
 	if err != nil {
 		return err

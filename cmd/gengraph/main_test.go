@@ -1,11 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"trilist/internal/graph"
+	"trilist/internal/ingest"
 )
 
 func genTo(t *testing.T, args ...string) *graph.Graph {
@@ -14,16 +16,12 @@ func genTo(t *testing.T, args ...string) *graph.Graph {
 	if err := run(append(args, "-out", out)); err != nil {
 		t.Fatal(err)
 	}
-	f, err := os.Open(out)
+	ld, err := ingest.LoadFile(out, ingest.FormatAuto, ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer f.Close()
-	g, err := graph.ReadEdgeList(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
+	t.Cleanup(func() { ld.Close() })
+	return ld.Graph
 }
 
 func TestGenerateResidual(t *testing.T) {
@@ -89,61 +87,60 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
-func TestGenerateBinaryFormat(t *testing.T) {
+// TestGenerateFormats: -format text and -format csr at one seed load
+// through ingest.LoadFile to Equal graphs; the retired binary format
+// and unknown formats are rejected.
+func TestGenerateFormats(t *testing.T) {
 	dir := t.TempDir()
-	txt := filepath.Join(dir, "g.txt")
-	bin := filepath.Join(dir, "g.bin")
-	if err := run([]string{"-n", "600", "-alpha", "1.7", "-seed", "8", "-out", txt}); err != nil {
-		t.Fatal(err)
+	load := func(format string) *ingest.Loaded {
+		path := filepath.Join(dir, "g."+format)
+		if err := run([]string{"-n", "600", "-alpha", "1.7", "-seed", "8", "-format", format, "-out", path}); err != nil {
+			t.Fatal(err)
+		}
+		ld, err := ingest.LoadFile(path, ingest.FormatAuto, ingest.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { ld.Close() })
+		return ld
 	}
-	if err := run([]string{"-n", "600", "-alpha", "1.7", "-seed", "8", "-format", "binary", "-out", bin}); err != nil {
-		t.Fatal(err)
+	txt, csr := load("text"), load("csr")
+	if txt.Format != ingest.FormatSNAP || csr.Format != ingest.FormatCSR {
+		t.Fatalf("formats sniffed as %v and %v, want snap and csr", txt.Format, csr.Format)
 	}
-	ft, err := os.Open(txt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ft.Close()
-	gt, err := graph.ReadAny(ft)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fb, err := os.Open(bin)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fb.Close()
-	gb, err := graph.ReadAny(fb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gt.NumEdges() != gb.NumEdges() || gt.NumNodes() != gb.NumNodes() {
-		t.Fatalf("text %d/%d vs binary %d/%d",
-			gt.NumNodes(), gt.NumEdges(), gb.NumNodes(), gb.NumEdges())
-	}
-	if err := run([]string{"-n", "10", "-format", "weird", "-out", filepath.Join(dir, "x")}); err == nil {
-		t.Fatal("unknown format accepted")
+	if txt.Graph.NumEdges() == 0 || !txt.Graph.Equal(csr.Graph) {
+		t.Fatalf("text %d/%d vs csr %d/%d", txt.Graph.NumNodes(), txt.Graph.NumEdges(),
+			csr.Graph.NumNodes(), csr.Graph.NumEdges())
 	}
 }
 
+// TestGenerateErrors: every rejected flag fails before -out is
+// created, so no empty or partial file is left behind.
 func TestGenerateErrors(t *testing.T) {
-	if err := run([]string{"-n", "0"}); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if err := run([]string{"-n", "10", "-gen", "er"}); err == nil {
-		t.Error("er without -m accepted")
-	}
-	if err := run([]string{"-n", "10", "-gen", "unknown"}); err == nil {
-		t.Error("unknown generator accepted")
-	}
-	if err := run([]string{"-n", "10", "-trunc", "weird"}); err == nil {
-		t.Error("unknown truncation accepted")
-	}
-	if err := run([]string{"-n", "10", "-alpha", "0.9"}); err == nil {
-		t.Error("alpha <= 1 without explicit beta accepted")
+	dir := t.TempDir()
+	for name, args := range map[string][]string{
+		"n=0":                 {"-n", "0"},
+		"er without -m":       {"-n", "10", "-gen", "er"},
+		"unknown generator":   {"-n", "10", "-gen", "unknown"},
+		"unknown truncation":  {"-n", "10", "-trunc", "weird"},
+		"alpha<=1 no beta":    {"-n", "10", "-alpha", "0.9"},
+		"unknown format":      {"-n", "10", "-format", "weird"},
+		"retired binary":      {"-n", "10", "-format", "binary"},
+		"ba with n < k+1":     {"-n", "3", "-gen", "ba", "-k", "5"},
+		"ws with n < 2k+1":    {"-n", "5", "-gen", "ws", "-k", "3"},
+		"er with m > C(n, 2)": {"-n", "4", "-gen", "er", "-m", "7"},
+	} {
+		out := filepath.Join(dir, "out")
+		if err := run(append(args, "-out", out)); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+		if _, err := os.Stat(out); !errors.Is(err, os.ErrNotExist) {
+			t.Errorf("%s: -out file left behind (stat: %v)", name, err)
+			os.Remove(out)
+		}
 	}
 	// alpha <= 1 works with explicit beta.
-	out := filepath.Join(t.TempDir(), "g.txt")
+	out := filepath.Join(dir, "g.txt")
 	if err := run([]string{"-n", "500", "-alpha", "0.9", "-beta", "5", "-trunc", "root", "-out", out}); err != nil {
 		t.Errorf("alpha=0.9 with beta rejected: %v", err)
 	}

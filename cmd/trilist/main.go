@@ -17,11 +17,11 @@
 // mode. With an explicit method and -order auto, the paper-optimal
 // order for the method is used (θ_D for T1/E1, RR for T2, CRR for
 // E4, ...). -print emits each triangle as "x y z" in relabeled IDs;
-// omit it to report only the count and cost meters. Input may be a
-// MatrixMarket .mtx file, a SNAP-style text edge list, the mmap-able
-// TRCSRF CSR format, or the binary CSR stream — auto-detected, or
-// pinned with -format (mtx, snap, csr, binary). TRCSRF files given via
-// -in are memory-mapped rather than parsed; text formats parse
+// omit it to report only the count and cost meters. Input (-in, or
+// stdin) may be a MatrixMarket .mtx file, a SNAP-style text edge list,
+// or the mmap-able TRCSRF CSR format — auto-detected, or pinned with
+// -format (mtx, snap, csr). TRCSRF files given via -in are
+// memory-mapped rather than parsed; text formats parse
 // chunk-parallel under -workers. -workers N parallelizes the sweep and
 // the rank and orient stages (results are identical at any worker
 // count); -parts P > 1 switches to the external-memory partitioned
@@ -69,7 +69,7 @@ func main() {
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("trilist", flag.ContinueOnError)
 	in := fs.String("in", "", "input graph file (default stdin)")
-	formatName := fs.String("format", "auto", "input format: auto, mtx, snap, csr, binary")
+	formatName := fs.String("format", "auto", "input format: auto, mtx, snap, csr")
 	methodName := fs.String("method", "auto", "listing method: auto (planner-chosen) or T1-T6, E1-E6, L1-L6")
 	orderName := fs.String("order", "auto", "order: auto, ascending, descending, round-robin, crr, uniform, degenerate")
 	plan := fs.Bool("plan", false, "print the planner's ranked (method, order) cost table and exit without running")
@@ -111,24 +111,12 @@ func run(args []string, out io.Writer) error {
 		rec = obsv.NewRecorder()
 	}
 	iopts := ingest.Options{Workers: *workers, Recorder: rec}
-	var g *graph.Graph
-	if *in != "" {
-		ld, err := ingest.LoadFile(*in, format, iopts)
-		if err != nil {
-			return err
-		}
-		defer ld.Close()
-		g = ld.Graph
-	} else {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return err
-		}
-		g, _, err = ingest.Parse(data, format, iopts)
-		if err != nil {
-			return err
-		}
+	ld, err := ingest.LoadFile(*in, format, iopts)
+	if err != nil {
+		return err
 	}
+	defer ld.Close()
+	g := ld.Graph
 	w := bufio.NewWriter(out)
 	defer w.Flush()
 	if *plan {

@@ -154,6 +154,16 @@ func TestRunErrors(t *testing.T) {
 	if err := run([]string{"-in", writeTempGraph(t, "0 0\n")}, &out); err != nil {
 		t.Errorf("self-loop input rejected: %v", err)
 	}
+	// A file in the retired TRICSR binary format names the format and
+	// its replacement instead of failing as a malformed edge list.
+	old := writeTempGraph(t, "TRICSR\x00\x01\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00")
+	err := run([]string{"-in", old}, &out)
+	if err == nil || !strings.Contains(err.Error(), "retired TRICSR") || !strings.Contains(err.Error(), "gengraph -format csr") {
+		t.Errorf("TRICSR input: got %v, want the retired-format error", err)
+	}
+	if err := run([]string{"-in", writeTempGraph(t, k4), "-format", "binary"}, &out); err == nil {
+		t.Error("-format binary accepted")
+	}
 }
 
 func TestRunTimeout(t *testing.T) {

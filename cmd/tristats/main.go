@@ -8,9 +8,9 @@
 //
 //	tristats -in graph.txt [-format auto] [-matrix] [-seed 1]
 //
-// Input may be a MatrixMarket .mtx file, a SNAP-style edge list, the
-// mmap-able TRCSRF CSR format, or the binary CSR stream —
-// auto-detected, or pinned with -format.
+// Input (-in, or stdin) may be a MatrixMarket .mtx file, a SNAP-style
+// edge list, or the mmap-able TRCSRF CSR format — auto-detected, or
+// pinned with -format.
 package main
 
 import (
@@ -22,7 +22,6 @@ import (
 
 	"trilist/internal/core"
 	"trilist/internal/experiments"
-	"trilist/internal/graph"
 	"trilist/internal/ingest"
 	"trilist/internal/order"
 	"trilist/internal/stats"
@@ -38,7 +37,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("tristats", flag.ContinueOnError)
 	in := fs.String("in", "", "input graph file (default stdin)")
-	formatName := fs.String("format", "auto", "input format: auto, mtx, snap, csr, binary")
+	formatName := fs.String("format", "auto", "input format: auto, mtx, snap, csr")
 	matrix := fs.Bool("matrix", false, "print the 4-method × 6-order cost matrix (Table 12 layout)")
 	seed := fs.Uint64("seed", 1, "seed for the uniform order column")
 	workers := fs.Int("workers", 0, "goroutines for the cost matrix (0 = GOMAXPROCS)")
@@ -49,25 +48,12 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	iopts := ingest.Options{Workers: *workers}
-	var g *graph.Graph
-	if *in != "" {
-		ld, err := ingest.LoadFile(*in, format, iopts)
-		if err != nil {
-			return err
-		}
-		defer ld.Close()
-		g = ld.Graph
-	} else {
-		data, err := io.ReadAll(os.Stdin)
-		if err != nil {
-			return err
-		}
-		g, _, err = ingest.Parse(data, format, iopts)
-		if err != nil {
-			return err
-		}
+	ld, err := ingest.LoadFile(*in, format, ingest.Options{Workers: *workers})
+	if err != nil {
+		return err
 	}
+	defer ld.Close()
+	g := ld.Graph
 	fmt.Fprintf(w, "nodes     %d\n", g.NumNodes())
 	fmt.Fprintf(w, "edges     %d\n", g.NumEdges())
 	fmt.Fprintf(w, "mean deg  %.2f\n", g.MeanDegree())

@@ -198,10 +198,10 @@ func TestFileStoreCloseRemovesBlocks(t *testing.T) {
 
 // chaosStore wraps a BlockStore with configurable chaos for the
 // parallel triple schedule: per-Read latency, a transient failure on
-// the first Read of every block, one permanently failing block, and an
-// optional gate that parks the first Read of a chosen block until the
-// test releases it. Concurrency-safe — it sits under multi-worker
-// runs.
+// the first Read of every block (after reading it from the inner
+// store), one permanently failing block, and an optional gate that
+// parks the first Read of a chosen block until the test releases it.
+// Concurrency-safe — it sits under multi-worker runs.
 type chaosStore struct {
 	inner BlockStore
 
@@ -245,6 +245,11 @@ func (s *chaosStore) Read(i, j int) ([]Arc, error) {
 		if !s.seen[key] {
 			s.seen[key] = true
 			s.mu.Unlock()
+			// The fault strikes after the physical read, so every
+			// failed attempt shows in the inner store's read count.
+			if _, err := s.inner.Read(i, j); err != nil {
+				return nil, err
+			}
 			return nil, errTransient
 		}
 		s.mu.Unlock()

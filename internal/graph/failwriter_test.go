@@ -35,18 +35,6 @@ func TestWriteEdgeListPropagatesWriteErrors(t *testing.T) {
 	}
 }
 
-func TestWriteBinaryPropagatesWriteErrors(t *testing.T) {
-	g, err := FromEdges(100, buildPathEdges(100), false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, limit := range []int{0, 7, 30, 200} {
-		if err := WriteBinary(&failWriter{limit: limit}, g); err == nil {
-			t.Errorf("limit %d: write error swallowed", limit)
-		}
-	}
-}
-
 func buildPathEdges(n int) []Edge {
 	edges := make([]Edge, n-1)
 	for i := range edges {

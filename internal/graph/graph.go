@@ -1,6 +1,7 @@
 // Package graph provides the undirected-graph substrate: an immutable
 // compressed-sparse-row (CSR) representation with sorted adjacency lists,
-// a validating builder, text edge-list I/O, and basic structural queries.
+// validating constructors, a text edge-list writer, and basic structural
+// queries.
 //
 // The paper assumes simple undirected graphs G = (V, E) whose adjacency
 // lists are "sorted ascending by node ID" (§2); the CSR layout here makes
@@ -20,8 +21,8 @@ type Edge struct {
 	U, V int32
 }
 
-// Graph is an immutable simple undirected graph in CSR form. Use Builder
-// or FromEdges to construct one. The zero value is the empty graph.
+// Graph is an immutable simple undirected graph in CSR form. Use
+// FromEdges or FromCSR to construct one. The zero value is the empty graph.
 type Graph struct {
 	offsets []int64 // len n+1; adjacency of v is nbrs[offsets[v]:offsets[v+1]]
 	nbrs    []int32 // len 2m; each adjacency list sorted ascending
@@ -273,30 +274,6 @@ func (g *Graph) dedup() *Graph {
 	}
 	return &Graph{offsets: offsets, nbrs: nbrs}
 }
-
-// Builder accumulates edges and produces a Graph. It is a convenience
-// wrapper over FromEdges for incremental construction.
-type Builder struct {
-	n      int
-	edges  []Edge
-	dedupe bool
-}
-
-// NewBuilder returns a builder for a graph on n nodes. If dedupe is true,
-// duplicate edges are collapsed at Build time instead of rejected.
-func NewBuilder(n int, dedupe bool) *Builder {
-	return &Builder{n: n, dedupe: dedupe}
-}
-
-// AddEdge records an undirected edge. Errors (range, self-loop) surface
-// at Build.
-func (b *Builder) AddEdge(u, v int32) { b.edges = append(b.edges, Edge{U: u, V: v}) }
-
-// NumEdgesAdded returns the number of edges recorded so far.
-func (b *Builder) NumEdgesAdded() int { return len(b.edges) }
-
-// Build constructs the graph.
-func (b *Builder) Build() (*Graph, error) { return FromEdges(b.n, b.edges, b.dedupe) }
 
 // ConnectedComponents returns a component label in [0, k) for every node
 // and the number k of components, via iterative BFS.

@@ -124,22 +124,6 @@ func TestEmptyGraph(t *testing.T) {
 	}
 }
 
-func TestBuilder(t *testing.T) {
-	b := NewBuilder(3, false)
-	b.AddEdge(0, 1)
-	b.AddEdge(1, 2)
-	if b.NumEdgesAdded() != 2 {
-		t.Fatalf("NumEdgesAdded = %d", b.NumEdgesAdded())
-	}
-	g, err := b.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 2 || !g.HasEdge(0, 1) || !g.HasEdge(2, 1) {
-		t.Fatal("builder graph wrong")
-	}
-}
-
 func TestConnectedComponents(t *testing.T) {
 	g, _ := FromEdges(6, []Edge{{0, 1}, {1, 2}, {3, 4}}, false)
 	labels, count := g.ConnectedComponents()

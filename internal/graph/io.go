@@ -4,15 +4,13 @@ import (
 	"bufio"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 )
 
 // The text format is the de-facto standard whitespace-separated edge list
 // used by SNAP and similar graph repositories: one "u v" pair per line,
 // '#'-prefixed comment lines ignored, node IDs 0-based. WriteEdgeList
-// emits a header comment with n and m so ReadEdgeList can size the graph
-// even when trailing isolated nodes carry no edges.
+// emits a header comment with n and m so the reader (ingest.ParseSNAP)
+// can size the graph even when trailing isolated nodes carry no edges.
 
 // WriteEdgeList writes the graph as a text edge list (one "u v" line per
 // undirected edge, U < V).
@@ -33,71 +31,4 @@ func WriteEdgeList(w io.Writer, g *Graph) error {
 		return werr
 	}
 	return bw.Flush()
-}
-
-// ReadEdgeList parses a text edge list into a simple graph. Node count is
-// taken from a "# nodes N ..." header when present, otherwise inferred as
-// max ID + 1. Duplicate edges and both orientations of the same edge are
-// collapsed; self-loops are an error.
-func ReadEdgeList(r io.Reader) (*Graph, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	var edges []Edge
-	n := 0
-	headerN := -1
-	line := 0
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		if strings.HasPrefix(text, "#") {
-			// Recognize the "# nodes N edges M" header.
-			fields := strings.Fields(text)
-			for i := 0; i+1 < len(fields); i++ {
-				if fields[i] == "nodes" {
-					if v, err := strconv.Atoi(fields[i+1]); err == nil {
-						headerN = v
-					}
-				}
-			}
-			continue
-		}
-		fields := strings.Fields(text)
-		if len(fields) < 2 {
-			return nil, fmt.Errorf("graph: line %d: expected \"u v\", got %q", line, text)
-		}
-		u, err := strconv.ParseInt(fields[0], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad node ID %q: %v", line, fields[0], err)
-		}
-		v, err := strconv.ParseInt(fields[1], 10, 32)
-		if err != nil {
-			return nil, fmt.Errorf("graph: line %d: bad node ID %q: %v", line, fields[1], err)
-		}
-		if u < 0 || v < 0 {
-			return nil, fmt.Errorf("graph: line %d: negative node ID", line)
-		}
-		if u == v {
-			return nil, fmt.Errorf("graph: line %d: self-loop at node %d", line, u)
-		}
-		if u > v {
-			u, v = v, u
-		}
-		edges = append(edges, Edge{U: int32(u), V: int32(v)})
-		if int(v)+1 > n {
-			n = int(v) + 1
-		}
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("graph: reading edge list: %v", err)
-	}
-	if headerN >= 0 {
-		if headerN < n {
-			return nil, fmt.Errorf("graph: header declares %d nodes but edge references node %d", headerN, n-1)
-		}
-		n = headerN
-	}
-	return FromEdges(n, edges, true)
 }

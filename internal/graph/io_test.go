@@ -1,37 +1,48 @@
-package graph
+package graph_test
 
 import (
 	"bytes"
 	"strings"
 	"testing"
 
+	"trilist/internal/graph"
+	"trilist/internal/ingest"
 	"trilist/internal/stats"
 )
 
-func TestEdgeListRoundTrip(t *testing.T) {
-	g, err := FromEdges(5, []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}}, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+// WriteEdgeList's contract is that ingest.ParseSNAP, the one text
+// reader, reads its output back to an Equal graph.
+
+func writeEdgeList(t *testing.T, g *graph.Graph) []byte {
+	t.Helper()
 	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
+	if err := graph.WriteEdgeList(&buf, g); err != nil {
 		t.Fatal(err)
 	}
-	g2, err := ReadEdgeList(&buf)
+	return buf.Bytes()
+}
+
+func parseSNAP(t *testing.T, data string) *graph.Graph {
+	t.Helper()
+	g, err := ingest.ParseSNAP([]byte(data), ingest.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumNodes() != 5 || g2.NumEdges() != 4 {
-		t.Fatalf("roundtrip n=%d m=%d", g2.NumNodes(), g2.NumEdges())
+	return g
+}
+
+func TestEdgeListRoundTrip(t *testing.T) {
+	g, err := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 2, V: 3}}, false)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, e := range g.EdgeSlice() {
-		if !g2.HasEdge(e.U, e.V) {
-			t.Fatalf("lost edge %v", e)
-		}
+	g2 := parseSNAP(t, string(writeEdgeList(t, g)))
+	if !g2.Equal(g) {
+		t.Fatalf("round trip changed the graph: n=%d m=%d", g2.NumNodes(), g2.NumEdges())
 	}
 }
 
-func TestReadEdgeListFormats(t *testing.T) {
+func TestEdgeListFormats(t *testing.T) {
 	in := `# a comment
 1 2
 
@@ -40,77 +51,67 @@ func TestReadEdgeListFormats(t *testing.T) {
 0 3
 3 1
 `
-	g, err := ReadEdgeList(strings.NewReader(in))
-	if err != nil {
-		t.Fatal(err)
-	}
+	g := parseSNAP(t, in)
 	if g.NumNodes() != 4 || g.NumEdges() != 4 {
 		t.Fatalf("n=%d m=%d", g.NumNodes(), g.NumEdges())
 	}
 }
 
-func TestReadEdgeListCollapsesBothOrientations(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("0 1\n1 0\n0 1\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.NumEdges() != 1 {
-		t.Fatalf("m = %d, want 1", g.NumEdges())
+func TestEdgeListCollapsesBothOrientations(t *testing.T) {
+	if m := parseSNAP(t, "0 1\n1 0\n0 1\n").NumEdges(); m != 1 {
+		t.Fatalf("m = %d, want 1", m)
 	}
 }
 
-func TestReadEdgeListErrors(t *testing.T) {
-	for _, in := range []string{
-		"0\n",              // missing endpoint
-		"a b\n",            // non-numeric
-		"0 x\n",            // non-numeric second field
-		"-1 2\n",           // negative
-		"3 3\n",            // self-loop
-		"# nodes 2\n0 5\n", // header smaller than max ID
+// TestEdgeListErrors: every malformed record is an error that names
+// its line.
+func TestEdgeListErrors(t *testing.T) {
+	for in, want := range map[string]string{
+		"0\n":                "line 1", // missing endpoint
+		"0 1\na b\n":         "line 2", // non-numeric
+		"0 1\n# c\n0 x\n":    "line 3", // non-numeric second field
+		"0 1\n\n\n-1 2\n":    "line 4", // negative
+		"# nodes 2\n0 5\n":   "header declares 2 nodes",
+		"0 1\n1 2\n2 3\n4\n": "line 4",
 	} {
-		if _, err := ReadEdgeList(strings.NewReader(in)); err == nil {
-			t.Errorf("input %q accepted", in)
+		_, err := ingest.ParseSNAP([]byte(in), ingest.Options{})
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("input %q: err %v, want it to name %q", in, err, want)
 		}
 	}
 }
 
-func TestReadEdgeListHeaderPreservesIsolatedNodes(t *testing.T) {
-	g, err := ReadEdgeList(strings.NewReader("# nodes 10 edges 1\n0 1\n"))
+func TestEdgeListHeaderPreservesIsolatedNodes(t *testing.T) {
+	g, err := graph.FromEdges(10, []graph.Edge{{U: 0, V: 1}}, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.NumNodes() != 10 {
-		t.Fatalf("n = %d, want 10 (from header)", g.NumNodes())
+	g2 := parseSNAP(t, string(writeEdgeList(t, g)))
+	if g2.NumNodes() != 10 || !g2.Equal(g) {
+		t.Fatalf("n = %d, want 10 (from header)", g2.NumNodes())
 	}
 }
 
 func TestLargeRoundTrip(t *testing.T) {
 	r := stats.NewRNGFromSeed(12)
-	b := NewBuilder(500, true)
+	var edges []graph.Edge
 	for i := 0; i < 3000; i++ {
 		u := int32(r.IntN(500))
 		v := int32(r.IntN(500))
 		if u != v {
-			b.AddEdge(u, v)
+			edges = append(edges, graph.Edge{U: u, V: v})
 		}
 	}
-	g, err := b.Build()
+	g, err := graph.FromEdges(500, edges, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	g2, err := ReadEdgeList(&buf)
+	g2, err := ingest.ParseSNAP(writeEdgeList(t, g), ingest.Options{Workers: 4, ChunkBytes: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g2.NumNodes() != g.NumNodes() || g2.NumEdges() != g.NumEdges() {
+	if !g2.Equal(g) {
 		t.Fatalf("roundtrip mismatch: %d/%d vs %d/%d",
 			g.NumNodes(), g.NumEdges(), g2.NumNodes(), g2.NumEdges())
-	}
-	if err := g2.Validate(); err != nil {
-		t.Fatal(err)
 	}
 }

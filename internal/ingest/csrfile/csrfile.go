@@ -195,76 +195,11 @@ func splitPath(path string) (dir, base string) {
 	return ".", path
 }
 
-// Read deserializes a TRCSRF stream into an in-memory graph, verifying
-// checksums and structure. It is the copying counterpart of Open for
-// readers that are not files (network bodies, embedded bytes).
-func Read(r io.Reader) (*graph.Graph, error) {
-	var h [headerSize]byte
-	if _, err := io.ReadFull(r, h[:]); err != nil {
-		return nil, fmt.Errorf("csrfile: reading header: %w", err)
-	}
-	n, m, wantCRC, err := decodeHeader(h[:])
-	if err != nil {
-		return nil, err
-	}
-	// Capacities are clamped to one read chunk rather than taken from
-	// the header: n and m are attacker-controlled until the payload
-	// checksum verifies, so the slices may only grow as payload bytes
-	// actually arrive. Truncated input fails at ReadFull after at most
-	// one chunk, long before a forged multi-GiB claim is reserved.
-	offsets := make([]int64, 0, min(n+1, 1<<13))
-	nbrs := make([]int32, 0, min(2*m, 1<<14))
-	crc := uint32(0)
-	buf := make([]byte, 1<<16)
-	// Offsets, then neighbors, in bounded reads that keep the running
-	// payload checksum.
-	remaining := 8 * (n + 1)
-	for remaining > 0 {
-		k := int64(len(buf))
-		if k > remaining {
-			k = remaining
-		}
-		if _, err := io.ReadFull(r, buf[:k]); err != nil {
-			return nil, fmt.Errorf("csrfile: truncated offsets (%d of %d payload bytes missing): %w",
-				remaining, payloadSize(n, m), err)
-		}
-		crc = crc32.Update(crc, castagnoli, buf[:k])
-		for i := int64(0); i < k; i += 8 {
-			offsets = append(offsets, int64(binary.LittleEndian.Uint64(buf[i:])))
-		}
-		remaining -= k
-	}
-	remaining = 8 * m
-	for remaining > 0 {
-		k := int64(len(buf))
-		if k > remaining {
-			k = remaining
-		}
-		if _, err := io.ReadFull(r, buf[:k]); err != nil {
-			return nil, fmt.Errorf("csrfile: truncated neighbors (%d of %d payload bytes missing): %w",
-				remaining, payloadSize(n, m), err)
-		}
-		crc = crc32.Update(crc, castagnoli, buf[:k])
-		for i := int64(0); i < k; i += 4 {
-			nbrs = append(nbrs, int32(binary.LittleEndian.Uint32(buf[i:])))
-		}
-		remaining -= k
-	}
-	if crc != wantCRC {
-		return nil, fmt.Errorf("csrfile: payload checksum mismatch (stored %08x, computed %08x): file corrupted", wantCRC, crc)
-	}
-	g, err := graph.FromCSR(offsets, nbrs)
-	if err != nil {
-		return nil, fmt.Errorf("csrfile: payload checksums but is not a valid graph: %w", err)
-	}
-	return g, nil
-}
-
-// ReadBytes deserializes a complete in-memory TRCSRF image. Unlike the
-// streaming Read, it knows the total input size up front, so it checks
-// that the header's claimed n and m match len(data) exactly before
-// allocating anything — the same backstop Open applies via file size,
-// and the reason the server's ingestion path uses it: a 64-byte forged
+// ReadBytes deserializes a complete in-memory TRCSRF image (a network
+// body or stdin) into a graph that owns its memory; Open is its
+// zero-copy counterpart for files. It checks that the header's claimed
+// n and m match len(data) exactly before allocating anything — the
+// same backstop Open applies via file size — so a 64-byte forged
 // header cannot drive allocations beyond the bytes actually received.
 func ReadBytes(data []byte) (*graph.Graph, error) {
 	n, m, wantCRC, err := decodeHeader(data)

@@ -55,17 +55,8 @@ func TestRoundTrip(t *testing.T) {
 				t.Fatalf("image is %d bytes, want %d", len(img), want)
 			}
 
-			// Streaming reader.
-			got, err := Read(bytes.NewReader(img))
-			if err != nil {
-				t.Fatalf("Read: %v", err)
-			}
-			if !got.Equal(g) {
-				t.Fatal("Read round trip changed the graph")
-			}
-
 			// In-memory reader (the server ingestion path).
-			got, err = ReadBytes(img)
+			got, err := ReadBytes(img)
 			if err != nil {
 				t.Fatalf("ReadBytes: %v", err)
 			}
@@ -135,8 +126,10 @@ func corrupt(img []byte, mutate func(b []byte)) []byte {
 }
 
 // TestFaultInjection is the fault wall: every corruption of a valid
-// file must produce a descriptive error — from both the streaming
-// reader and the mmap loader — never a graph and never a panic.
+// file must produce a descriptive error — from both the in-memory
+// reader and the mmap loader — never a graph and never a panic. Both
+// check the exact size before the payload, so every truncation
+// surfaces as that size check (or, below 64 bytes, as a short header).
 func TestFaultInjection(t *testing.T) {
 	g := testGraphs(t)["k4"]
 	img := encode(t, g)
@@ -145,11 +138,11 @@ func TestFaultInjection(t *testing.T) {
 		img  []byte
 		want string // error substring
 	}{
-		{"empty file", nil, "reading header"},
-		{"short header", img[:10], "reading header"},
-		{"header only", img[:headerSize], "truncated offsets"},
-		{"mid payload", img[:headerSize+13], "truncated"},
-		{"one byte short", img[:len(img)-1], "truncated neighbors"},
+		{"empty file", nil, "shorter than"},
+		{"short header", img[:10], "shorter than"},
+		{"header only", img[:headerSize], "truncated or padded"},
+		{"mid payload", img[:headerSize+13], "truncated or padded"},
+		{"one byte short", img[:len(img)-1], "truncated or padded"},
 		{"flipped magic", corrupt(img, func(b []byte) { b[0] = 'X' }), "bad magic"},
 		{"flipped version", corrupt(img, func(b []byte) { b[6] = 9 }), "unsupported version 9"},
 		{"flipped n", corrupt(img, func(b []byte) { b[8] ^= 0xFF }), "header checksum mismatch"},
@@ -183,14 +176,7 @@ func TestFaultInjection(t *testing.T) {
 	dir := t.TempDir()
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := Read(bytes.NewReader(tc.img)); err == nil || !strings.Contains(err.Error(), tc.want) {
-				t.Errorf("Read error %v, want substring %q", err, tc.want)
-			}
-			// ReadBytes rejects truncations at its exact-size check, so
-			// those surface as the size mismatch instead.
-			if _, err := ReadBytes(tc.img); err == nil || (!strings.Contains(err.Error(), tc.want) &&
-				!strings.Contains(err.Error(), "truncated or padded") &&
-				!strings.Contains(err.Error(), "shorter than")) {
+			if _, err := ReadBytes(tc.img); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("ReadBytes error %v, want substring %q", err, tc.want)
 			}
 			path := filepath.Join(dir, "fault.csrf")
@@ -202,10 +188,9 @@ func TestFaultInjection(t *testing.T) {
 				m.Close()
 				t.Fatalf("Open accepted the corruption, want substring %q", tc.want)
 			}
-			// Open reports size mismatches before reading the payload, so
-			// truncations surface as the size check instead.
-			if !strings.Contains(err.Error(), tc.want) && !strings.Contains(err.Error(), "truncated or padded") &&
-				!strings.Contains(err.Error(), "shorter than") {
+			// Open reads a short header with io.ReadFull, so a file
+			// below 64 bytes fails there rather than at the size check.
+			if !strings.Contains(err.Error(), tc.want) && !strings.Contains(err.Error(), "reading header") {
 				t.Errorf("Open error %v, want substring %q", err, tc.want)
 			}
 		})
@@ -233,24 +218,20 @@ func TestFaultInjection(t *testing.T) {
 // TestForgedHeaderBoundedAllocation: a checksum-consistent header
 // claiming n=2^31 describes a ~16 GiB payload, and it is reachable
 // remotely — Detect sniffs the TRCSRF magic on POST /v1/graphs and
-// upload commit. Both readers must fail with a descriptive error after
+// upload commit. ReadBytes must fail with a descriptive error after
 // allocating memory proportional to the bytes that actually arrived
 // (64), never to the header's claim.
 func TestForgedHeaderBoundedAllocation(t *testing.T) {
 	forged := encodeHeader(1<<31, 0, 0)
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	_, errRead := Read(bytes.NewReader(forged[:]))
 	_, errBytes := ReadBytes(forged[:])
 	runtime.ReadMemStats(&after)
-	if errRead == nil || !strings.Contains(errRead.Error(), "truncated offsets") {
-		t.Errorf("Read: %v, want truncated offsets", errRead)
-	}
 	if errBytes == nil || !strings.Contains(errBytes.Error(), "truncated or padded") {
 		t.Errorf("ReadBytes: %v, want size mismatch", errBytes)
 	}
 	if delta := after.TotalAlloc - before.TotalAlloc; delta > 1<<24 {
-		t.Errorf("readers allocated %d bytes handling a 64-byte forged header", delta)
+		t.Errorf("ReadBytes allocated %d bytes handling a 64-byte forged header", delta)
 	}
 }
 

@@ -4,7 +4,6 @@ package csrfile
 
 import (
 	"fmt"
-	"io"
 	"os"
 )
 
@@ -12,10 +11,11 @@ import (
 // the copying loader: same checks, same errors, one extra copy of the
 // payload. The Mapped wrapper keeps the call sites identical.
 func openMapped(f *os.File, size int, n, m int64, wantCRC uint32) (*Mapped, error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
+	data := make([]byte, size)
+	if _, err := f.ReadAt(data, 0); err != nil {
 		return nil, fmt.Errorf("csrfile: %w", err)
 	}
-	g, err := Read(f)
+	g, err := ReadBytes(data)
 	if err != nil {
 		return nil, err
 	}

@@ -1,7 +1,11 @@
 package ingest
 
 import (
+	"bytes"
 	"testing"
+
+	"trilist/internal/graph"
+	"trilist/internal/ingest/csrfile"
 )
 
 // The differential fuzz contract: for ANY input bytes, the chunked
@@ -101,8 +105,20 @@ func FuzzParseMTX(f *testing.F) {
 
 // FuzzDetect: sniffing plus parsing under the sniffed format must
 // never panic, whatever the bytes (this is the path an unpinned
-// POST /v1/graphs body takes).
+// POST /v1/graphs body takes), and input in the retired TRICSR format
+// always gets the retired-format error. A valid TRCSRF image seeds
+// the run so that mutations reach csrfile.ReadBytes's checks past the
+// header.
 func FuzzDetect(f *testing.F) {
+	g, err := graph.FromEdges(5, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 4}}, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var csr bytes.Buffer
+	if err := csrfile.Write(&csr, g); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(csr.Bytes())
 	f.Add([]byte("%%MatrixMarket matrix coordinate pattern general\n1 1 0\n"))
 	f.Add([]byte("TRCSRF junk"))
 	f.Add([]byte("TRICSR\x00\x01junk"))
@@ -115,6 +131,10 @@ func FuzzDetect(f *testing.F) {
 		g, got, err := Parse(data, FormatAuto, Options{})
 		if got != format {
 			t.Fatalf("Parse resolved %v, Detect said %v", got, format)
+		}
+		if bytes.HasPrefix(data, tricsrMagic) {
+			wantRetired(t, "TRICSR input", err)
+			return
 		}
 		if err == nil {
 			if vErr := g.Validate(); vErr != nil {

@@ -1,7 +1,8 @@
-// Package ingest loads real-world graphs into the listing pipeline: a
-// MatrixMarket (.mtx) coordinate reader, a SNAP-style whitespace edge
-// list reader, and loaders for this repo's two binary CSR formats,
-// behind one format-sniffing entry point.
+// Package ingest is the one reader of graph bytes: a MatrixMarket
+// (.mtx) coordinate reader, a SNAP-style whitespace edge list reader,
+// and the TRCSRF binary CSR loader (package csrfile), behind one
+// format-sniffing entry point (Parse for bytes, LoadFile for a file or
+// stdin).
 //
 // The text parsers are chunk-parallel: the record byte range is split
 // into line-aligned chunks fixed by the data alone, chunks parse
@@ -22,6 +23,7 @@ package ingest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -45,8 +47,6 @@ const (
 	FormatSNAP
 	// FormatCSR is the TRCSRF mmap-able binary CSR (package csrfile).
 	FormatCSR
-	// FormatBinary is the legacy TRICSR stream format (graph.WriteBinary).
-	FormatBinary
 )
 
 // String returns the canonical flag spelling of the format.
@@ -60,8 +60,6 @@ func (f Format) String() string {
 		return "snap"
 	case FormatCSR:
 		return "csr"
-	case FormatBinary:
-		return "binary"
 	}
 	return fmt.Sprintf("Format(%d)", int(f))
 }
@@ -79,33 +77,34 @@ func ParseFormat(s string) (Format, error) {
 		return FormatSNAP, nil
 	case "csr", "csrfile", "trcsrf":
 		return FormatCSR, nil
-	case "binary", "bin", "tricsr":
-		return FormatBinary, nil
 	}
-	return 0, fmt.Errorf("ingest: unknown format %q (want auto, mtx, snap, csr, or binary)", s)
+	return 0, fmt.Errorf("ingest: unknown format %q (want auto, mtx, snap, or csr)", s)
 }
 
-// Magic prefixes of the two binary formats. The TRICSR magic includes
-// its version byte (v1 is the only version ever written).
+// Magic prefixes. tricsrMagic marks the retired TRICSR stream format
+// (with its version byte; v1 is the only version ever written), which
+// no reader decodes any more: its files are refused with
+// errRetiredTRICSR instead of being mis-parsed as a SNAP edge list.
 var (
 	csrMagic    = []byte("TRCSRF")
 	tricsrMagic = []byte("TRICSR\x00\x01")
 	mtxMagic    = []byte("%%matrixmarket")
 )
 
+var errRetiredTRICSR = errors.New("ingest: input is in the retired TRICSR binary format, " +
+	"which is no longer read; regenerate the graph with gengraph -format csr (TRCSRF)")
+
 // Detect sniffs the concrete format of data. It never returns
-// FormatAuto: anything that is not a recognized banner or binary magic
+// FormatAuto: anything that is not a recognized banner or TRCSRF magic
 // is treated as a SNAP edge list (whose own parser produces the
-// diagnostics for malformed text).
+// diagnostics for malformed text; Parse refuses retired TRICSR input
+// before any parser runs).
 func Detect(data []byte) Format {
 	if len(data) >= len(mtxMagic) && equalFold(data[:len(mtxMagic)], "%%matrixmarket") {
 		return FormatMTX
 	}
 	if bytes.HasPrefix(data, csrMagic) {
 		return FormatCSR
-	}
-	if bytes.HasPrefix(data, tricsrMagic) {
-		return FormatBinary
 	}
 	return FormatSNAP
 }
@@ -127,10 +126,14 @@ type Options struct {
 }
 
 // Parse decodes data in the given format (sniffing when FormatAuto)
-// and returns the graph plus the concrete format used.
+// and returns the graph plus the concrete format used. Input in the
+// retired TRICSR format is an error whatever the format.
 func Parse(data []byte, f Format, o Options) (*graph.Graph, Format, error) {
 	if f == FormatAuto {
 		f = Detect(data)
+	}
+	if bytes.HasPrefix(data, tricsrMagic) {
+		return nil, f, errRetiredTRICSR
 	}
 	switch f {
 	case FormatMTX:
@@ -142,11 +145,6 @@ func Parse(data []byte, f Format, o Options) (*graph.Graph, Format, error) {
 	case FormatCSR:
 		sp := o.Recorder.Start(obsv.StageParse)
 		g, err := csrfile.ReadBytes(data)
-		sp.End()
-		return g, f, err
-	case FormatBinary:
-		sp := o.Recorder.Start(obsv.StageParse)
-		g, err := graph.ReadBinary(bytes.NewReader(data))
 		sp.End()
 		return g, f, err
 	}
@@ -175,33 +173,32 @@ func (l *Loaded) Close() error {
 	return c.Close()
 }
 
-// LoadFile loads the graph file at path. TRCSRF files are
-// memory-mapped (no parse, no copy — the restart path for multi-GB
-// graphs); every other format is read and parsed with o.
+// LoadFile loads the graph file at path, or standard input when path
+// is empty. TRCSRF files are memory-mapped (no parse, no copy — the
+// restart path for multi-GB graphs); every other input is read whole
+// and handed to Parse with o.
 func LoadFile(path string, f Format, o Options) (*Loaded, error) {
-	if f == FormatAuto {
-		head := make([]byte, len(mtxMagic))
-		fd, err := os.Open(path)
-		if err != nil {
-			return nil, err
+	var data []byte
+	var err error
+	if path == "" {
+		data, err = io.ReadAll(os.Stdin)
+	} else {
+		if f == FormatAuto || f == FormatCSR {
+			if f, err = sniffFile(path, f); err != nil {
+				return nil, err
+			}
 		}
-		k, err := io.ReadFull(fd, head)
-		fd.Close()
-		if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
-			return nil, err
+		if f == FormatCSR {
+			sp := o.Recorder.Start(obsv.StageParse)
+			m, err := csrfile.Open(path)
+			sp.End()
+			if err != nil {
+				return nil, err
+			}
+			return &Loaded{Graph: m.Graph(), Format: f, closer: m}, nil
 		}
-		f = Detect(head[:k])
+		data, err = os.ReadFile(path)
 	}
-	if f == FormatCSR {
-		sp := o.Recorder.Start(obsv.StageParse)
-		m, err := csrfile.Open(path)
-		sp.End()
-		if err != nil {
-			return nil, err
-		}
-		return &Loaded{Graph: m.Graph(), Format: f, closer: m}, nil
-	}
-	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
@@ -210,4 +207,27 @@ func LoadFile(path string, f Format, o Options) (*Loaded, error) {
 		return nil, err
 	}
 	return &Loaded{Graph: g, Format: f}, nil
+}
+
+// sniffFile reads the head of the file at path and resolves f against
+// it: FormatAuto becomes the detected format, and a retired TRICSR
+// head is refused before csrfile.Open could report a bare bad magic.
+func sniffFile(path string, f Format) (Format, error) {
+	fd, err := os.Open(path)
+	if err != nil {
+		return f, err
+	}
+	defer fd.Close()
+	head := make([]byte, len(mtxMagic))
+	k, err := io.ReadFull(fd, head)
+	if err != nil && err != io.ErrUnexpectedEOF && err != io.EOF {
+		return f, err
+	}
+	if bytes.HasPrefix(head[:k], tricsrMagic) {
+		return f, errRetiredTRICSR
+	}
+	if f == FormatAuto {
+		f = Detect(head[:k])
+	}
+	return f, nil
 }

@@ -129,21 +129,23 @@ func TestParseErrors(t *testing.T) {
 func TestParseFormatAndDetect(t *testing.T) {
 	for in, want := range map[string]Format{
 		"": FormatAuto, "auto": FormatAuto, "mtx": FormatMTX, "MTX": FormatMTX,
-		"snap": FormatSNAP, "edgelist": FormatSNAP, "csr": FormatCSR, "binary": FormatBinary,
+		"snap": FormatSNAP, "edgelist": FormatSNAP, "csr": FormatCSR,
 	} {
 		got, err := ParseFormat(in)
 		if err != nil || got != want {
 			t.Errorf("ParseFormat(%q) = %v, %v; want %v", in, got, err, want)
 		}
 	}
-	if _, err := ParseFormat("xml"); err == nil {
-		t.Error("ParseFormat accepted xml")
+	// The retired TRICSR format has no Format value and no spelling.
+	for _, in := range []string{"xml", "binary", "bin", "tricsr"} {
+		if _, err := ParseFormat(in); err == nil {
+			t.Errorf("ParseFormat accepted %q", in)
+		}
 	}
 	for in, want := range map[string]Format{
 		"%%MatrixMarket matrix":  FormatMTX,
 		"%%MATRIXMARKET matrix":  FormatMTX,
 		"TRCSRF\x01\x00":         FormatCSR,
-		"TRICSR\x00\x01":         FormatBinary,
 		"0 1\n":                  FormatSNAP,
 		"# comment\n0 1\n":       FormatSNAP,
 		"":                       FormatSNAP,
@@ -315,20 +317,80 @@ func TestLoadFileErrors(t *testing.T) {
 	}
 }
 
-func TestBinaryFormatThroughParse(t *testing.T) {
-	gsrc, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 2, V: 3}}, true)
+// tricsrImage is the head of a file in the retired TRICSR stream
+// format: its magic (with version byte), then n = 4 and m = 1.
+var tricsrImage = []byte("TRICSR\x00\x01\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00")
+
+// wantRetired checks that err is the retired-format error, which names
+// TRICSR and the command that regenerates the graph in TRCSRF.
+func wantRetired(t *testing.T, what string, err error) {
+	t.Helper()
+	if err == nil || !strings.Contains(err.Error(), "retired TRICSR") ||
+		!strings.Contains(err.Error(), "gengraph -format csr") {
+		t.Errorf("%s: err %v, want the retired TRICSR format error", what, err)
+	}
+}
+
+// TestRetiredTRICSR: TRICSR input is refused with the retired-format
+// error, never decoded and never mis-parsed as a SNAP edge list,
+// whatever the pinned format and whichever entry point reads it.
+func TestRetiredTRICSR(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.bin")
+	if err := os.WriteFile(path, tricsrImage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []Format{FormatAuto, FormatMTX, FormatSNAP, FormatCSR} {
+		g, _, err := Parse(tricsrImage, f, Options{})
+		if g != nil {
+			t.Errorf("Parse(%v) decoded a graph", f)
+		}
+		wantRetired(t, "Parse("+f.String()+")", err)
+		ld, err := LoadFile(path, f, Options{})
+		if ld != nil {
+			t.Errorf("LoadFile(%v) decoded a graph", f)
+		}
+		wantRetired(t, "LoadFile("+f.String()+")", err)
+	}
+	withStdin(t, tricsrImage, func() {
+		_, err := LoadFile("", FormatAuto, Options{})
+		wantRetired(t, "LoadFile(stdin)", err)
+	})
+}
+
+// withStdin runs fn with os.Stdin reading data.
+func withStdin(t *testing.T, data []byte, fn func()) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "stdin")
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var sb strings.Builder
-	if err := graph.WriteBinary(&sb, gsrc); err != nil {
-		t.Fatal(err)
-	}
-	g, f, err := Parse([]byte(sb.String()), FormatAuto, Options{})
+	defer f.Close()
+	saved := os.Stdin
+	os.Stdin = f
+	defer func() { os.Stdin = saved }()
+	fn()
+}
+
+// TestLoadFileStdin: an empty path reads standard input and parses it
+// like a file of the same bytes.
+func TestLoadFileStdin(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "karate.mtx"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if f != FormatBinary || !g.Equal(gsrc) {
-		t.Fatalf("binary round trip: format %v, equal %v", f, g.Equal(gsrc))
-	}
+	want := mustParse(t, string(data), FormatMTX)
+	withStdin(t, data, func() {
+		ld, err := LoadFile("", FormatAuto, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ld.Close()
+		if ld.Format != FormatMTX || !ld.Graph.Equal(want) {
+			t.Fatalf("stdin loaded as %v, equal %v", ld.Format, ld.Graph.Equal(want))
+		}
+	})
 }

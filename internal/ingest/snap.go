@@ -17,10 +17,10 @@ import (
 //	# nodes 4039 edges 88234        (this repo's WriteEdgeList)
 //	# Nodes: 4039 Edges: 88234      (SNAP's download headers)
 //
-// Unlike graph.ReadEdgeList, self-loops are silently stripped rather
-// than rejected — real-world snapshots contain them — and duplicate
-// records (including both orientations of one edge) collapse. Extra
-// fields after "u v" (weights, timestamps) are ignored.
+// Self-loops are silently stripped rather than rejected — real-world
+// snapshots contain them — and duplicate records (including both
+// orientations of one edge) collapse. Extra fields after "u v"
+// (weights, timestamps) are ignored.
 
 // ParseSNAP parses a SNAP-style edge list into a simple undirected
 // graph. The parse is chunk-parallel (see Options) and its result —

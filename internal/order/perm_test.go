@@ -388,15 +388,15 @@ func maxOutDeg(g *graph.Graph, rank []int32) int {
 func erdosRenyiForTest(t *testing.T, n int, m int) *graph.Graph {
 	t.Helper()
 	rng := stats.NewRNGFromSeed(1234)
-	b := graph.NewBuilder(n, true)
+	var edges []graph.Edge
 	for i := 0; i < m; i++ {
 		u := int32(rng.IntN(n))
 		v := int32(rng.IntN(n))
 		if u != v {
-			b.AddEdge(u, v)
+			edges = append(edges, graph.Edge{U: u, V: v})
 		}
 	}
-	g, err := b.Build()
+	g, err := graph.FromEdges(n, edges, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,11 @@
 // queue, turning the repo's run-to-completion listing sweeps into a
 // serving system.
 //
-//	POST   /v1/graphs            register an edge-list or binary-CSR graph body
+//	POST   /v1/graphs            register a graph body (MatrixMarket, SNAP edge list or TRCSRF)
+//	POST   /v1/graphs/upload     begin a resumable upload
+//	PUT    /v1/graphs/upload/{id}         append bytes at Upload-Offset
+//	POST   /v1/graphs/upload/{id}/commit  register the uploaded bytes
+//	DELETE /v1/graphs/upload/{id}         abort an upload
 //	GET    /v1/graphs            list resident graphs (MRU order)
 //	GET    /v1/graphs/{id}/plan  predicted cost ranking for every (method, order)
 //	POST   /v1/jobs              submit a count/list job (JobSpec body)
@@ -189,9 +193,10 @@ type graphInfo struct {
 }
 
 // handleRegisterGraph ingests a graph body in any ingest format
-// (MatrixMarket, SNAP edge list, TRCSRF or binary CSR — sniffed), keys
-// it by content hash, and makes it resident. The optional ?format=
-// query parameter pins the format instead of sniffing.
+// (MatrixMarket, SNAP edge list or TRCSRF — sniffed), keys it by
+// content hash, and makes it resident. The optional ?format= query
+// parameter pins the format instead of sniffing. A body in the retired
+// TRICSR format is a 400 that names the format.
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	if s.jobs.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "draining")

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -158,6 +159,19 @@ func TestRegisterGraphAndContentHashDedup(t *testing.T) {
 	if code != http.StatusCreated {
 		t.Fatalf("self-loop graph: status %d, want 201", code)
 	}
+	// A body in the retired TRICSR binary format is a 400 that names
+	// the format and its replacement, sniffed or pinned.
+	tricsr := []byte("TRICSR\x00\x01\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00")
+	for _, path := range []string{"/v1/graphs", "/v1/graphs?format=snap", "/v1/graphs?format=csr"} {
+		code, body := e.do(t, "POST", path, tricsr)
+		if code != http.StatusBadRequest || !strings.Contains(string(body), "retired TRICSR") ||
+			!strings.Contains(string(body), "gengraph -format csr") {
+			t.Fatalf("POST %s with a TRICSR body: status %d, body %s", path, code, body)
+		}
+	}
+	if code, _ := e.do(t, "POST", "/v1/graphs?format=binary", tricsr); code != http.StatusBadRequest {
+		t.Fatalf("format=binary: status %d, want 400", code)
+	}
 }
 
 func TestCountJobLifecycleAndOrientationCache(t *testing.T) {
@@ -191,25 +205,53 @@ func TestCountJobLifecycleAndOrientationCache(t *testing.T) {
 	}
 }
 
+// TestJobResultsWorkerCountInvariant: count and list jobs give the
+// serial job's triangles and model ops at workers 2 and 8, and a list
+// job's triangle set (sorted; the parallel sweep interleaves blocks)
+// equals the serial one. The graph spans nine 512-anchor sweep blocks,
+// so all 8 workers get blocks, and GOMAXPROCS is raised to 8 for the
+// test so trid's GOMAXPROCS cap leaves workers=8 intact on small hosts.
 func TestJobResultsWorkerCountInvariant(t *testing.T) {
+	if prev := runtime.GOMAXPROCS(0); prev < 8 {
+		runtime.GOMAXPROCS(8)
+		defer runtime.GOMAXPROCS(prev)
+	}
 	e := newTestEnv(t, Options{})
-	gi := e.register(t, erGraphText(t, 500, 6000, 3))
-	var ref JobView
-	for i, workers := range []int{1, 2, 8} {
-		_, v := e.postJob(t, JobSpec{Graph: gi.ID, Method: "T1", Workers: workers, Wait: true})
-		if v.Status != "done" {
-			t.Fatalf("workers=%d: %+v", workers, v)
-		}
-		if i == 0 {
-			ref = v
-			if ref.Triangles == 0 {
-				t.Fatal("test graph has no triangles")
+	gi := e.register(t, erGraphText(t, 4608, 40000, 3))
+	if gi.Nodes < 8*512 {
+		t.Fatalf("graph has %d nodes, fewer than 8 sweep blocks", gi.Nodes)
+	}
+	sorted := func(v JobView) [][3]int32 {
+		tris := slices.Clone(v.TriangleList)
+		slices.SortFunc(tris, func(a, b [3]int32) int {
+			return slices.Compare(a[:], b[:])
+		})
+		return tris
+	}
+	for _, mode := range []string{"count", "list"} {
+		var ref JobView
+		for i, workers := range []int{1, 2, 8} {
+			_, v := e.postJob(t, JobSpec{Graph: gi.ID, Method: "T1", Mode: mode, Workers: workers, Limit: 100000, Wait: true})
+			if v.Status != "done" || v.Truncated || v.Workers != workers {
+				t.Fatalf("%s workers=%d: %+v", mode, workers, v)
 			}
-			continue
+			if i == 0 {
+				ref = v
+				if ref.Triangles == 0 {
+					t.Fatal("test graph has no triangles")
+				}
+				continue
+			}
+			if v.Triangles != ref.Triangles || v.ModelOps != ref.ModelOps {
+				t.Fatalf("%s workers=%d: (%d, %d) != serial (%d, %d)",
+					mode, workers, v.Triangles, v.ModelOps, ref.Triangles, ref.ModelOps)
+			}
+			if mode == "list" && !slices.Equal(sorted(v), sorted(ref)) {
+				t.Fatalf("list workers=%d: sorted triangle_list differs from the serial job's", workers)
+			}
 		}
-		if v.Triangles != ref.Triangles || v.ModelOps != ref.ModelOps {
-			t.Fatalf("workers=%d: (%d, %d) != serial (%d, %d)",
-				workers, v.Triangles, v.ModelOps, ref.Triangles, ref.ModelOps)
+		if mode == "list" && int64(len(ref.TriangleList)) != ref.Triangles {
+			t.Fatalf("serial list job carries %d of %d triangles", len(ref.TriangleList), ref.Triangles)
 		}
 	}
 }
