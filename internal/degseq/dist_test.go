@@ -312,3 +312,42 @@ func TestSamplingMatchesCDF(t *testing.T) {
 		t.Fatalf("KS distance %v between sample and truncated CDF", d)
 	}
 }
+
+// TestEachPMFMatchesPMF: the carried-CDF walk over a truncated support
+// and the plain walk over any other finite support visit x = 1..Max() in
+// order with values bitwise equal to PMF(x).
+func TestEachPMFMatchesPMF(t *testing.T) {
+	emp, err := FromHistogram([]int64{3, 10, 0, 4, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range []Dist{
+		mustTruncated(t, Pareto{Alpha: 1.5, Beta: 15}, 3000),
+		mustTruncated(t, Geometric{P: 0.2}, 50),
+		mustTruncated(t, emp, 3),
+		emp,
+	} {
+		next := int64(1)
+		EachPMF(d, func(x int64, p float64) {
+			if x != next {
+				t.Fatalf("visited %d, want %d", x, next)
+			}
+			if want := d.PMF(x); math.Float64bits(p) != math.Float64bits(want) {
+				t.Fatalf("%T: EachPMF(%d) = %v, PMF = %v", d, x, p, want)
+			}
+			next++
+		})
+		if next != d.Max()+1 {
+			t.Fatalf("%T: walk stopped at %d, Max() = %d", d, next-1, d.Max())
+		}
+	}
+}
+
+func mustTruncated(t *testing.T, base Dist, tn int64) *Truncated {
+	t.Helper()
+	tr, err := NewTruncated(base, tn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}

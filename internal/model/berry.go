@@ -28,25 +28,26 @@ func BerryLimit(p degseq.Pareto) (float64, error) {
 	if p.Alpha <= 4.0/3 {
 		return math.Inf(1), nil
 	}
+	// Horizon: integrand ~ z²·z^{-2(α-1)}·z^{-α-1} = z^{3-3α}; with
+	// α > 4/3 the tail beyond 10^(4+3/(α-4/3)) is negligible.
+	horizon := math.Pow(10, math.Min(17, 4+3/(p.Alpha-4.0/3)))
+	return berrySum(p, horizon, 1e-6), nil
+}
+
+// berrySum evaluates (2) over Algorithm 2's geometric blocks of width
+// ⌈εz⌉ out to horizon, for α > 4/3.
+func berrySum(p degseq.Pareto, horizon, eps float64) float64 {
 	ed := p.Mean()
 	// T(z) = Σ_{y>z} y·P(D=y), accumulated from the tail with geometric
 	// blocks. We instead accumulate head partial sums of y·p(y) and
 	// subtract: T(z) = E[D] - Σ_{y<=z} y·p(y).
 	// Then (2) = Σ_z p(z)(z²-z)T(z)² / (2E[D]²).
-	const eps = 1e-6
-	// Horizon: integrand ~ z²·z^{-2(α-1)}·z^{-α-1} = z^{3-3α}; with
-	// α > 4/3 the tail beyond 10^(4+3/(α-4/3)) is negligible.
-	horizon := math.Pow(10, math.Min(17, 4+3/(p.Alpha-4.0/3)))
 	var head stats.KahanSum // Σ_{y<=z} y p(y)
 	var out stats.KahanSum
-	for z := 1.0; z <= horizon; {
-		jump := math.Ceil(eps * z)
-		hi := z + jump - 1
-		pz := p.ContinuousCDF(hi) - p.ContinuousCDF(z-1)
+	walkBlocks(p.ContinuousCDF, horizon, math.Inf(1), eps, nil, func(z, pz float64) {
 		head.Add(z * pz)
 		tz := math.Max(ed-head.Value(), 0)
 		out.Add(pz * (z*z - z) * tz * tz)
-		z += jump
-	}
-	return out.Value() / (2 * ed * ed), nil
+	})
+	return out.Value() / (2 * ed * ed)
 }

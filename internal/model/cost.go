@@ -53,23 +53,22 @@ func DiscreteCost(s Spec, dist degseq.Dist) (float64, error) {
 	}
 	w := s.weight()
 	var ew stats.KahanSum
-	for i := int64(1); i <= tn; i++ {
-		ew.Add(w(float64(i)) * dist.PMF(i))
-	}
+	degseq.EachPMF(dist, func(i int64, p float64) {
+		ew.Add(w(float64(i)) * p)
+	})
 	if ew.Value() <= 0 {
 		return 0, fmt.Errorf("model: E[w(D)] = %v is not positive", ew.Value())
 	}
 	var cost, j stats.KahanSum
-	for i := int64(1); i <= tn; i++ {
-		p := dist.PMF(i)
+	degseq.EachPMF(dist, func(i int64, p float64) {
 		if p == 0 {
-			continue
+			return
 		}
 		x := float64(i)
 		j.Add(w(x) * p / ew.Value())
 		ji := math.Min(j.Value(), 1)
 		cost.Add(G(x) * hxi(ji) * p)
-	}
+	})
 	return cost.Value(), nil
 }
 
@@ -95,37 +94,70 @@ func QuickCost(s Spec, cdf func(float64) float64, tn float64, eps float64) (floa
 		return 0, fmt.Errorf("model: eps = %v outside (0,1)", eps)
 	}
 	w := s.weight()
-	// First pass: E[D_n]-style normalizer E[w(D_n)].
+	// First pass: E[D_n]-style normalizer E[w(D_n)]. It keeps the first
+	// keptBlocks block masses, so the second pass evaluates cdf only past
+	// them.
 	var ew stats.KahanSum
-	for i := 1.0; i <= tn; {
-		jump := math.Ceil(eps * i)
-		if jump < 1 {
-			jump = 1
+	var kept []float64
+	walkBlocks(cdf, tn, tn, eps, nil, func(i, p float64) {
+		ew.Add(w(i) * p)
+		if len(kept) < keptBlocks {
+			kept = append(kept, p)
 		}
-		hi := math.Min(i+jump-1, tn)
-		ew.Add(w(i) * (cdf(hi) - cdf(i-1)))
-		i += jump
-	}
+	})
 	if ew.Value() <= 0 {
 		return 0, fmt.Errorf("model: E[w(D)] = %v is not positive", ew.Value())
 	}
 	// Second pass: accumulate spread J and cost.
 	var cost, j stats.KahanSum
-	for i := 1.0; i <= tn; {
-		jump := math.Ceil(eps * i)
-		if jump < 1 {
-			jump = 1
-		}
-		hi := math.Min(i+jump-1, tn)
-		p := cdf(hi) - cdf(i-1)
+	walkBlocks(cdf, tn, tn, eps, kept, func(i, p float64) {
 		if p > 0 {
 			j.Add(w(i) * p / ew.Value())
 			ji := math.Min(j.Value(), 1)
 			cost.Add(G(i) * hxi(ji) * p)
 		}
+	})
+	return cost.Value(), nil
+}
+
+// keptBlocks caps the block masses QuickCost's first pass keeps for its
+// second (8 bytes each, 32 MiB at most): enough for every block of
+// Limit's longest walk, about 2.9M blocks to t_n = 1e17 at ε = 1e-5.
+const keptBlocks = 1 << 22
+
+// walkBlocks visits Algorithm 2's geometric blocks: for i = 1, 1+⌈ε⌉, …
+// while i <= tn, block i covers [i, hi] with hi = min(i+⌈εi⌉−1, clip),
+// and visit gets its head i and mass p = cdf(hi) − cdf(i−1). The first
+// len(known) blocks take their masses from known instead.
+//
+// Each block's upper CDF value is carried on as the next block's lower
+// one: Go evaluates i+jump−1 as (i+jump)−1, the same float as the next
+// block's i−1, so cdf runs once per block and every p is bitwise the
+// two-call difference. The carry is keyed by its argument, so a block
+// whose lower end is not the previous upper end (after clipping, or
+// after the known blocks) evaluates its own.
+func walkBlocks(cdf func(float64) float64, tn, clip, eps float64, known []float64, visit func(i, p float64)) {
+	carryX, carryF := math.NaN(), 0.0
+	for b, i := 0, 1.0; i <= tn; b++ {
+		jump := math.Ceil(eps * i)
+		if jump < 1 {
+			jump = 1
+		}
+		if b < len(known) {
+			visit(i, known[b])
+			i += jump
+			continue
+		}
+		hi := math.Min(i+jump-1, clip)
+		lo := carryF
+		if i-1 != carryX {
+			lo = cdf(i - 1)
+		}
+		up := cdf(hi)
+		visit(i, up-lo)
+		carryX, carryF = hi, up
 		i += jump
 	}
-	return cost.Value(), nil
 }
 
 // ParetoTruncatedCDF returns F_n(x) = F(x)/F(t_n) for the discretized
@@ -195,19 +227,21 @@ func ContinuousCost(s Spec, p degseq.Pareto, tn float64, panels int) (float64, e
 	// coordinate (1-u) = (1-t)³ is formed without subtracting from 1.
 	cube := func(t float64) float64 { c := 1 - t; return c * c * c }
 	dt := 1.0 / float64(panels)
-	// First pass: E[w(D_n)] = ∫ w(Q(u)) du by midpoint rule in t.
+	// First pass: E[w(D_n)] = ∫ w(Q(u)) du by midpoint rule in t. Each
+	// panel's quantile is kept for the second pass.
+	xs := make([]float64, panels)
 	var ew stats.KahanSum
-	for k := 0; k < panels; k++ {
+	for k := range xs {
 		t0, t1 := float64(k)*dt, float64(k+1)*dt
 		du := cube(t0) - cube(t1)
-		ew.Add(w(quantileTail(cube((t0+t1)/2))) * du)
+		xs[k] = quantileTail(cube((t0 + t1) / 2))
+		ew.Add(w(xs[k]) * du)
 	}
 	// Second pass: accumulate J and cost on the same grid.
 	var cost, j stats.KahanSum
-	for k := 0; k < panels; k++ {
+	for k, x := range xs {
 		t0, t1 := float64(k)*dt, float64(k+1)*dt
 		du := cube(t0) - cube(t1)
-		x := quantileTail(cube((t0 + t1) / 2))
 		j.Add(w(x) * du / ew.Value())
 		ji := math.Min(j.Value(), 1)
 		cost.Add(G(x) * hxi(ji) * du)

@@ -3,8 +3,11 @@ package model
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"trilist/internal/degseq"
+	"trilist/internal/listing"
+	"trilist/internal/order"
 )
 
 // This file computes the n → ∞ limits of the cost models (Theorems 1–2,
@@ -68,7 +71,43 @@ func tailDecayOrder(hxi func(float64) float64) (float64, error) {
 // The Weight field is ignored here: as the paper shows (§7.4), all
 // admissible w(x) — w₁ and the √m̄-capped w₂ included — share the same
 // limit, that of w(x) = x.
+//
+// A limit is a pure function of (method, order, α, β) and a finite one
+// costs up to a second of Algorithm 2, so results are memoized for the
+// life of the process; concurrent callers of one key wait for a single
+// evaluation.
 func Limit(s Spec, p degseq.Pareto) (float64, error) {
+	key := limitKey{s.Method, s.Order, math.Float64bits(p.Alpha), math.Float64bits(p.Beta)}
+	limitMemo.Lock()
+	e := limitMemo.m[key]
+	if e == nil {
+		e = new(limitEntry)
+		limitMemo.m[key] = e
+	}
+	limitMemo.Unlock()
+	e.once.Do(func() { e.v, e.err = limit(s, p) })
+	return e.v, e.err
+}
+
+type limitKey struct {
+	method      listing.Method
+	order       order.Kind
+	alpha, beta uint64 // math.Float64bits
+}
+
+type limitEntry struct {
+	once sync.Once
+	v    float64
+	err  error
+}
+
+var limitMemo = struct {
+	sync.Mutex
+	m map[limitKey]*limitEntry
+}{m: map[limitKey]*limitEntry{}}
+
+// limit evaluates Limit without the memo.
+func limit(s Spec, p degseq.Pareto) (float64, error) {
 	s.Weight = nil // limits are weight-independent; use w(x) = x
 	crit, err := FinitenessAlpha(s)
 	if err != nil {

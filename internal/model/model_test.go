@@ -573,7 +573,7 @@ func TestSpreadSampleMatchesJ(t *testing.T) {
 	obs := make([]float64, draws)
 	src := rng.Child()
 	for i := range obs {
-		obs[i] = float64(SpreadSample(d, nil, src))
+		obs[i] = float64(SpreadSample(d, src))
 	}
 	ks := stats.NewECDF(obs).KSDistance(func(x float64) float64 {
 		return s.At(int64(math.Floor(x)))

@@ -89,20 +89,18 @@ func ParetoSpreadCDF(p degseq.Pareto) (func(float64) float64, error) {
 	}, nil
 }
 
-// SpreadSample draws the degree of a w-proportionally chosen node from a
-// finite sequence — the finite-n process of Prop. 5, used by tests to
-// verify convergence of the empirical pick distribution to J.
-func SpreadSample(d degseq.Sequence, w Weight, rng *stats.RNG) int64 {
-	if w == nil {
-		w = WIdentity
-	}
+// SpreadSample draws the degree of a degree-proportionally chosen node
+// (w(x) = x) from a finite sequence — the finite-n process of Prop. 5,
+// used by tests to verify convergence of the empirical pick distribution
+// to J.
+func SpreadSample(d degseq.Sequence, rng *stats.RNG) int64 {
 	var total float64
 	for _, x := range d {
-		total += w(float64(x))
+		total += float64(x)
 	}
 	r := rng.OpenFloat64() * total
 	for _, x := range d {
-		r -= w(float64(x))
+		r -= float64(x)
 		if r <= 0 {
 			return x
 		}

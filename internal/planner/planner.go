@@ -192,7 +192,7 @@ func (p *Plan) Lookup(m listing.Method, k order.Kind) (Candidate, bool) {
 	return Candidate{}, false
 }
 
-// Option configures Compute/ComputeDist.
+// Option configures Compute.
 type Option func(*options)
 
 type options struct {
@@ -239,34 +239,6 @@ func Compute(g *graph.Graph, opts ...Option) (*Plan, error) {
 	fit.SecondMoment = emp.SecondMoment()
 	fit.TailAlpha, fit.TailBeta, fit.TailRelErr, fit.TailOK = fitTail(emp)
 	ranking, err := priceGrid(emp, active, o.workers)
-	if err != nil {
-		return nil, err
-	}
-	return &Plan{Fit: fit, Ranking: ranking}, nil
-}
-
-// ComputeDist builds a plan directly from a finite-support degree
-// distribution and a node count — pricing a hypothetical workload
-// before any graph exists. The distribution plays the role of the
-// empirical fit; nodes scales PerNode into Total.
-func ComputeDist(dist degseq.Dist, nodes int64, opts ...Option) (*Plan, error) {
-	var o options
-	for _, opt := range opts {
-		opt(&o)
-	}
-	if nodes < 0 {
-		return nil, fmt.Errorf("planner: negative node count %d", nodes)
-	}
-	fit := Fit{
-		Nodes:      int(nodes),
-		MaxDegree:  dist.Max(),
-		MeanDegree: dist.Mean(),
-	}
-	type secondMomenter interface{ SecondMoment() float64 }
-	if sm, ok := dist.(secondMomenter); ok {
-		fit.SecondMoment = sm.SecondMoment()
-	}
-	ranking, err := priceGrid(dist, nodes, o.workers)
 	if err != nil {
 		return nil, err
 	}

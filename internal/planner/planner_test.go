@@ -178,7 +178,8 @@ func TestComputeDeterminism(t *testing.T) {
 }
 
 // TestComputeDistAgreesWithCompute: pricing the graph's own empirical
-// histogram through ComputeDist reproduces Compute's ranking exactly.
+// histogram directly through the grid pricer reproduces Compute's
+// ranking exactly.
 func TestComputeDistAgreesWithCompute(t *testing.T) {
 	g := paretoGraph(t, 2.5, 3000, 3)
 	fromGraph, err := Compute(g)
@@ -190,15 +191,15 @@ func TestComputeDistAgreesWithCompute(t *testing.T) {
 		t.Fatal(err)
 	}
 	active := int64(fromGraph.Fit.Nodes) - fromGraph.Fit.Isolated
-	fromDist, err := ComputeDist(emp, active)
+	fromDist, err := priceGrid(emp, active, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(fromDist.Ranking) != len(fromGraph.Ranking) {
+	if len(fromDist) != len(fromGraph.Ranking) {
 		t.Fatal("grid sizes differ")
 	}
-	for i := range fromDist.Ranking {
-		a, b := fromGraph.Ranking[i], fromDist.Ranking[i]
+	for i := range fromDist {
+		a, b := fromGraph.Ranking[i], fromDist[i]
 		if a.Method != b.Method || a.Order != b.Order || a.Total != b.Total || a.PredictedNs != b.PredictedNs {
 			t.Fatalf("rank %d differs: graph %+v dist %+v", i, a, b)
 		}
@@ -337,10 +338,11 @@ func TestPickDivergingWN(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		plan, err := ComputeDist(tr, n, WithWorkers(4))
+		ranking, err := priceGrid(tr, n, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
+		plan := &Plan{Ranking: ranking}
 		e1, _ := plan.Lookup(listing.E1, order.KindDescending)
 		bestNonE := math.Inf(1)
 		for _, c := range plan.Ranking {
