@@ -6,7 +6,7 @@
 //
 //	trid [-addr :8080] [-cache-bytes 1073741824] [-queue 64] \
 //	     [-workers 0] [-drain-timeout 30s] [-debug-addr addr] \
-//	     [-csr-dir dir] [-upload-dir dir] [-spill-dir dir]
+//	     [-csr-dir dir] [-upload-dir dir]
 //
 // -workers sizes the job worker pool and also bounds the parallelism
 // of registry rank/orient rebuilds on cache misses.
@@ -17,10 +17,8 @@
 // files are skipped with a warning. -upload-dir is where the chunked
 // upload API (POST /v1/graphs/upload, then offset-resumable PUTs and a
 // commit) spools bytes before parsing; it defaults to the system temp
-// directory. -spill-dir gives partitioned jobs (JobSpec parts > 0) a
-// file-backed block store — each job spills to its own subdirectory,
-// removed when the job finishes; empty keeps partition blocks in
-// memory.
+// directory. Partitioned jobs (JobSpec parts > 0) keep their partition
+// blocks in memory.
 //
 // The daemon logs its listen address on startup and shuts down
 // gracefully on SIGINT/SIGTERM: new submissions get 503 while queued
@@ -101,7 +99,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	debugAddr := fs.String("debug-addr", "", "optional listen address serving net/http/pprof under /debug/pprof/ (empty = disabled)")
 	csrDir := fs.String("csr-dir", "", "directory persisting registered graphs as TRCSRF files, mmap-loaded on restart (empty = disabled)")
 	uploadDir := fs.String("upload-dir", "", "spool directory for chunked uploads (default: system temp)")
-	spillDir := fs.String("spill-dir", "", "directory where partitioned jobs (parts > 0) spill partition blocks, one subdir per job (empty = in-memory blocks)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -111,18 +108,12 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 			return fmt.Errorf("csr-dir: %w", err)
 		}
 	}
-	if *spillDir != "" {
-		if err := os.MkdirAll(*spillDir, 0o755); err != nil {
-			return fmt.Errorf("spill-dir: %w", err)
-		}
-	}
 	srv := server.New(server.Options{
 		CacheBytes: *cacheBytes,
 		QueueDepth: *queueDepth,
 		Workers:    *workers,
 		CSRDir:     *csrDir,
 		UploadDir:  *uploadDir,
-		SpillDir:   *spillDir,
 	})
 	if *csrDir != "" {
 		loaded, err := srv.LoadCSRDir()

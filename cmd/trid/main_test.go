@@ -42,9 +42,8 @@ func TestDaemonLifecycle(t *testing.T) {
 	defer cancel()
 	out := &syncBuffer{}
 	done := make(chan error, 1)
-	spillDir := t.TempDir()
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2", "-spill-dir", spillDir}, out)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2"}, out)
 	}()
 
 	// The listen line appears once the port is bound.
@@ -96,8 +95,8 @@ func TestDaemonLifecycle(t *testing.T) {
 		t.Fatalf("count job: %+v", v)
 	}
 
-	// Partitioned job: the -spill-dir store backs a parts>1, workers>1
-	// block-triple sweep and the view carries the partition meters.
+	// Partitioned job: a parts>1, workers>1 block-triple sweep whose
+	// view carries the partition meters.
 	body, _ = json.Marshal(map[string]any{"graph": gi.ID, "parts": 2, "workers": 2, "wait": true})
 	resp, err = http.Post(base+"/v1/jobs", "application/json", bytes.NewReader(body))
 	if err != nil {
@@ -280,8 +279,9 @@ func TestDaemonBadFlags(t *testing.T) {
 	if err := run(context.Background(), []string{"-addr"}, &syncBuffer{}); err == nil {
 		t.Fatal("bad flag accepted")
 	}
-	// trid has no multi-node mode, so these are unknown flags.
-	for _, f := range []string{"-peers", "-role", "-set-cache-bytes"} {
+	// trid has no multi-node mode and no disk spill store, so these are
+	// unknown flags.
+	for _, f := range []string{"-peers", "-role", "-set-cache-bytes", "-spill-dir"} {
 		if err := run(context.Background(), []string{f, "x"}, &syncBuffer{}); err == nil || !strings.Contains(err.Error(), "not defined") {
 			t.Errorf("%s x: err = %v, want unknown flag", f, err)
 		}

@@ -5,7 +5,7 @@
 //
 //	trilist -in graph.txt [-method auto] [-order auto] \
 //	        [-plan] [-print] [-seed 1] [-workers 1] [-parts 1] \
-//	        [-spill dir] [-timeout 0]
+//	        [-timeout 0]
 //
 // -method auto (the default) plans the run: the empirical degree
 // distribution is fitted from the graph and the (method, order) pair
@@ -24,14 +24,13 @@
 // memory-mapped rather than parsed; text formats parse
 // chunk-parallel under -workers. -workers N parallelizes the sweep and
 // the rank and orient stages (results are identical at any worker
-// count); -parts P > 1 switches to the external-memory partitioned
-// lister, spilling blocks to -spill (or memory if unset). That lister
-// runs the E2 block sweep, so -method must be auto or E2 there, and
-// -order auto means θ_D. Partitioned runs schedule the P³/streamable
-// block triples on a scatter/gather executor: -workers passes run
+// count); -parts P > 1 switches to the partitioned lister, which
+// splits the orientation into P label ranges held in memory. That
+// lister runs the E2 block sweep, so -method must be auto or E2 there,
+// and -order auto means θ_D. Partitioned runs schedule the block
+// triples on a scatter/gather executor: -workers passes run
 // concurrently (output stays byte-identical at any worker count, with
-// straggler re-issue when workers > 1), and -retries N with
-// -retry-backoff D re-runs a pass after transient spill-store failures. -timeout bounds the sweep
+// straggler re-issue when workers > 1). -timeout bounds the sweep
 // (including partitioned runs, cancelled between block triples); on
 // expiry trilist exits non-zero after reporting the partial triangle
 // count. -stages prints a per-stage wall-clock breakdown (rank, orient,
@@ -50,7 +49,6 @@ import (
 	"time"
 
 	"trilist/internal/core"
-	"trilist/internal/extmem"
 	"trilist/internal/graph"
 	"trilist/internal/ingest"
 	"trilist/internal/listing"
@@ -76,26 +74,30 @@ func run(args []string, out io.Writer) error {
 	print := fs.Bool("print", false, "print each triangle (relabeled IDs x y z)")
 	seed := fs.Uint64("seed", 1, "seed for the uniform order")
 	workers := fs.Int("workers", 1, "parallel goroutines for prepare and the sweep (sweep needs a visitor-safe method)")
-	parts := fs.Int("parts", 1, "external-memory partitions (>1 enables the partitioned lister)")
-	spill := fs.String("spill", "", "spill directory for -parts (default: in-memory blocks)")
-	retries := fs.Int("retries", 1, "attempts per block-triple pass under -parts (>1 retries transient store failures)")
-	retryBackoff := fs.Duration("retry-backoff", 0, "base backoff between block-triple retry attempts (doubles per retry)")
+	parts := fs.Int("parts", 1, "label-range partitions (>1 enables the partitioned lister)")
 	timeout := fs.Duration("timeout", 0, "abort the sweep after this duration (0 = no limit)")
 	stages := fs.Bool("stages", false, "print a per-stage wall-clock breakdown after the run")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	// "" and "auto" leave the choice to the planner (method) or to the
+	// resolved method (order).
+	var (
+		method listing.Method
+		kind   order.Kind
+		err    error
+	)
 	methodAuto := *methodName == "" || strings.EqualFold(*methodName, "auto")
-	var method listing.Method
-	var err error
 	if !methodAuto {
-		if method, err = parseMethod(*methodName); err != nil {
+		if method, err = listing.ParseMethod(*methodName); err != nil {
 			return err
 		}
 	}
-	kind, orderAuto, err := parseOrder(*orderName)
-	if err != nil {
-		return err
+	orderAuto := *orderName == "" || strings.EqualFold(*orderName, "auto")
+	if !orderAuto {
+		if kind, err = order.ParseKind(*orderName); err != nil {
+			return err
+		}
 	}
 	format, err := ingest.ParseFormat(*formatName)
 	if err != nil {
@@ -158,11 +160,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cfg := core.Config{Method: method, Order: kind, Seed: *seed, Workers: *workers, Recorder: rec}
 	if partitioned {
-		cfg.Partition = &core.Partition{
-			Parts:    *parts,
-			SpillDir: *spill,
-			Retry:    extmem.RetryPolicy{Attempts: *retries, Backoff: *retryBackoff},
-		}
+		cfg.Partition = &core.Partition{Parts: *parts}
 		err := runPartitioned(ctx, g, cfg, *timeout, visit, w)
 		printStages(w, rec)
 		return err
@@ -198,11 +196,10 @@ func printStages(w io.Writer, rec *obsv.Recorder) {
 	}
 }
 
-// runPartitioned executes the external-memory lister through the core
-// façade, which owns the block store lifecycle (spill files are removed
-// on every exit path) and schedules the block triples on the
-// scatter/gather executor with cfg.Workers passes in flight. ctx
-// cancellation stops it between block triples.
+// runPartitioned executes the partitioned lister through the core
+// façade, which schedules the block triples on the scatter/gather
+// executor with cfg.Workers passes in flight. ctx cancellation stops it
+// between block triples.
 func runPartitioned(ctx context.Context, g *graph.Graph, cfg core.Config,
 	timeout time.Duration, visit listing.Visitor, w io.Writer) error {
 	res, err := core.ListCtx(ctx, g, cfg, visit)
@@ -224,37 +221,4 @@ func runPartitioned(ctx context.Context, g *graph.Graph, cfg core.Config,
 		er.Passes, er.IO.ArcsRead, er.IO.ArcsWritten, er.IO.BlockReads)
 	fmt.Fprintf(w, "# prep=%v list=%v\n", res.PrepTime, res.ListTime)
 	return nil
-}
-
-func parseMethod(s string) (listing.Method, error) {
-	for _, m := range listing.Methods {
-		if strings.EqualFold(m.String(), s) {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown method %q (want auto or T1-T6, E1-E6, L1-L6)", s)
-}
-
-// parseOrder resolves an order name; auto reports "" or "auto", whose
-// meaning depends on how the method resolved (planner's choice under
-// -method auto, the paper-recommended order otherwise).
-func parseOrder(s string) (kind order.Kind, auto bool, err error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return 0, true, nil
-	case "ascending", "asc", "a":
-		return order.KindAscending, false, nil
-	case "descending", "desc", "d":
-		return order.KindDescending, false, nil
-	case "round-robin", "roundrobin", "rr":
-		return order.KindRoundRobin, false, nil
-	case "crr", "complementary-round-robin":
-		return order.KindCRR, false, nil
-	case "uniform", "random", "u":
-		return order.KindUniform, false, nil
-	case "degenerate", "degen", "smallest-last":
-		return order.KindDegenerate, false, nil
-	default:
-		return 0, false, fmt.Errorf("unknown order %q", s)
-	}
 }

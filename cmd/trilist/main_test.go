@@ -5,9 +5,6 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"trilist/internal/listing"
-	"trilist/internal/order"
 )
 
 func writeTempGraph(t *testing.T, content string) string {
@@ -77,10 +74,9 @@ func TestRunWorkersAndPartitions(t *testing.T) {
 	for _, extra := range [][]string{
 		{"-workers", "4"},
 		{"-parts", "3"},
-		{"-parts", "2", "-spill", t.TempDir()},
-		// Parallel partitioned sweep with retries + speculation enabled.
-		{"-parts", "3", "-workers", "4", "-retries", "3", "-retry-backoff", "1ms"},
-		{"-parts", "2", "-workers", "8", "-spill", t.TempDir()},
+		// Parallel partitioned sweeps with speculation enabled.
+		{"-parts", "3", "-workers", "4"},
+		{"-parts", "2", "-workers", "8"},
 	} {
 		var out strings.Builder
 		if err := run(append([]string{"-in", path, "-method", "E2"}, extra...), &out); err != nil {
@@ -89,15 +85,6 @@ func TestRunWorkersAndPartitions(t *testing.T) {
 		if !strings.Contains(out.String(), "triangles=4") {
 			t.Fatalf("%v: wrong output:\n%s", extra, out.String())
 		}
-	}
-	// A spill dir routed through the core façade is left clean.
-	spill := t.TempDir()
-	var out strings.Builder
-	if err := run([]string{"-in", path, "-parts", "2", "-workers", "2", "-spill", spill}, &out); err != nil {
-		t.Fatal(err)
-	}
-	if files, err := filepath.Glob(filepath.Join(spill, "block_*.arcs")); err != nil || len(files) != 0 {
-		t.Fatalf("spill dir not cleaned: files=%v err=%v", files, err)
 	}
 }
 
@@ -139,6 +126,14 @@ func TestRunErrors(t *testing.T) {
 	}
 	if err := run([]string{"-in", path, "-parts", "4", "-peers", "127.0.0.1:1"}, &out); err == nil {
 		t.Error("unknown -peers flag accepted")
+	}
+	// The disk spill store and the pass retry policy are gone: their
+	// flags are undefined.
+	for _, f := range [][]string{{"-spill", t.TempDir()}, {"-retries", "3"}, {"-retry-backoff", "1ms"}} {
+		args := append([]string{"-in", path, "-parts", "2"}, f...)
+		if err := run(args, &out); err == nil || !strings.Contains(err.Error(), "not defined") {
+			t.Errorf("%v: err = %v, want undefined flag", f, err)
+		}
 	}
 	if err := run([]string{"-in", "/nonexistent/file"}, &out); err == nil {
 		t.Error("missing file accepted")
@@ -260,17 +255,5 @@ func TestRunPlannerModes(t *testing.T) {
 	if err := run([]string{"-in", path, "-order", "degen"}, &out); err == nil ||
 		!strings.Contains(err.Error(), "cannot plan order") {
 		t.Fatalf("auto+degenerate accepted: %v", err)
-	}
-}
-
-func TestParseHelpers(t *testing.T) {
-	if m, err := parseMethod("e5"); err != nil || m != listing.E5 {
-		t.Fatalf("parseMethod(e5) = %v, %v", m, err)
-	}
-	if _, auto, err := parseOrder("auto"); err != nil || !auto {
-		t.Fatalf("parseOrder(auto) = auto=%v, %v", auto, err)
-	}
-	if k, auto, err := parseOrder("smallest-last"); err != nil || auto || k != order.KindDegenerate {
-		t.Fatalf("parseOrder(smallest-last) = %v, auto=%v, %v", k, auto, err)
 	}
 }

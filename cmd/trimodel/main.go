@@ -39,7 +39,7 @@ func main() {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("trimodel", flag.ContinueOnError)
 	methodName := fs.String("method", "T1", "listing method: T1-T6, E1-E6, L1-L6")
-	orderName := fs.String("order", "descending", "order: ascending, descending, round-robin, crr, uniform")
+	orderName := fs.String("order", "descending", "order: ascending, descending, round-robin, crr, uniform, or an alias such as asc or rr (degenerate has no model)")
 	alpha := fs.Float64("alpha", 1.5, "Pareto tail index α")
 	beta := fs.Float64("beta", 0, "Pareto scale β (default 30(α-1))")
 	nFlag := fs.Float64("n", 1e6, "graph size n (t_n follows -trunc)")
@@ -51,30 +51,17 @@ func run(args []string, w io.Writer) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	var method listing.Method
-	found := false
-	for _, m := range listing.Methods {
-		if strings.EqualFold(m.String(), *methodName) {
-			method, found = m, true
-		}
+	method, err := listing.ParseMethod(*methodName)
+	if err != nil {
+		return err
 	}
-	if !found {
-		return fmt.Errorf("unknown method %q", *methodName)
+	kind, err := order.ParseKind(*orderName)
+	if err != nil {
+		return err
 	}
-	var kind order.Kind
-	switch strings.ToLower(*orderName) {
-	case "ascending":
-		kind = order.KindAscending
-	case "descending":
-		kind = order.KindDescending
-	case "round-robin", "rr":
-		kind = order.KindRoundRobin
-	case "crr":
-		kind = order.KindCRR
-	case "uniform":
-		kind = order.KindUniform
-	default:
-		return fmt.Errorf("unknown order %q", *orderName)
+	if kind == order.KindDegenerate {
+		// Its labels depend on the edges, not only on the degrees.
+		return fmt.Errorf("order %q has no model: the cost model prices orders from the degree distribution alone", *orderName)
 	}
 	if *beta == 0 {
 		if *alpha <= 1 {

@@ -75,14 +75,43 @@ func TestTrimodelErrors(t *testing.T) {
 		{"-trunc", "none"},
 		{"-alpha", "0.8"}, // default beta needs alpha > 1
 		{"-alpha", "-1", "-beta", "5"},
+		// Degenerate order has no model, under any spelling.
+		{"-order", "degenerate"},
+		{"-order", "smallest-last"},
 	} {
 		if err := run(args, &out); err == nil {
 			t.Errorf("args %v accepted", args)
 		}
 	}
-	// Degenerate order has no model.
 	if err := run([]string{"-order", "uniform", "-eval", "discrete", "-n", "1e3"}, &out); err != nil {
 		t.Errorf("uniform order rejected: %v", err)
+	}
+}
+
+// TestTrimodelOrderAliases: trimodel takes the order spellings trilist
+// and trid take, and an alias prices the same spec as its full name.
+func TestTrimodelOrderAliases(t *testing.T) {
+	specLine := func(order string) string {
+		t.Helper()
+		var out strings.Builder
+		if err := run([]string{"-order", order, "-eval", "discrete", "-n", "1e3"}, &out); err != nil {
+			t.Fatalf("-order %s: %v", order, err)
+		}
+		return strings.SplitN(out.String(), "\n", 2)[0]
+	}
+	for full, aliases := range map[string][]string{
+		"ascending":                 {"asc", "a", "ASC"},
+		"descending":                {"desc", "d"},
+		"round-robin":               {"roundrobin", "rr"},
+		"complementary-round-robin": {"crr"},
+		"uniform":                   {"random", "u"},
+	} {
+		want := specLine(full)
+		for _, a := range aliases {
+			if got := specLine(a); got != want {
+				t.Errorf("-order %s: %q, want %q", a, got, want)
+			}
+		}
 	}
 }
 

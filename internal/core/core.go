@@ -3,8 +3,8 @@
 // edge toward the smaller label, list triangles in ascending order —
 // into one call. There is one entry point per input: ListCtx for a
 // graph, ListOriented for an orientation Prepare already built. Both
-// run the in-memory sweep or, with Config.Partition, the
-// external-memory one. ExampleListCtx is the end-to-end tour.
+// run the one-pass sweep or, with Config.Partition, the block-triple
+// one. ExampleListCtx is the end-to-end tour.
 package core
 
 import (
@@ -49,28 +49,21 @@ type Config struct {
 	// changes results: Stats stay bitwise identical.
 	Recorder *obsv.Recorder
 	// Partition, when non-nil, routes the sweep through the
-	// external-memory partitioned lister (internal/extmem). Nil keeps
-	// the in-memory sweep.
+	// partitioned lister (internal/extmem). Nil keeps the one-pass
+	// sweep.
 	Partition *Partition
 }
 
-// Partition configures the external-memory partitioned sweep: the
-// orientation is split into Parts label ranges and listed one block
-// triple at a time on the scatter/gather executor. Results are bitwise
-// identical at any Config.Workers count.
+// Partition configures the partitioned sweep: the orientation is split
+// into Parts label ranges and listed one block triple at a time on the
+// scatter/gather executor. Results are bitwise identical at any
+// Config.Workers count.
 type Partition struct {
 	// Parts is the number of label ranges; it must be at least 1.
 	Parts int
-	// SpillDir spills partition blocks to real files in that directory
-	// (created if needed; block files are removed when the run finishes,
-	// on success and error paths alike). Empty keeps blocks in memory.
-	SpillDir string
-	// Retry re-runs a block-triple pass after transient store failures.
-	// The zero value means one attempt (no retry).
-	Retry extmem.RetryPolicy
-	// Events, when non-nil, taps the executor's event stream (retries,
-	// stragglers, failures). Called from worker goroutines — must be
-	// concurrency-safe.
+	// Events, when non-nil, taps the executor's event stream
+	// (stragglers, duplicates, failures). Called from worker
+	// goroutines — must be concurrency-safe.
 	Events func(exec.Event)
 }
 
@@ -97,9 +90,8 @@ type Result struct {
 	MaxOutDeg int64
 	// PrepTime covers relabel + orient; ListTime covers the traversal.
 	PrepTime, ListTime time.Duration
-	// Partitioned carries the external-memory meters (passes, block I/O)
-	// when the run went through Config.Partition; nil for in-memory
-	// sweeps.
+	// Partitioned carries the partitioned-run meters (passes, block I/O)
+	// when the run went through Config.Partition; nil otherwise.
 	Partitioned *extmem.Result
 }
 
@@ -176,31 +168,16 @@ func ListOriented(ctx context.Context, o *digraph.Oriented, cfg Config, visit li
 }
 
 // listPartitioned is the Config.Partition path of ListOriented: the
-// external-memory block-triple schedule on the scatter/gather executor.
-// The block store's lifecycle is owned here — spill files are removed
-// before returning on every path, success, cancellation and error alike.
-func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (res Result, err error) {
+// block-triple schedule on the scatter/gather executor, over in-memory
+// blocks that are released when it returns.
+func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit listing.Visitor) (Result, error) {
 	p := cfg.Partition
-	var store extmem.BlockStore
-	if p.SpillDir != "" {
-		fs, ferr := extmem.NewFileStore(p.SpillDir)
-		if ferr != nil {
-			return Result{}, fmt.Errorf("core: partitioned listing: %w", ferr)
-		}
-		store = fs
-	} else {
-		store = extmem.NewMemStore()
-	}
-	defer func() {
-		if cerr := store.Close(); cerr != nil && err == nil {
-			err = fmt.Errorf("core: closing block store: %w", cerr)
-		}
-	}()
+	store := extmem.NewMemStore()
+	defer store.Close()
 
 	opts := []extmem.Option{
 		extmem.WithWorkers(cfg.Workers),
 		extmem.WithRecorder(cfg.Recorder),
-		extmem.WithRetry(p.Retry),
 	}
 	if cfg.Workers > 1 {
 		// Straggler re-issue only makes sense with idle workers to spare.
@@ -214,7 +191,7 @@ func listPartitioned(ctx context.Context, o *digraph.Oriented, cfg Config, visit
 	sp := cfg.Recorder.Start(obsv.StageList)
 	er, runErr := extmem.Run(ctx, o, p.Parts, store, visit, opts...)
 	sp.End()
-	res = Result{
+	res := Result{
 		// The partitioned sweep is the E2 intersection restricted to
 		// block triples; its comparisons land in the same meter.
 		Stats: listing.Stats{

@@ -4,26 +4,20 @@
 // the protocol-fixed reduction order that makes the output of a
 // parallel run byte-identical to a serial one at any worker count.
 //
-// It exists for the external-memory triangle lister (internal/extmem),
+// It exists for the partitioned triangle lister (internal/extmem),
 // whose O(P³) block-triple passes are independent, idempotent reads.
 //
-// Robustness machinery, all opt-in via Options:
-//
-//   - Bounded retry with exponential backoff for failed attempts
-//     (tasks must be idempotent — a retry re-runs the whole task).
-//   - A per-attempt timeout, delivered through the task's context;
-//     tasks are expected to poll it (cancellation is cooperative).
-//   - Straggler re-issue: once every task has been issued, idle workers
-//     speculatively re-run the longest-in-flight unfinished task.
-//     First completion wins; the loser is discarded before commit, so
-//     results are still committed exactly once.
+// Each task runs once. With Options.Speculate, once every task has been
+// issued, idle workers speculatively re-run the longest-in-flight
+// unfinished task; first completion wins and the loser is discarded
+// before commit, so results are still committed exactly once.
 //
 // A task failure is surfaced only when the commit frontier reaches it:
 // every task before the first permanent failure still commits, so
 // partial results and meters are accurate, and the returned error wraps
 // the task's original error. Run does not return until every worker
 // goroutine has exited — callers may tear down shared resources (close
-// a block store, remove spill files) the moment it returns.
+// a block store) the moment it returns.
 package exec
 
 import (
@@ -39,16 +33,12 @@ type Status string
 const (
 	// StatusOK: a task execution completed first and will commit.
 	StatusOK Status = "ok"
-	// StatusRetry: an attempt failed transiently and will be retried
-	// (after backoff) within the same execution.
-	StatusRetry Status = "retry"
-	// StatusFailed: an execution failed permanently — its attempts are
-	// exhausted.
+	// StatusFailed: an execution returned an error.
 	StatusFailed Status = "failed"
 	// StatusDuplicate: an execution completed after another copy of the
 	// same task had already won; its result is discarded.
 	StatusDuplicate Status = "duplicate"
-	// StatusAbandoned: an attempt was cut short because the run stopped
+	// StatusAbandoned: an execution was cut short because the run stopped
 	// (cancellation or an earlier permanent failure).
 	StatusAbandoned Status = "abandoned"
 	// StatusReissued: a speculative straggler copy was launched.
@@ -60,14 +50,12 @@ const (
 type Event struct {
 	// Index of the task.
 	Index int
-	// Attempt within one execution, 1-based (0 for StatusReissued).
-	Attempt int
 	// Speculative marks events from a straggler re-issue copy.
 	Speculative bool
 	Status      Status
-	// Duration of the attempt (zero for StatusReissued).
+	// Duration of the execution (zero for StatusReissued).
 	Duration time.Duration
-	// Err holds the attempt error for retry/failed/abandoned events.
+	// Err holds the execution error for failed/abandoned events.
 	Err error
 }
 
@@ -76,15 +64,6 @@ type Options struct {
 	// Workers bounds the pool; values below 2 run every task serially
 	// on the caller's goroutine (no goroutines are spawned at all).
 	Workers int
-	// MaxAttempts bounds attempts per execution; below 1 means 1
-	// (no retry).
-	MaxAttempts int
-	// Backoff is the sleep before the first retry, doubling per retry
-	// and capped at one second. Zero retries immediately.
-	Backoff time.Duration
-	// TaskTimeout bounds each attempt via its context; 0 = no limit.
-	// An expired attempt counts as transient and is retried.
-	TaskTimeout time.Duration
 	// Speculate enables straggler re-issue (at most one extra copy per
 	// task). Meaningful only with Workers > 1.
 	Speculate bool
@@ -97,18 +76,12 @@ func (o Options) withDefaults() Options {
 	if o.Workers < 1 {
 		o.Workers = 1
 	}
-	if o.MaxAttempts < 1 {
-		o.MaxAttempts = 1
-	}
 	return o
 }
 
 // maxCopies bounds concurrent executions of one task: the original plus
 // one speculative re-issue.
 const maxCopies = 2
-
-// backoffCap bounds the exponential retry backoff.
-const backoffCap = time.Second
 
 type engine[T any] struct {
 	opts Options
@@ -165,8 +138,8 @@ func Run[T any](ctx context.Context, n int, task func(ctx context.Context, index
 	}
 	e.cond = sync.NewCond(&e.mu)
 
-	// ictx stops outstanding attempts once the gather is over (success,
-	// failure or cancellation); attempts aborted by it are abandoned,
+	// ictx stops outstanding executions once the gather is over (success,
+	// failure or cancellation); executions aborted by it are abandoned,
 	// never counted as task failures.
 	ictx, icancel := context.WithCancel(ctx)
 	defer icancel()
@@ -206,8 +179,8 @@ func Run[T any](ctx context.Context, n int, task func(ctx context.Context, index
 	return err
 }
 
-// runSerial is the Workers <= 1 path: same issue order, same retry and
-// event machinery, no goroutines — the identity baseline the parallel
+// runSerial is the Workers <= 1 path: same issue order, same event
+// machinery, no goroutines — the identity baseline the parallel
 // path must reproduce byte for byte.
 func (e *engine[T]) runSerial(ctx, ictx context.Context, commit func(int, T)) error {
 	for f := 0; f < e.n; f++ {
@@ -230,7 +203,7 @@ func (e *engine[T]) runSerial(ctx, ictx context.Context, commit func(int, T)) er
 		case terr != nil:
 			return fmt.Errorf("exec: task %d: %w", f, terr)
 		default:
-			// The attempt was abandoned: only cancellation does that here.
+			// The execution was abandoned: only cancellation does that here.
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -284,58 +257,30 @@ func (e *engine[T]) pick() (idx int, speculative bool) {
 	return best, true
 }
 
-// execute runs one execution of task idx: an attempt loop with backoff.
+// execute runs one execution of task idx.
 func (e *engine[T]) execute(ictx context.Context, idx int, speculative bool) {
 	if speculative {
 		e.emit(Event{Index: idx, Speculative: true, Status: StatusReissued})
 	}
-	for attempt := 1; ; attempt++ {
-		actx, acancel := ictx, context.CancelFunc(func() {})
-		if e.opts.TaskTimeout > 0 {
-			actx, acancel = context.WithTimeout(ictx, e.opts.TaskTimeout)
-		}
-		t0 := time.Now()
-		v, err := e.task(actx, idx)
-		d := time.Since(t0)
-		acancel()
-		if err == nil {
-			e.record(idx, v, attempt, speculative, d)
-			return
-		}
-		if ictx.Err() != nil {
-			// The run is winding down; this is not a task failure.
-			e.emit(Event{Index: idx, Attempt: attempt, Speculative: speculative, Status: StatusAbandoned, Duration: d, Err: err})
-			e.release(idx)
-			return
-		}
-		if attempt >= e.opts.MaxAttempts {
-			e.emit(Event{Index: idx, Attempt: attempt, Speculative: speculative, Status: StatusFailed, Duration: d, Err: err})
-			e.fail(idx, err)
-			return
-		}
-		e.emit(Event{Index: idx, Attempt: attempt, Speculative: speculative, Status: StatusRetry, Duration: d, Err: err})
-		if e.opts.Backoff > 0 {
-			// Deadline-aware wait — never time.Sleep here: run
-			// cancellation must interrupt a pending backoff immediately
-			// (regression-tested at ≤10ms), or a cancelled run would sit
-			// out the rest of the backoff with the pool already idle.
-			b := min(e.opts.Backoff<<(attempt-1), backoffCap)
-			t := time.NewTimer(b)
-			select {
-			case <-t.C:
-			case <-ictx.Done():
-				t.Stop()
-				e.emit(Event{Index: idx, Attempt: attempt, Speculative: speculative, Status: StatusAbandoned, Err: err})
-				e.release(idx)
-				return
-			}
-		}
+	t0 := time.Now()
+	v, err := e.task(ictx, idx)
+	d := time.Since(t0)
+	switch {
+	case err == nil:
+		e.record(idx, v, speculative, d)
+	case ictx.Err() != nil:
+		// The run is winding down; this is not a task failure.
+		e.emit(Event{Index: idx, Speculative: speculative, Status: StatusAbandoned, Duration: d, Err: err})
+		e.release(idx)
+	default:
+		e.emit(Event{Index: idx, Speculative: speculative, Status: StatusFailed, Duration: d, Err: err})
+		e.fail(idx, err)
 	}
 }
 
 // record finishes a successful execution; the first completion of a
 // task wins, later copies are discarded as duplicates.
-func (e *engine[T]) record(idx int, v T, attempt int, speculative bool, d time.Duration) {
+func (e *engine[T]) record(idx int, v T, speculative bool, d time.Duration) {
 	e.mu.Lock()
 	first := !e.done[idx]
 	if first {
@@ -357,7 +302,7 @@ func (e *engine[T]) record(idx int, v T, attempt int, speculative bool, d time.D
 	if !first {
 		st = StatusDuplicate
 	}
-	e.emit(Event{Index: idx, Attempt: attempt, Speculative: speculative, Status: st, Duration: d})
+	e.emit(Event{Index: idx, Speculative: speculative, Status: st, Duration: d})
 }
 
 // fail finishes a permanently failed execution. The task is terminal

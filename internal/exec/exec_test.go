@@ -105,45 +105,8 @@ func TestRunEmptyAndPreCancelled(t *testing.T) {
 	}
 }
 
-// TestRunRetryRecovers: transient failures are retried with backoff and
-// the run still commits everything, with retry events accounted.
-func TestRunRetryRecovers(t *testing.T) {
-	errFlaky := errors.New("flaky")
-	for _, workers := range []int{1, 4} {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			const n = 12
-			var log eventLog
-			attempts := make([]atomic.Int32, n)
-			committed := 0
-			err := Run(context.Background(), n,
-				func(ctx context.Context, i int) (int, error) {
-					// Every third task fails twice before succeeding.
-					if a := attempts[i].Add(1); i%3 == 0 && a <= 2 {
-						return 0, errFlaky
-					}
-					return i, nil
-				},
-				func(i, v int) { committed++ },
-				Options{Workers: workers, MaxAttempts: 3, Backoff: time.Microsecond, OnEvent: log.hook()})
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if committed != n {
-				t.Errorf("committed %d, want %d", committed, n)
-			}
-			wantRetries := 2 * ((n + 2) / 3)
-			if got := log.count(StatusRetry); got != wantRetries {
-				t.Errorf("retry events = %d, want %d", got, wantRetries)
-			}
-			if got := log.count(StatusOK); got != n {
-				t.Errorf("ok events = %d, want %d", got, n)
-			}
-		})
-	}
-}
-
-// TestRunPermanentFailure: when attempts are exhausted, the full prefix
-// before the failed task still commits and the returned error wraps the
+// TestRunPermanentFailure: when a task fails, the full prefix before
+// it still commits and the returned error wraps the
 // task's original error.
 func TestRunPermanentFailure(t *testing.T) {
 	errBroken := errors.New("broken block")
@@ -159,7 +122,7 @@ func TestRunPermanentFailure(t *testing.T) {
 					return i, nil
 				},
 				func(i, v int) { committed = append(committed, i) },
-				Options{Workers: workers, MaxAttempts: 2, Backoff: time.Microsecond})
+				Options{Workers: workers})
 			if !errors.Is(err, errBroken) {
 				t.Fatalf("err = %v, want wrapped errBroken", err)
 			}
@@ -175,8 +138,8 @@ func TestRunPermanentFailure(t *testing.T) {
 	}
 }
 
-// TestRunNonRetryable: with no retry budget (MaxAttempts=1) a failing
-// task fails on its first attempt — no retry events, exactly one failed
+// TestRunNonRetryable: a failing task runs once — it is never re-run
+// without speculation, and it gets exactly one failed event and no ok
 // event.
 func TestRunNonRetryable(t *testing.T) {
 	errFatal := errors.New("fatal")
@@ -191,52 +154,18 @@ func TestRunNonRetryable(t *testing.T) {
 			return i, nil
 		},
 		func(int, int) {},
-		Options{
-			Workers:     4,
-			MaxAttempts: 1,
-			OnEvent:     log.hook(),
-		})
+		Options{Workers: 4, OnEvent: log.hook()})
 	if !errors.Is(err, errFatal) {
 		t.Fatalf("err = %v, want errFatal", err)
 	}
 	if got := attempts.Load(); got != 1 {
 		t.Errorf("task 2 ran %d times, want 1", got)
 	}
-	if got := log.count(StatusRetry); got != 0 {
-		t.Errorf("retry events = %d, want 0", got)
+	if got := log.countIndex(2, StatusOK); got != 0 {
+		t.Errorf("ok events for task 2 = %d, want 0", got)
 	}
 	if got := log.countIndex(2, StatusFailed); got != 1 {
 		t.Errorf("failed events for task 2 = %d, want 1", got)
-	}
-}
-
-// TestRunTaskTimeout: an attempt that outlives TaskTimeout is cut by its
-// context, counts as transient, and the retry succeeds.
-func TestRunTaskTimeout(t *testing.T) {
-	var attempts atomic.Int32
-	var log eventLog
-	err := Run(context.Background(), 1,
-		func(ctx context.Context, i int) (int, error) {
-			if attempts.Add(1) == 1 {
-				<-ctx.Done() // hang until the attempt timeout fires
-				return 0, ctx.Err()
-			}
-			return 42, nil
-		},
-		func(i, v int) {
-			if v != 42 {
-				t.Errorf("committed %d, want 42", v)
-			}
-		},
-		Options{Workers: 2, MaxAttempts: 2, TaskTimeout: 20 * time.Millisecond, OnEvent: log.hook()})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if got := attempts.Load(); got != 2 {
-		t.Errorf("attempts = %d, want 2", got)
-	}
-	if got := log.count(StatusRetry); got != 1 {
-		t.Errorf("retry events = %d, want 1", got)
 	}
 }
 
@@ -338,7 +267,7 @@ func TestRunSpeculationRescuesFailure(t *testing.T) {
 			return 7, nil
 		},
 		func(i, v int) { committed[i]++ },
-		Options{Workers: 3, Speculate: true, MaxAttempts: 1, OnEvent: onEvent})
+		Options{Workers: 3, Speculate: true, OnEvent: onEvent})
 	if err != nil {
 		t.Fatalf("Run: %v — the speculative success should supersede the failure", err)
 	}
@@ -371,7 +300,7 @@ func TestRunCancellation(t *testing.T) {
 			return i, nil
 		},
 		func(i, v int) { committed = append(committed, i) },
-		Options{Workers: 8, MaxAttempts: 3, Backoff: time.Millisecond})
+		Options{Workers: 8})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -407,68 +336,30 @@ func TestRunSerialCancellation(t *testing.T) {
 	}
 }
 
-// TestRunBackoffInterruptible: cancellation during a retry backoff sleep
-// returns promptly instead of serving out the sleep.
-func TestRunBackoffInterruptible(t *testing.T) {
+// TestRunFailureDuringCancel: a task that fails while the run is being
+// cancelled is abandoned, not failed — Run returns context.Canceled
+// instead of the task's error.
+func TestRunFailureDuringCancel(t *testing.T) {
 	errFlaky := errors.New("flaky")
-	ctx, cancel := context.WithCancel(context.Background())
-	start := time.Now()
-	err := Run(ctx, 1,
-		func(tctx context.Context, i int) (int, error) {
-			cancel() // fail while cancelling: the backoff sleep must not run
-			return 0, errFlaky
-		},
-		func(int, int) {},
-		Options{Workers: 2, MaxAttempts: 10, Backoff: 10 * time.Second})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if d := time.Since(start); d > 2*time.Second {
-		t.Errorf("run took %v; backoff sleep was not interrupted", d)
-	}
-}
-
-// TestRunBackoffCancelPrompt: the 10ms regression bound on backoff
-// interruption. The worker is parked inside a retry backoff (capped at
-// 1s, but the next wake would still be ~1s away) when the run is
-// cancelled; Run must return within 10ms of the cancel — the backoff
-// wait is a select on the run context, not a sleep.
-func TestRunBackoffCancelPrompt(t *testing.T) {
-	errFlaky := errors.New("flaky")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	inBackoff := make(chan struct{}, 16)
-	done := make(chan error, 1)
-	go func() {
-		done <- Run(ctx, 1,
-			func(tctx context.Context, i int) (int, error) { return 0, errFlaky },
+	for _, workers := range []int{1, 2} {
+		ctx, cancel := context.WithCancel(context.Background())
+		var log eventLog
+		err := Run(ctx, 1,
+			func(tctx context.Context, i int) (int, error) {
+				cancel()
+				return 0, errFlaky
+			},
 			func(int, int) {},
-			Options{
-				Workers: 2, MaxAttempts: 10, Backoff: 30 * time.Second,
-				OnEvent: func(ev Event) {
-					if ev.Status == StatusRetry {
-						inBackoff <- struct{}{}
-					}
-				},
-			})
-	}()
-	<-inBackoff
-	// Give the worker a beat to move from emitting the retry event into
-	// the backoff select; cancelling earlier is also interrupted, it
-	// just exercises a different (immediate) path.
-	time.Sleep(20 * time.Millisecond)
-	t0 := time.Now()
-	cancel()
-	select {
-	case err := <-done:
+			Options{Workers: workers, OnEvent: log.hook()})
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("Run did not return after cancellation during backoff")
-	}
-	if d := time.Since(t0); d > 10*time.Millisecond {
-		t.Errorf("cancellation took %v to interrupt backoff, want <= 10ms", d)
+		if got := log.count(StatusFailed); got != 0 {
+			t.Errorf("workers=%d: failed events = %d, want 0", workers, got)
+		}
+		if got := log.count(StatusAbandoned); got != 1 {
+			t.Errorf("workers=%d: abandoned events = %d, want 1", workers, got)
+		}
 	}
 }
 

@@ -1,41 +1,40 @@
-// Package extmem implements external-memory triangle listing by graph
-// partitioning — the direction the paper's conclusion (§8) singles out
-// ("design of better external-memory partitioning schemes, and modeling
-// of I/O complexity in scenarios such as [17]") and its companion paper
-// [17] studies in depth.
+// Package extmem implements partitioned triangle listing over an
+// in-memory orientation — the partitioning direction the paper's
+// conclusion (§8) singles out ("design of better external-memory
+// partitioning schemes, and modeling of I/O complexity in scenarios
+// such as [17]") and its companion paper [17] studies in depth.
 //
 // The oriented, relabeled graph is split into P contiguous label ranges.
 // Every directed arc y → x (y > x) lands in block (part(y), part(x)).
 // Triangles x < y < z then live in a unique partition triple
 // (part(x) <= part(y) <= part(z)), so one pass per non-decreasing triple
-// (a, b, c) — loading blocks (b,a), (c,b), (c,a) — lists every triangle
-// exactly once while holding only three blocks in memory. Per-pass
-// listing is the E2-style intersection of the paper's framework.
+// (a, b, c) — reading blocks (b,a), (c,b), (c,a) — lists every triangle
+// exactly once. Per-pass listing is the E2-style intersection of the
+// paper's framework.
+//
+// Partitioning does not bound memory: Run takes a fully built
+// *digraph.Oriented, and the blocks are a second copy of its arcs.
+// What it provides is the block-triple schedule and its I/O meters.
 //
 // The O(P³) triple passes are independent, so Run schedules them on the
 // internal/exec scatter/gather executor: WithWorkers(k) runs up to k
-// passes concurrently, each worker holding its own three-block working
-// set, while results are committed in triple-lexicographic order on the
-// calling goroutine — the triangle sequence, the visitor callsite, and
-// every Result field are byte-identical at any worker count. Retry with
-// backoff (WithRetry), per-triple timeouts (WithTripleTimeout) and
-// straggler re-issue (WithSpeculation) make the schedule robust against
-// flaky stores without perturbing that determinism: I/O meters come
-// from the committed execution of each triple, never from losing copies.
+// passes concurrently, while results are committed in
+// triple-lexicographic order on the calling goroutine — the triangle
+// sequence, the visitor callsite, and every Result field are
+// byte-identical at any worker count. Straggler re-issue
+// (WithSpeculation) keeps that determinism: I/O meters come from the
+// committed execution of each triple, never from losing copies.
 //
-// Blocks live behind the BlockStore interface: MemStore simulates I/O
-// (and meters it) for tests and experiments; FileStore spills real
-// binary files with buffered sequential reads, the production path.
-// Arc reads are metered in both, so the I/O-vs-partition-count tradeoff
-// (total reads grow with P while resident memory shrinks) can be
-// measured directly.
+// Blocks live behind the BlockStore interface. MemStore keeps them in
+// memory and meters arc reads, so the I/O-vs-partition-count tradeoff
+// (total reads grow with P) can be measured directly; tests wrap it to
+// inject faults and stragglers.
 package extmem
 
 import (
 	"context"
 	"fmt"
 	"slices"
-	"time"
 
 	"trilist/internal/digraph"
 	"trilist/internal/exec"
@@ -44,7 +43,7 @@ import (
 )
 
 // StageTriple is the obsv stage recorded once per block-triple pass
-// attempt (wall clock of the three block reads plus the merge sweep).
+// execution (wall clock of the three block reads plus the merge sweep).
 const StageTriple obsv.Stage = "triple"
 
 // Arc is a directed edge from the larger label Y to the smaller X.
@@ -88,53 +87,29 @@ type Result struct {
 	// Passes is the number of partition triples committed.
 	Passes int64 `json:"passes"`
 	// IO is the store traffic: the partitioning write pass plus the
-	// reads of each committed triple execution. Retries, speculative
-	// copies and abandoned attempts do not count — the meters describe
+	// reads of each committed triple execution. Speculative copies and
+	// abandoned executions do not count — the meters describe
 	// the deterministic logical schedule, not scheduling luck, so they
 	// are identical at any worker count. (store.Stats() still meters
-	// physical traffic including wasted attempts.)
+	// physical traffic including wasted executions.)
 	IO IOStats `json:"io"`
 	// Comparisons counts in-memory merge comparisons across all passes.
 	Comparisons int64 `json:"comparisons"`
-}
-
-// RetryPolicy bounds re-execution of a triple pass after a transient
-// BlockStore failure.
-type RetryPolicy struct {
-	// Attempts is the total tries per execution; values below 1 mean 1
-	// (no retry).
-	Attempts int
-	// Backoff is the sleep before the first retry, doubling per retry
-	// (capped inside internal/exec). Zero retries immediately.
-	Backoff time.Duration
 }
 
 // Option configures Run.
 type Option func(*runOptions)
 
 type runOptions struct {
-	workers       int
-	retry         RetryPolicy
-	tripleTimeout time.Duration
-	speculate     bool
-	rec           *obsv.Recorder
-	onEvent       func(exec.Event)
+	workers   int
+	speculate bool
+	rec       *obsv.Recorder
+	onEvent   func(exec.Event)
 }
 
 // WithWorkers sets the triple-pass pool size; values below 2 keep the
 // serial path. Output is byte-identical at any worker count.
 func WithWorkers(n int) Option { return func(o *runOptions) { o.workers = n } }
-
-// WithRetry re-runs a triple pass after transient store failures.
-// Passes must be idempotent for the store in use (both MemStore and
-// FileStore reads are).
-func WithRetry(p RetryPolicy) Option { return func(o *runOptions) { o.retry = p } }
-
-// WithTripleTimeout bounds each pass attempt; an expired attempt counts
-// as transient and is retried under the RetryPolicy.
-func WithTripleTimeout(d time.Duration) Option {
-	return func(o *runOptions) { o.tripleTimeout = d }
-}
 
 // WithSpeculation enables straggler re-issue: when the pool is
 // otherwise idle, the longest-running triple pass is speculatively
@@ -142,12 +117,13 @@ func WithTripleTimeout(d time.Duration) Option {
 // still emitted exactly once.
 func WithSpeculation() Option { return func(o *runOptions) { o.speculate = true } }
 
-// WithRecorder records a StageTriple span per pass attempt.
+// WithRecorder records a StageTriple span per pass execution.
 func WithRecorder(rec *obsv.Recorder) Option { return func(o *runOptions) { o.rec = rec } }
 
-// WithExecEvents taps the executor's event stream (retries, stragglers,
-// failures) — the hook trid uses to meter the schedule. The hook is
-// called from worker goroutines and must be concurrency-safe.
+// WithExecEvents taps the executor's event stream (stragglers,
+// duplicates, failures) — the hook trid uses to meter the schedule.
+// The hook is called from worker goroutines and must be
+// concurrency-safe.
 func WithExecEvents(f func(exec.Event)) Option { return func(o *runOptions) { o.onEvent = f } }
 
 // TripleResult is one pass's buffered output: everything needed to
@@ -294,14 +270,7 @@ func Run(ctx context.Context, o *digraph.Oriented, parts int, store BlockStore, 
 				visit(t[0], t[1], t[2])
 			}
 		},
-		exec.Options{
-			Workers:     ro.workers,
-			MaxAttempts: ro.retry.Attempts,
-			Backoff:     ro.retry.Backoff,
-			TaskTimeout: ro.tripleTimeout,
-			Speculate:   ro.speculate,
-			OnEvent:     ro.onEvent,
-		})
+		exec.Options{Workers: ro.workers, Speculate: ro.speculate, OnEvent: ro.onEvent})
 	if err != nil {
 		return res, err
 	}
@@ -329,9 +298,9 @@ func groupByY(arcs []Arc) adjacency {
 // down-neighbors in (c,a) — the E2 sweep of the paper restricted to the
 // triple. Triangles are buffered, not emitted: the executor commits
 // them in schedule order. ctx is checked between block reads, so a
-// cancellation or per-triple timeout interrupts a pass within one block
-// read. Exported, with Partition and Triples, so a caller can time the
-// partition and per-triple layers of Run separately.
+// cancellation interrupts a pass within one block read. Exported, with
+// Partition and Triples, so a caller can time the partition and
+// per-triple layers of Run separately.
 func RunTriple(ctx context.Context, store BlockStore, a, b, c int) (TripleResult, error) {
 	var tr TripleResult
 	read := func(i, j int) ([]Arc, error) {

@@ -111,70 +111,6 @@ func TestIOGrowsWithPartitions(t *testing.T) {
 	}
 }
 
-func TestFileStoreEndToEnd(t *testing.T) {
-	o := orientedTestGraph(t, 31, 150, 1800)
-	want := listing.Run(o, listing.E1, nil).Triangles
-	store, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), o, 3, store, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Triangles != want {
-		t.Fatalf("file-backed run found %d, want %d", res.Triangles, want)
-	}
-	if res.IO.ArcsWritten != o.NumEdges() {
-		t.Fatalf("wrote %d arcs, want %d", res.IO.ArcsWritten, o.NumEdges())
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-	// Closed store refuses traffic.
-	if err := store.Append(0, 0, []Arc{{Y: 1, X: 0}}); err == nil {
-		t.Fatal("append after close accepted")
-	}
-	if _, err := store.Read(0, 0); err == nil {
-		t.Fatal("read after close accepted")
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal("double close should be nil")
-	}
-}
-
-func TestFileStoreBinaryRoundTrip(t *testing.T) {
-	store, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store.Close()
-	in := []Arc{{Y: 5, X: 2}, {Y: 100000, X: 99999}, {Y: 7, X: 0}}
-	if err := store.Append(2, 1, in[:2]); err != nil {
-		t.Fatal(err)
-	}
-	if err := store.Append(2, 1, in[2:]); err != nil {
-		t.Fatal(err)
-	}
-	got, err := store.Read(2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("round trip lost arcs: %v", got)
-	}
-	for i := range in {
-		if got[i] != in[i] {
-			t.Fatalf("arc %d: %v != %v", i, got[i], in[i])
-		}
-	}
-	// Missing block reads as empty.
-	empty, err := store.Read(9, 9)
-	if err != nil || len(empty) != 0 {
-		t.Fatalf("missing block: %v, %v", empty, err)
-	}
-}
-
 func TestRunErrorsAndEdgeCases(t *testing.T) {
 	o := orientedTestGraph(t, 3, 10, 15)
 	if _, err := Run(context.Background(), o, 0, NewMemStore(), nil); err == nil {
@@ -197,7 +133,7 @@ func TestRunErrorsAndEdgeCases(t *testing.T) {
 
 func TestParetoWorkload(t *testing.T) {
 	// Heavy-tailed end-to-end: the paper's workload through the
-	// partitioned lister with a file store.
+	// partitioned lister.
 	p := degseq.StandardPareto(1.7)
 	g, _, err := gen.ParetoGraph(p, 5000, degseq.RootTruncation, stats.NewRNGFromSeed(17))
 	if err != nil {
@@ -212,10 +148,7 @@ func TestParetoWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := listing.Run(o, listing.T1, nil).Triangles
-	store, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
+	store := NewMemStore()
 	defer store.Close()
 	res, err := Run(context.Background(), o, 6, store, nil)
 	if err != nil {

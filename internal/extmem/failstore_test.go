@@ -3,9 +3,6 @@ package extmem
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -103,172 +100,74 @@ func TestRunPropagatesReadErrors(t *testing.T) {
 	}
 }
 
-// TestFileStoreReadTruncatedRecord corrupts a spilled block file so its
-// byte length is not a multiple of the 8-byte arc record.
-func TestFileStoreReadTruncatedRecord(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	if err := s.Append(1, 0, []Arc{{Y: 5, X: 2}, {Y: 7, X: 3}}); err != nil {
-		t.Fatal(err)
-	}
-	// Chop the last record in half.
-	if err := os.Truncate(s.path(1, 0), 12); err != nil {
-		t.Fatal(err)
-	}
-	_, err = s.Read(1, 0)
-	if err == nil {
-		t.Fatal("truncated block read succeeded")
-	}
-	if !strings.Contains(err.Error(), "block (1,0)") {
-		t.Fatalf("error %q does not identify the block", err)
-	}
-}
-
-// TestNewFileStoreUncreatableDir roots the store under a regular file,
-// so MkdirAll must fail.
-func TestNewFileStoreUncreatableDir(t *testing.T) {
-	file := filepath.Join(t.TempDir(), "occupied")
-	if err := os.WriteFile(file, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewFileStore(filepath.Join(file, "sub")); err == nil {
-		t.Fatal("store rooted under a regular file was created")
-	}
-}
-
-// TestStoresRejectUseAfterClose covers both stores' closed paths.
+// TestStoresRejectUseAfterClose covers MemStore's closed paths.
 func TestStoresRejectUseAfterClose(t *testing.T) {
-	for _, mk := range []func() (BlockStore, error){
-		func() (BlockStore, error) { return NewMemStore(), nil },
-		func() (BlockStore, error) { return NewFileStore(t.TempDir()) },
-	} {
-		s, err := mk()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(0, 0, []Arc{{Y: 1, X: 0}}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Append(0, 0, []Arc{{Y: 1, X: 0}}); err == nil {
-			t.Errorf("%T: Append after Close succeeded", s)
-		}
-		if _, err := s.Read(0, 0); err == nil {
-			t.Errorf("%T: Read after Close succeeded", s)
-		}
-		// Double Close is harmless.
-		if err := s.Close(); err != nil {
-			t.Errorf("%T: second Close: %v", s, err)
-		}
-	}
-}
-
-// TestFileStoreCloseRemovesBlocks verifies Close deletes exactly the
-// files the store spilled.
-func TestFileStoreCloseRemovesBlocks(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Append(2, 1, []Arc{{Y: 9, X: 4}}); err != nil {
-		t.Fatal(err)
-	}
-	keep := filepath.Join(dir, "unrelated.txt")
-	if err := os.WriteFile(keep, []byte("keep"), 0o644); err != nil {
+	s := NewMemStore()
+	if err := s.Append(0, 0, []Arc{{Y: 1, X: 0}}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
+	if err := s.Append(0, 0, []Arc{{Y: 1, X: 0}}); err == nil {
+		t.Error("Append after Close succeeded")
 	}
-	if len(entries) != 1 || entries[0].Name() != "unrelated.txt" {
-		t.Fatalf("directory after Close: %v", entries)
+	if _, err := s.Read(0, 0); err == nil {
+		t.Error("Read after Close succeeded")
+	}
+	// Double Close is harmless.
+	if err := s.Close(); err != nil {
+		t.Errorf("second Close: %v", err)
 	}
 }
 
 // chaosStore wraps a BlockStore with configurable chaos for the
-// parallel triple schedule: per-Read latency, a transient failure on
-// the first Read of every block (after reading it from the inner
-// store), one permanently failing block, and an optional gate that
-// parks the first Read of a chosen block until the test releases it.
+// parallel triple schedule: one permanently failing block, and an
+// optional gate that parks the first Read of a chosen block until the
+// test releases it.
 // Concurrency-safe — it sits under multi-worker runs.
 type chaosStore struct {
 	inner BlockStore
 
-	latency   time.Duration
-	transient bool    // first Read of each block fails with errTransient
 	perm      *[2]int // this block always fails with errPermanent
 	gateBlock [2]int  // with gate != nil, first Read of this block parks
 	gate      <-chan struct{}
 
 	mu    sync.Mutex
-	seen  map[[2]int]bool
 	gated bool
 }
 
-var (
-	errTransient = errors.New("synthetic: transient store fault")
-	errPermanent = errors.New("synthetic: permanent store fault")
-)
+var errPermanent = errors.New("synthetic: permanent store fault")
 
 func (s *chaosStore) Append(i, j int, arcs []Arc) error { return s.inner.Append(i, j, arcs) }
 func (s *chaosStore) Stats() IOStats                    { return s.inner.Stats() }
 func (s *chaosStore) Close() error                      { return s.inner.Close() }
 
 func (s *chaosStore) Read(i, j int) ([]Arc, error) {
-	if s.latency > 0 {
-		time.Sleep(s.latency)
-	}
 	key := [2]int{i, j}
 	if s.perm != nil && key == *s.perm {
 		return nil, errPermanent
 	}
 	s.mu.Lock()
-	if s.gate != nil && !s.gated && key == s.gateBlock {
+	park := s.gate != nil && !s.gated && key == s.gateBlock
+	if park {
 		s.gated = true
-		s.mu.Unlock()
+	}
+	s.mu.Unlock()
+	if park {
 		<-s.gate
-	} else if s.transient {
-		if s.seen == nil {
-			s.seen = make(map[[2]int]bool)
-		}
-		if !s.seen[key] {
-			s.seen[key] = true
-			s.mu.Unlock()
-			// The fault strikes after the physical read, so every
-			// failed attempt shows in the inner store's read count.
-			if _, err := s.inner.Read(i, j); err != nil {
-				return nil, err
-			}
-			return nil, errTransient
-		}
-		s.mu.Unlock()
-	} else {
-		s.mu.Unlock()
 	}
 	return s.inner.Read(i, j)
 }
 
 // execCounters tallies executor events concurrency-safely.
 type execCounters struct {
-	retries, stragglers, duplicates, failed atomic.Int64
+	stragglers, duplicates, failed atomic.Int64
 }
 
 func (c *execCounters) hook() func(exec.Event) {
 	return func(ev exec.Event) {
 		switch ev.Status {
-		case exec.StatusRetry:
-			c.retries.Add(1)
 		case exec.StatusReissued:
 			c.stragglers.Add(1)
 		case exec.StatusDuplicate:
@@ -286,46 +185,8 @@ func cleanRunSeq(t *testing.T, o *digraph.Oriented, parts int) ([][3]int32, Resu
 	return runSeq(t, o, parts, NewMemStore())
 }
 
-// TestChaosTransientRecovery: with every block's first Read failing
-// transiently, retry-with-backoff recovers and the run is
-// byte-identical to a clean serial run — same triangle sequence, same
-// Result (logical I/O meters exclude the failed attempts), while the
-// physical store meters show the extra traffic.
-func TestChaosTransientRecovery(t *testing.T) {
-	o := orientedTestGraph(t, 7, 200, 2500)
-	refSeq, refRes := cleanRunSeq(t, o, 3)
-
-	for _, workers := range []int{1, 8} {
-		cs := &chaosStore{inner: NewMemStore(), transient: true}
-		var ctr execCounters
-		var seq [][3]int32
-		res, err := Run(context.Background(), o, 3, cs, func(x, y, z int32) {
-			seq = append(seq, [3]int32{x, y, z})
-		},
-			WithWorkers(workers),
-			WithRetry(RetryPolicy{Attempts: 3, Backoff: time.Microsecond}),
-			WithExecEvents(ctr.hook()))
-		if err != nil {
-			t.Fatalf("workers=%d: transient faults not recovered: %v", workers, err)
-		}
-		if res != refRes {
-			t.Errorf("workers=%d: Result %+v != clean %+v", workers, res, refRes)
-		}
-		if !seqEqual(seq, refSeq) {
-			t.Errorf("workers=%d: triangle sequence diverges from clean run", workers)
-		}
-		if ctr.retries.Load() == 0 {
-			t.Errorf("workers=%d: no retry events despite injected transients", workers)
-		}
-		if phys := cs.Stats(); phys.BlockReads <= res.IO.BlockReads {
-			t.Errorf("workers=%d: physical reads %d not above logical %d despite retries",
-				workers, phys.BlockReads, res.IO.BlockReads)
-		}
-	}
-}
-
 // TestChaosPermanentFailure: one permanently failing block surfaces the
-// original error after retries, and the committed prefix — triangles,
+// original error, and the committed prefix — triangles,
 // passes, meters — is exactly the head of a clean serial run, identical
 // at every worker count.
 func TestChaosPermanentFailure(t *testing.T) {
@@ -343,7 +204,6 @@ func TestChaosPermanentFailure(t *testing.T) {
 			seq = append(seq, [3]int32{x, y, z})
 		},
 			WithWorkers(workers),
-			WithRetry(RetryPolicy{Attempts: 2, Backoff: time.Microsecond}),
 			WithExecEvents(ctr.hook()))
 		if !errors.Is(err, errPermanent) {
 			t.Fatalf("workers=%d: got %v, want wrapped errPermanent", workers, err)

@@ -3,9 +3,8 @@ package extmem
 import (
 	"context"
 	"errors"
-	"os"
-	"path/filepath"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -138,32 +137,6 @@ func TestParallelDeterminismWall(t *testing.T) {
 	}
 }
 
-// TestParallelFileStoreDeterminism: concurrent workers over a real
-// file-backed store still match the serial in-memory run exactly —
-// FileStore.Read is safe and deterministic under concurrency.
-func TestParallelFileStoreDeterminism(t *testing.T) {
-	o := orientedTestGraph(t, 7, 200, 2500)
-	baseSeq, baseRes := runSeq(t, o, 5, NewMemStore())
-
-	fs, err := NewFileStore(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fs.Close()
-	seq, res := runSeq(t, o, 5, fs, WithWorkers(8))
-	if res != baseRes {
-		t.Errorf("file-backed parallel Result %+v != serial %+v", res, baseRes)
-	}
-	if len(seq) != len(baseSeq) {
-		t.Fatalf("file-backed parallel found %d triangles, serial %d", len(seq), len(baseSeq))
-	}
-	for i := range seq {
-		if seq[i] != baseSeq[i] {
-			t.Fatalf("sequence diverges at %d: %v != %v", i, seq[i], baseSeq[i])
-		}
-	}
-}
-
 // TestParallelCancellation: a mid-flight cancel with 8 workers stops
 // within one triple commit, keeps Result consistent with the visitor
 // calls, emits a strict prefix of the serial sequence, and leaks no
@@ -202,85 +175,64 @@ func TestParallelCancellation(t *testing.T) {
 	settleGoroutines(t, before)
 }
 
-// TestFileStoreStaleSweep: a spill dir polluted by an aborted earlier
-// run (leftover block files, never Closed) is swept clean on open, so
-// a fresh run is not corrupted by stale arcs.
-func TestFileStoreStaleSweep(t *testing.T) {
-	dir := t.TempDir()
-	s1, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s1.Append(0, 0, []Arc{{Y: 3, X: 1}, {Y: 5, X: 2}}); err != nil {
-		t.Fatal(err)
-	}
-	// Simulate the abort: the process died, Close never ran.
-	if got := countBlockFiles(t, dir); got == 0 {
-		t.Fatal("setup: no stale block files written")
-	}
-
-	o := orientedTestGraph(t, 31, 150, 1800)
-	want := listing.Run(o, listing.E1, nil).Triangles
-	s2, err := NewFileStore(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), o, 3, s2, nil, WithWorkers(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Triangles != want {
-		t.Fatalf("run over reused dir found %d triangles, want %d — stale blocks leaked in", res.Triangles, want)
-	}
-	if err := s2.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := countBlockFiles(t, dir); got != 0 {
-		t.Fatalf("%d block files left after Close", got)
-	}
+// parkStore fails every Read of block (0,0), but only once a Read of
+// block (1,0) — the first read of triple (0,1,1) — is parked on gate:
+// triple 0 then fails while another pass is still inside the store.
+type parkStore struct {
+	BlockStore
+	parked, gate chan struct{}
+	once         sync.Once
 }
 
-// TestRunErrorPathLeavesNoSpillFiles: when Run fails mid-pass, closing
-// the store still removes every spill file — the cleanup contract for
-// error paths (satellite fix: no leftover block files in the dir).
-func TestRunErrorPathLeavesNoSpillFiles(t *testing.T) {
-	o := orientedTestGraph(t, 7, 200, 2500)
-	for name, fault := range map[string]struct{ appends, reads int }{
-		"append-fault": {appends: 1, reads: -1},
-		"read-fault":   {appends: -1, reads: 2},
-	} {
-		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			inner, err := NewFileStore(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fs := &failStore{inner: inner, appendsLeft: fault.appends, readsLeft: fault.reads}
-			if _, err := Run(context.Background(), o, 3, fs, nil, WithWorkers(4)); !errors.Is(err, errInjected) {
-				t.Fatalf("got %v, want injected fault", err)
-			}
-			if err := fs.Close(); err != nil {
-				t.Fatal(err)
-			}
-			if got := countBlockFiles(t, dir); got != 0 {
-				t.Fatalf("%d spill files left behind after failed run + Close", got)
-			}
+func (s *parkStore) Read(i, j int) ([]Arc, error) {
+	switch [2]int{i, j} {
+	case [2]int{0, 0}:
+		<-s.parked
+		return nil, errPermanent
+	case [2]int{1, 0}:
+		s.once.Do(func() {
+			close(s.parked)
+			<-s.gate
 		})
 	}
+	return s.BlockStore.Read(i, j)
 }
 
-func countBlockFiles(t *testing.T, dir string) int {
-	t.Helper()
-	paths, err := filepath.Glob(filepath.Join(dir, "block_*.arcs"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range paths {
-		if _, err := os.Stat(p); err != nil {
-			t.Fatal(err)
+// TestRunErrorPathQuiescent: when Run fails, no pass is still using the
+// store once it returns, so a caller may Close the store at once on
+// the error path.
+func TestRunErrorPathQuiescent(t *testing.T) {
+	o := orientedTestGraph(t, 7, 200, 2500)
+	t.Run("append-fault", func(t *testing.T) {
+		before := runtime.NumGoroutine()
+		fs := &failStore{inner: NewMemStore(), appendsLeft: 1, readsLeft: -1}
+		if _, err := Run(context.Background(), o, 3, fs, nil, WithWorkers(4)); !errors.Is(err, errInjected) {
+			t.Fatalf("got %v, want injected fault", err)
 		}
-	}
-	return len(paths)
+		if st := fs.Stats(); st.BlockReads != 0 {
+			t.Fatalf("%d block reads after the partition pass failed", st.BlockReads)
+		}
+		settleGoroutines(t, before)
+	})
+	t.Run("read-fault", func(t *testing.T) {
+		ps := &parkStore{BlockStore: NewMemStore(), parked: make(chan struct{}), gate: make(chan struct{})}
+		done := make(chan error, 1)
+		go func() {
+			_, err := Run(context.Background(), o, 3, ps, nil, WithWorkers(4))
+			done <- err
+		}()
+		<-ps.parked
+		select {
+		case err := <-done:
+			close(ps.gate)
+			t.Fatalf("Run returned (%v) while a pass was still inside a store Read", err)
+		case <-time.After(50 * time.Millisecond):
+		}
+		close(ps.gate)
+		if err := <-done; !errors.Is(err, errPermanent) {
+			t.Fatalf("got %v, want the permanent fault", err)
+		}
+	})
 }
 
 // settleGoroutines polls until the goroutine count returns near the

@@ -5,6 +5,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -623,6 +624,23 @@ func TestTriangleIdentityAcrossFamilies(t *testing.T) {
 	for i := range a {
 		if a[i] != b[i] || b[i] != c[i] {
 			t.Fatalf("triangle %d differs: %v %v %v", i, a[i], b[i], c[i])
+		}
+	}
+}
+
+// TestParseMethod: every method parses from its name in any case, and
+// anything else — "auto" included — is an error.
+func TestParseMethod(t *testing.T) {
+	for _, m := range Methods {
+		for _, s := range []string{m.String(), strings.ToLower(m.String())} {
+			if got, err := ParseMethod(s); err != nil || got != m {
+				t.Errorf("ParseMethod(%q) = %v, %v; want %v", s, got, err, m)
+			}
+		}
+	}
+	for _, s := range []string{"", "auto", "T7", "T0", "E", "X1", " t1", "Method(0)"} {
+		if got, err := ParseMethod(s); err == nil {
+			t.Errorf("ParseMethod(%q) = %v, want an error", s, got)
 		}
 	}
 }

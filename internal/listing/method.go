@@ -26,6 +26,7 @@ package listing
 import (
 	"context"
 	"fmt"
+	"strings"
 
 	"trilist/internal/digraph"
 )
@@ -110,6 +111,18 @@ func (m Method) String() string {
 		return fmt.Sprintf("Method(%d)", int(m))
 	}
 	return names[m]
+}
+
+// ParseMethod resolves a method name such as "T1" or "e5",
+// case-insensitively. "auto" is not a method: callers that accept it
+// resolve it before calling.
+func ParseMethod(s string) (Method, error) {
+	for _, m := range Methods {
+		if strings.EqualFold(m.String(), s) {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("unknown method %q (want T1-T6, E1-E6, L1-L6)", s)
 }
 
 // Family classifies a method into the paper's three algorithm families.

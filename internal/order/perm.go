@@ -25,6 +25,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
 
 	"trilist/internal/graph"
 	"trilist/internal/par"
@@ -242,6 +243,28 @@ func (k Kind) String() string {
 		return "degenerate"
 	default:
 		return fmt.Sprintf("Kind(%d)", int(k))
+	}
+}
+
+// ParseKind resolves an order name, case-insensitively: its String
+// form or a short alias (asc, desc, rr, crr, u, degen, ...). "auto" is
+// not an order: callers that accept it resolve it before calling.
+func ParseKind(s string) (Kind, error) {
+	switch strings.ToLower(s) {
+	case "ascending", "asc", "a":
+		return KindAscending, nil
+	case "descending", "desc", "d":
+		return KindDescending, nil
+	case "round-robin", "roundrobin", "rr":
+		return KindRoundRobin, nil
+	case "complementary-round-robin", "crr":
+		return KindCRR, nil
+	case "uniform", "random", "u":
+		return KindUniform, nil
+	case "degenerate", "degen", "smallest-last":
+		return KindDegenerate, nil
+	default:
+		return 0, fmt.Errorf("unknown order %q", s)
 	}
 }
 

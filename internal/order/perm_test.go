@@ -2,6 +2,7 @@ package order
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -459,5 +460,40 @@ func TestRankUnknownKind(t *testing.T) {
 	g := pathGraph(t, 3)
 	if _, err := Rank(g, Kind(42), nil); err == nil {
 		t.Fatal("unknown kind accepted")
+	}
+}
+
+// TestParseKind: every spelling trilist, trid and trimodel accept
+// resolves to its order in any case, each Kind parses from its String
+// form, and anything else — "auto" included — is an error.
+func TestParseKind(t *testing.T) {
+	for _, c := range []struct {
+		want  Kind
+		names []string
+	}{
+		{KindAscending, []string{"ascending", "asc", "a"}},
+		{KindDescending, []string{"descending", "desc", "d"}},
+		{KindRoundRobin, []string{"round-robin", "roundrobin", "rr"}},
+		{KindCRR, []string{"complementary-round-robin", "crr"}},
+		{KindUniform, []string{"uniform", "random", "u"}},
+		{KindDegenerate, []string{"degenerate", "degen", "smallest-last"}},
+	} {
+		for _, name := range c.names {
+			for _, s := range []string{name, strings.ToUpper(name)} {
+				if got, err := ParseKind(s); err != nil || got != c.want {
+					t.Errorf("ParseKind(%q) = %v, %v; want %v", s, got, err, c.want)
+				}
+			}
+		}
+	}
+	for _, k := range Kinds {
+		if got, err := ParseKind(k.String()); err != nil || got != k {
+			t.Errorf("ParseKind(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, s := range []string{"", "auto", "zigzag", "θ_D", "round robin", " asc"} {
+		if got, err := ParseKind(s); err == nil {
+			t.Errorf("ParseKind(%q) = %v, want an error", s, got)
+		}
 	}
 }

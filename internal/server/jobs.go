@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
 	"strings"
 	"sync"
@@ -295,41 +293,6 @@ func NewManager(opts Options, reg *Registry, m *serverMetrics) *Manager {
 	return mgr
 }
 
-// parseMethod resolves an explicit method name (case-insensitive).
-// "auto" and "" never reach it — Enqueue routes those through the
-// planner instead of silently defaulting.
-func parseMethod(s string) (listing.Method, error) {
-	for _, m := range listing.Methods {
-		if strings.EqualFold(m.String(), s) {
-			return m, nil
-		}
-	}
-	return 0, fmt.Errorf("unknown method %q (want auto or T1-T6, E1-E6, L1-L6)", s)
-}
-
-// parseOrder resolves an order name; auto reports "" or "auto", whose
-// meaning depends on how the method resolved (see JobSpec.Order).
-func parseOrder(s string) (kind order.Kind, auto bool, err error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return 0, true, nil
-	case "ascending", "asc", "a":
-		return order.KindAscending, false, nil
-	case "descending", "desc", "d":
-		return order.KindDescending, false, nil
-	case "round-robin", "roundrobin", "rr":
-		return order.KindRoundRobin, false, nil
-	case "crr", "complementary-round-robin":
-		return order.KindCRR, false, nil
-	case "uniform", "random", "u":
-		return order.KindUniform, false, nil
-	case "degenerate", "degen", "smallest-last":
-		return order.KindDegenerate, false, nil
-	default:
-		return 0, false, fmt.Errorf("unknown order %q", s)
-	}
-}
-
 // MaxParts caps a job's requested partition count: P³ triple passes
 // get scheduled, so an unbounded P would turn one request into a
 // quarter-million tiny passes.
@@ -338,9 +301,17 @@ const MaxParts = 64
 // Enqueue validates the spec and admits the job to the bounded queue.
 // Returns ErrDraining during shutdown and ErrQueueFull at capacity.
 func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
-	kind, orderAuto, err := parseOrder(spec.Order)
-	if err != nil {
-		return nil, err
+	// "" and "auto" mean the order follows the method (see
+	// JobSpec.Order).
+	var (
+		kind order.Kind
+		err  error
+	)
+	orderAuto := spec.Order == "" || strings.EqualFold(spec.Order, "auto")
+	if !orderAuto {
+		if kind, err = order.ParseKind(spec.Order); err != nil {
+			return nil, err
+		}
 	}
 	if spec.Parts < 0 {
 		return nil, fmt.Errorf("negative parts %d", spec.Parts)
@@ -386,8 +357,7 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 		method, kind = c.Method, c.Order
 		planned, predicted, predictedNs = true, c.Total, c.PredictedNs
 	} else {
-		method, err = parseMethod(spec.Method)
-		if err != nil {
+		if method, err = listing.ParseMethod(spec.Method); err != nil {
 			return nil, err
 		}
 		if orderAuto {
@@ -562,22 +532,13 @@ func (mgr *Manager) runJob(j *Job) {
 		}
 	}
 	cfg := core.Config{Method: j.method, Order: j.kind, Workers: j.spec.Workers, Recorder: rec}
-	spill := ""
 	if j.parts > 0 {
 		// Partitioned sweep: block-triple schedule on the scatter/gather
-		// executor. Spills go to a per-job subdir when configured (core
-		// removes the block files on every path; the subdir itself is
-		// dropped here).
-		if mgr.opts.SpillDir != "" {
-			spill = filepath.Join(mgr.opts.SpillDir, j.id)
-		}
-		cfg.Partition = &core.Partition{Parts: j.parts, SpillDir: spill, Events: mgr.execEventHook()}
+		// executor.
+		cfg.Partition = &core.Partition{Parts: j.parts, Events: mgr.execEventHook()}
 	}
 	start := time.Now()
 	res, runErr := core.ListOriented(j.ctx, o, cfg, visit)
-	if spill != "" {
-		_ = os.Remove(spill)
-	}
 
 	snap := rec.Snapshot()
 	j.mu.Lock()
@@ -632,8 +593,7 @@ func (mgr *Manager) finalize(j *Job, res core.Result, runErr error) {
 			j.errMsg = "cancelled"
 		}
 	default:
-		// A real execution failure (e.g. a partitioned job's block store
-		// erroring out after retries) is failed, not cancelled — the
+		// A real execution failure is failed, not cancelled — the
 		// client did not ask for the stop and should see the cause.
 		j.status = JobFailed
 		j.errMsg = runErr.Error()
@@ -660,8 +620,6 @@ func (mgr *Manager) execEventHook() func(exec.Event) {
 	}
 	return func(ev exec.Event) {
 		switch ev.Status {
-		case exec.StatusRetry:
-			m.execRetries.Inc()
 		case exec.StatusReissued:
 			m.execStragglers.Inc()
 		case exec.StatusOK:

@@ -43,7 +43,6 @@ type serverMetrics struct {
 	plannerRatio *metrics.HistogramVec // predicted/actual model ops, labeled by method
 
 	execTriples        *metrics.CounterVec // block-triple executions by outcome
-	execRetries        *metrics.Counter
 	execStragglers     *metrics.Counter
 	execTripleDuration *metrics.Histogram
 
@@ -92,8 +91,6 @@ func newServerMetrics() *serverMetrics {
 
 		execTriples: r.NewCounterVec("trid_exec_triples_total",
 			"Block-triple pass executions of partitioned jobs by outcome (ok, failed, duplicate, abandoned).", "status"),
-		execRetries: r.NewCounter("trid_exec_retries_total",
-			"Block-triple pass attempts retried after a transient store failure."),
 		execStragglers: r.NewCounter("trid_exec_stragglers_total",
 			"Speculative straggler re-issues of in-flight block-triple passes."),
 		execTripleDuration: r.NewHistogram("trid_exec_triple_duration_seconds",

@@ -2,8 +2,6 @@ package server
 
 import (
 	"net/http"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -17,13 +15,12 @@ import (
 func TestExecMetricsExposition(t *testing.T) {
 	mgr := &Manager{m: newServerMetrics()}
 	hook := mgr.execEventHook()
-	hook(exec.Event{Index: 0, Attempt: 1, Status: exec.StatusOK, Duration: 2 * time.Millisecond})
-	hook(exec.Event{Index: 1, Attempt: 1, Status: exec.StatusRetry})
-	hook(exec.Event{Index: 1, Attempt: 2, Status: exec.StatusOK, Duration: 200 * time.Millisecond})
-	hook(exec.Event{Index: 2, Attempt: 1, Speculative: true, Status: exec.StatusReissued})
-	hook(exec.Event{Index: 2, Attempt: 1, Speculative: true, Status: exec.StatusDuplicate})
-	hook(exec.Event{Index: 3, Attempt: 2, Status: exec.StatusFailed})
-	hook(exec.Event{Index: 4, Attempt: 1, Status: exec.StatusAbandoned})
+	hook(exec.Event{Index: 0, Status: exec.StatusOK, Duration: 2 * time.Millisecond})
+	hook(exec.Event{Index: 1, Status: exec.StatusOK, Duration: 200 * time.Millisecond})
+	hook(exec.Event{Index: 2, Speculative: true, Status: exec.StatusReissued})
+	hook(exec.Event{Index: 2, Speculative: true, Status: exec.StatusDuplicate})
+	hook(exec.Event{Index: 3, Status: exec.StatusFailed})
+	hook(exec.Event{Index: 4, Status: exec.StatusAbandoned})
 
 	var sb strings.Builder
 	if err := mgr.m.registry.WriteText(&sb); err != nil {
@@ -40,11 +37,8 @@ trid_exec_triples_total{status="ok"} 2
 `; got != want {
 		t.Errorf("triples exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
-	if got, want := extractFamily(text, "trid_exec_retries_total"), `# HELP trid_exec_retries_total Block-triple pass attempts retried after a transient store failure.
-# TYPE trid_exec_retries_total counter
-trid_exec_retries_total 1
-`; got != want {
-		t.Errorf("retries exposition mismatch:\n--- got ---\n%s--- want ---\n%s", got, want)
+	if strings.Contains(text, "trid_exec_retries_total") {
+		t.Error("retired trid_exec_retries_total family is still exposed")
 	}
 	if got, want := extractFamily(text, "trid_exec_stragglers_total"), `# HELP trid_exec_stragglers_total Speculative straggler re-issues of in-flight block-triple passes.
 # TYPE trid_exec_stragglers_total counter
@@ -82,14 +76,11 @@ trid_exec_triple_duration_seconds_count 2
 	}
 }
 
-// TestPartitionedJobEndToEnd submits a parts>1, workers>1 job over HTTP
-// against a file-backed spill directory: it must agree with an
-// in-memory sweep on the same graph, report the partition meters in its
-// view, feed the trid_exec_* metrics, and leave the spill directory
-// empty afterwards.
+// TestPartitionedJobEndToEnd submits a parts>1, workers>1 job over HTTP:
+// it must agree with a one-pass sweep on the same graph, report the
+// partition meters in its view, and feed the trid_exec_* metrics.
 func TestPartitionedJobEndToEnd(t *testing.T) {
-	spill := t.TempDir()
-	e := newTestEnv(t, Options{SpillDir: spill})
+	e := newTestEnv(t, Options{})
 	info := e.register(t, erGraphText(t, 300, 2400, 11))
 
 	code, ref := e.postJob(t, JobSpec{Graph: info.ID, Method: "T1", Wait: true})
@@ -136,15 +127,6 @@ func TestPartitionedJobEndToEnd(t *testing.T) {
 	}
 	if !strings.Contains(text, "trid_exec_triple_duration_seconds_count") {
 		t.Error("exec duration histogram missing from exposition")
-	}
-
-	// The per-job spill subdir (and every block file) must be gone.
-	entries, err := os.ReadDir(spill)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(entries) != 0 {
-		t.Errorf("spill dir not cleaned after job: %d entries left", len(entries))
 	}
 }
 
@@ -227,22 +209,38 @@ func TestPartitionedJobValidation(t *testing.T) {
 	}
 }
 
-// TestPartitionedJobSpillFailureFails: when the spill store cannot be
-// created (the configured dir is occupied by a file), the job must
-// surface as failed with the cause — not hang, not report done — and
-// the failure meter must move.
-func TestPartitionedJobSpillFailureFails(t *testing.T) {
-	occupied := filepath.Join(t.TempDir(), "occupied")
-	if err := os.WriteFile(occupied, []byte("x"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	e := newTestEnv(t, Options{SpillDir: occupied})
-	info := e.register(t, []byte(k4))
+// TestQueuedJobFailsWhenGraphEvicted: a job whose graph is evicted
+// while the job waits in the queue must surface as failed with the
+// cause — not hang, not report done — and the failure meter must move.
+func TestQueuedJobFailsWhenGraphEvicted(t *testing.T) {
+	release := make(chan struct{})
+	testHookJobStart = func(*Job) { <-release }
+	t.Cleanup(func() { testHookJobStart = nil }) // after the env cleanup drains the pool
 
-	code, v := e.postJob(t, JobSpec{Graph: info.ID, Parts: 2, Wait: true})
-	if code != http.StatusOK {
-		t.Fatalf("status %d, want 200 with a failed view", code)
+	e := newTestEnv(t, Options{Workers: 1, CacheBytes: 1 << 10})
+	victim := e.register(t, []byte(k4))
+
+	// jobA occupies the lone worker, blocked in the hook; jobB waits in
+	// the queue behind it.
+	_, vA := e.postJob(t, JobSpec{Graph: victim.ID, Method: "E1"})
+	waitStatus(t, e, vA.ID, "running")
+	_, vB := e.postJob(t, JobSpec{Graph: victim.ID, Method: "E1"})
+	if v := e.getJob(t, vB.ID); v.Status != string(JobQueued) {
+		t.Fatalf("jobB = %+v, want queued", v)
 	}
+	// Cancel jobA so that only jobB meets the missing graph.
+	if code, _ := e.do(t, "DELETE", "/v1/jobs/"+vA.ID, nil); code != http.StatusOK {
+		t.Fatalf("cancel jobA: status %d", code)
+	}
+	// A graph larger than the whole budget evicts every other entry.
+	e.register(t, erGraphText(t, 300, 2000, 5))
+	if _, ok := e.srv.reg.Get(victim.ID); ok {
+		t.Fatal("setup: the first graph is still resident")
+	}
+	close(release)
+
+	waitDone(t, e, vB.ID)
+	v := e.getJob(t, vB.ID)
 	if v.Status != string(JobFailed) || v.Error == "" {
 		t.Fatalf("job view %+v, want failed with an error message", v)
 	}

@@ -5,12 +5,12 @@ import (
 	"fmt"
 	"sync"
 
+	"trilist/internal/core"
 	"trilist/internal/digraph"
 	"trilist/internal/graph"
 	"trilist/internal/obsv"
 	"trilist/internal/order"
 	"trilist/internal/planner"
-	"trilist/internal/stats"
 )
 
 // The graph registry is the amortization core of the daemon: loading a
@@ -54,11 +54,6 @@ func orientedBytes(o *digraph.Oriented) int64 {
 	return 8*(n+1) + 8*n + 4*n + 4*2*o.NumEdges()
 }
 
-// maxPooledArenas bounds the registry's build-buffer pool. Arenas only
-// enter the pool from discarded duplicate builds (see Oriented), so the
-// pool stays tiny; two covers back-to-back races without hoarding.
-const maxPooledArenas = 2
-
 // Registry is a byte-budgeted LRU cache of loaded graphs and their
 // orientations, keyed by content hash. Safe for concurrent use.
 type Registry struct {
@@ -68,8 +63,7 @@ type Registry struct {
 	workers int
 	lru     *list.List // front = most recently used *graphEntry
 	byID    map[string]*graphEntry
-	arenas  []*digraph.Arena // recycled build buffers, ≤ maxPooledArenas
-	m       *serverMetrics   // may be nil (unit tests)
+	m       *serverMetrics // may be nil (unit tests)
 }
 
 // NewRegistry returns a registry that evicts least-recently-used graphs
@@ -84,22 +78,6 @@ func NewRegistry(budget int64, workers int, m *serverMetrics) *Registry {
 		lru:     list.New(),
 		byID:    make(map[string]*graphEntry),
 		m:       m,
-	}
-}
-
-// takeArenaLocked pops a pooled arena, or returns a fresh empty one.
-func (r *Registry) takeArenaLocked() *digraph.Arena {
-	if k := len(r.arenas); k > 0 {
-		a := r.arenas[k-1]
-		r.arenas = r.arenas[:k-1]
-		return a
-	}
-	return new(digraph.Arena)
-}
-
-func (r *Registry) pushArenaLocked(a *digraph.Arena) {
-	if len(r.arenas) < maxPooledArenas {
-		r.arenas = append(r.arenas, a)
 	}
 }
 
@@ -161,47 +139,27 @@ func (r *Registry) Oriented(id string, kind order.Kind, seed uint64, rec *obsv.R
 		return o, true, nil
 	}
 	g := e.g
-	ar := r.takeArenaLocked()
 	r.mu.Unlock()
 
 	// Relabel + orient outside the lock: it is O(m log d) and must not
 	// block unrelated lookups. A concurrent request for the same key may
-	// duplicate the work; the first writer's result is kept and the
-	// loser's buffers are recycled, which is sound because orientation
-	// is deterministic given kind and seed. The build runs on the
-	// server's worker budget and into pooled buffers (OrientOwned also
-	// skips the defensive rank copy — the rank is only read here).
+	// duplicate the work; the first writer's result is kept, which is
+	// sound because orientation is deterministic given kind and seed.
+	// The build runs on the server's worker budget.
 	if r.m != nil {
 		r.m.cacheMisses.Inc()
 	}
-	var rng *stats.RNG
-	if kind == order.KindUniform {
-		rng = stats.NewRNGFromSeed(seed)
-	}
-	spRank := rec.Start(obsv.StageRank)
-	rank, err := order.Rank(g, kind, rng, order.WithWorkers(r.workers))
-	spRank.End()
+	o, err = core.Prepare(g, core.Config{Order: kind, Seed: seed, Workers: r.workers, Recorder: rec})
 	if err != nil {
-		return nil, false, fmt.Errorf("server: relabeling: %w", err)
-	}
-	spOrient := rec.Start(obsv.StageOrient)
-	o, err = digraph.OrientOwned(g, rank, digraph.WithWorkers(r.workers), digraph.WithArena(ar))
-	spOrient.End()
-	if err != nil {
-		return nil, false, fmt.Errorf("server: orientation: %w", err)
+		return nil, false, err
 	}
 
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	// The entry may have been evicted while we oriented; the caller
-	// still gets a usable orientation, it just isn't cached. Cached
-	// orientations own their buffers for good (in-flight jobs may hold
-	// them arbitrarily long, even past eviction), so only a duplicate
-	// build that lost the race is safe to recycle into the arena pool.
+	// still gets a usable orientation, it just isn't cached.
 	if e2, ok := r.byID[id]; ok {
 		if cached, dup := e2.orients[key]; dup {
-			ar.Put(o)
-			r.pushArenaLocked(ar)
 			o = cached
 		} else {
 			e2.orients[key] = o

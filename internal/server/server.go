@@ -65,11 +65,6 @@ type Options struct {
 	// parallelism of registry rank/orient rebuilds on cache misses.
 	// Default GOMAXPROCS.
 	Workers int
-	// SpillDir, when set, gives partitioned jobs (JobSpec.Parts > 0) a
-	// real file-backed block store: each job spills to its own subdir,
-	// removed when the job finishes. Empty keeps partition blocks in
-	// memory.
-	SpillDir string
 	// DefaultListLimit is the triangle quota of list jobs that omit
 	// limit. Default 1000.
 	DefaultListLimit int
