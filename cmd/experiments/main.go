@@ -46,7 +46,7 @@ func run(args []string, w io.Writer) error {
 	surrogate := fs.Int("surrogate", 0, "Table 12 surrogate size (overrides scale)")
 	seed := fs.Uint64("seed", 0, "root seed (overrides scale)")
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0),
-		"goroutines running Monte-Carlo trials and prepare stages; output is identical for any value")
+		"goroutines running Monte-Carlo trials and plan pricing; output is identical for any value")
 	csvDir := fs.String("csv", "", "also write each table as CSV into this directory")
 	tableN := fs.Int("n", 0, "graph size for -table planner (0 = table default)")
 	if err := fs.Parse(args); err != nil {

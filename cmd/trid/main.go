@@ -9,7 +9,7 @@
 //	     [-csr-dir dir] [-upload-dir dir]
 //
 // -workers sizes the job worker pool and also bounds the parallelism
-// of registry rank/orient rebuilds on cache misses.
+// of the planner's candidate grid on cache misses.
 //
 // -csr-dir persists every registered graph as a checksummed TRCSRF
 // file and warm-starts the registry on boot by memory-mapping the

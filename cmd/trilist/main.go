@@ -22,9 +22,9 @@
 // or the mmap-able TRCSRF CSR format — auto-detected, or pinned with
 // -format (mtx, snap, csr). TRCSRF files given via -in are
 // memory-mapped rather than parsed; text formats parse
-// chunk-parallel under -workers. -workers N parallelizes the sweep and
-// the rank and orient stages (results are identical at any worker
-// count); -parts P > 1 switches to the partitioned lister, which
+// chunk-parallel under -workers. -workers N also parallelizes the
+// planner grid and the sweep; rank and orient are serial (results are
+// identical at any worker count); -parts P > 1 switches to the partitioned lister, which
 // splits the orientation into P label ranges held in memory. That
 // lister runs the E2 block sweep, so -method must be auto or E2 there,
 // and -order auto means θ_D. Partitioned runs schedule the block
@@ -73,7 +73,7 @@ func run(args []string, out io.Writer) error {
 	plan := fs.Bool("plan", false, "print the planner's ranked (method, order) cost table and exit without running")
 	print := fs.Bool("print", false, "print each triangle (relabeled IDs x y z)")
 	seed := fs.Uint64("seed", 1, "seed for the uniform order")
-	workers := fs.Int("workers", 1, "parallel goroutines for prepare and the sweep (sweep needs a visitor-safe method)")
+	workers := fs.Int("workers", 1, "parallel goroutines for parsing, planning and the sweep (sweep needs a visitor-safe method)")
 	parts := fs.Int("parts", 1, "label-range partitions (>1 enables the partitioned lister)")
 	timeout := fs.Duration("timeout", 0, "abort the sweep after this duration (0 = no limit)")
 	stages := fs.Bool("stages", false, "print a per-stage wall-clock breakdown after the run")
@@ -215,7 +215,7 @@ func runPartitioned(ctx context.Context, g *graph.Graph, cfg core.Config,
 		return err
 	}
 	er := res.Partitioned
-	fmt.Fprintf(w, "# external-memory: parts=%d order=%v workers=%d\n", cfg.Partition.Parts, cfg.Order, cfg.Workers)
+	fmt.Fprintf(w, "# partitioned: parts=%d order=%v workers=%d\n", cfg.Partition.Parts, cfg.Order, cfg.Workers)
 	fmt.Fprintf(w, "# triangles=%d\n", res.Triangles)
 	fmt.Fprintf(w, "# passes=%d arcs-read=%d arcs-written=%d block-reads=%d\n",
 		er.Passes, er.IO.ArcsRead, er.IO.ArcsWritten, er.IO.BlockReads)

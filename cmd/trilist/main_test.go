@@ -98,7 +98,7 @@ func TestRunPartitionedMethod(t *testing.T) {
 		if err := run([]string{"-in", path, "-method", m, "-parts", "2"}, &out); err != nil {
 			t.Fatalf("-method %s -parts 2: %v", m, err)
 		}
-		if !strings.Contains(out.String(), "# external-memory: parts=2 order=descending") ||
+		if !strings.Contains(out.String(), "# partitioned: parts=2 order=descending") ||
 			!strings.Contains(out.String(), "triangles=4") {
 			t.Fatalf("-method %s -parts 2: wrong output:\n%s", m, out.String())
 		}

@@ -13,8 +13,7 @@ import (
 
 // BenchmarkPrepare measures the full rank+orient front of the pipeline
 // (what every experiments trial and every trid cache miss pays) on the
-// linear-truncation Pareto workload, serial vs parallel, small and
-// large n.
+// linear-truncation Pareto workload, small and large n.
 func BenchmarkPrepare(b *testing.B) {
 	p := degseq.StandardPareto(1.5)
 	for _, n := range []int{2000, 50000} {
@@ -22,17 +21,15 @@ func BenchmarkPrepare(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				cfg := Config{Method: listing.E1, Order: order.KindDescending, Workers: workers}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := Prepare(g, cfg); err != nil {
-						b.Fatal(err)
-					}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			cfg := Config{Method: listing.E1, Order: order.KindDescending}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := Prepare(g, cfg); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
 	}
 }

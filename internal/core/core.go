@@ -36,11 +36,11 @@ type Config struct {
 	Order order.Kind
 	// Seed seeds KindUniform's RNG, the one randomized order.
 	Seed uint64
-	// Workers is the number of goroutines for Prepare's rank and orient
-	// stages and for the sweep; 0 and 1 both mean serial. With n > 1
-	// the visitor must be concurrency-safe. A partitioned run keeps n
-	// block-triple passes in flight and re-issues stragglers. Results
-	// are bitwise identical at any value.
+	// Workers is the number of goroutines for the sweep; 0 and 1 both
+	// mean serial. With n > 1 the visitor must be concurrency-safe. A
+	// partitioned run keeps n block-triple passes in flight and
+	// re-issues stragglers. Prepare is always serial. Results are
+	// bitwise identical at any value.
 	Workers int
 	// Recorder, when non-nil, receives one span per pipeline stage
 	// (rank and orient from Prepare, list from the sweep; partitioned
@@ -96,23 +96,23 @@ type Result struct {
 }
 
 // Prepare performs steps 1–2 of the framework: relabel g by cfg.Order and
-// orient the edges, using cfg.Workers goroutines for both stages. The
-// returned digraph can be reused across methods. The rank slice is built
-// here and handed straight to digraph.OrientOwned, skipping the
-// defensive copy Orient makes for shared ranks.
+// orient the edges, serially on the caller's goroutine. The returned
+// digraph can be reused across methods. The rank slice is built here
+// and handed straight to digraph.OrientOwned, skipping the defensive
+// copy Orient makes for shared ranks.
 func Prepare(g *graph.Graph, cfg Config) (*digraph.Oriented, error) {
 	var rng *stats.RNG
 	if cfg.Order == order.KindUniform {
 		rng = stats.NewRNGFromSeed(cfg.Seed)
 	}
 	spRank := cfg.Recorder.Start(obsv.StageRank)
-	rank, err := order.Rank(g, cfg.Order, rng, order.WithWorkers(cfg.Workers))
+	rank, err := order.Rank(g, cfg.Order, rng)
 	spRank.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: relabeling: %w", err)
 	}
 	spOrient := cfg.Recorder.Start(obsv.StageOrient)
-	o, err := digraph.OrientOwned(g, rank, digraph.WithWorkers(cfg.Workers))
+	o, err := digraph.OrientOwned(g, rank)
 	spOrient.End()
 	if err != nil {
 		return nil, fmt.Errorf("core: orientation: %w", err)

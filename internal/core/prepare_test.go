@@ -11,10 +11,9 @@ import (
 	"trilist/internal/stats"
 )
 
-// TestPrepareWorkerInvariance: Prepare's parallel rank+orient pipeline
-// is bitwise identical to the serial one for every order kind on the
-// ER and both Pareto workloads — the property that makes Config.Workers
-// safe to raise anywhere.
+// TestPrepareWorkerInvariance: Config.Workers never changes Prepare's
+// output, for every order kind on the ER and both Pareto workloads — the
+// property that makes Config.Workers safe to raise anywhere.
 func TestPrepareWorkerInvariance(t *testing.T) {
 	graphs := map[string]*graph.Graph{}
 	er, err := gen.ErdosRenyi(500, 2500, stats.NewRNGFromSeed(31))

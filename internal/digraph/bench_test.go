@@ -12,9 +12,9 @@ import (
 
 // BenchmarkOrient measures the CSR build on the linear-truncation
 // Pareto workload (the skewed case the paper's listing costs are
-// dominated by) at small and large n, serial vs parallel, with a
-// recycled arena so steady-state allocation is what the engine and the
-// trid registry actually see.
+// dominated by) at small and large n, with a recycled arena so
+// steady-state allocation is what the engine and the trid registry
+// actually see.
 func BenchmarkOrient(b *testing.B) {
 	p := degseq.StandardPareto(1.5)
 	for _, n := range []int{2000, 50000} {
@@ -26,19 +26,17 @@ func BenchmarkOrient(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for _, workers := range []int{1, 2, 8} {
-			b.Run(fmt.Sprintf("n=%d/workers=%d", n, workers), func(b *testing.B) {
-				ar := &Arena{}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					o, err := Orient(g, rank, WithWorkers(workers), WithArena(ar))
-					if err != nil {
-						b.Fatal(err)
-					}
-					ar.Put(o)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			ar := &Arena{}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				o, err := Orient(g, rank, WithArena(ar))
+				if err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+				ar.Put(o)
+			}
+		})
 	}
 }

@@ -11,25 +11,21 @@
 // both lists "sorted ascending by node ID" as the paper assumes, and
 // costs no more memory than the undirected graph.
 //
-// The build is a sharded counting sort: a parallel degree histogram over
-// disjoint label slots, a parallel prefix sum for the offsets, a direct
-// scatter over edge-weight-balanced node ranges (each label's slot range
-// is written only while its one source node is processed, so no fill
-// cursors and no write conflicts), and a parallel per-label sort + split
-// pass. Because rank is verified to be a bijection first and every write
-// lands in a slot owned by exactly one unit of work, the output is
-// bitwise identical at every worker count — the (graph, rank) pair fully
-// determines the CSR.
+// The build is one serial pass in ascending label order, as in Latapy's
+// compact-forward: for l = 0..n-1, append l to the list of every
+// neighbor of the node labelled l. Each list therefore fills in
+// ascending order with no sort, and l's own split — where its
+// in-neighbors begin — is simply its fill position when l's turn comes.
+// The (graph, rank) pair fully determines the CSR.
 package digraph
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 
 	"trilist/internal/graph"
 	"trilist/internal/hashset"
-	"trilist/internal/par"
+	"trilist/internal/order"
 )
 
 // Oriented is an acyclic orientation G(θ_n) of a simple undirected graph.
@@ -78,15 +74,13 @@ func grow[T int32 | int64](buf []T, n int) []T {
 type BuildOption func(*buildOptions)
 
 type buildOptions struct {
-	workers int
-	arena   *Arena
+	arena *Arena
 }
 
-// WithWorkers sets the number of goroutines the build may use. Values
-// of 1 or less run serially on the caller's goroutine (the default);
-// the output is bitwise identical at every worker count.
-func WithWorkers(w int) BuildOption {
-	return func(o *buildOptions) { o.workers = w }
+// WithWorkers is accepted and ignored: the build is serial. It remains
+// only because jobbench's replay still passes it.
+func WithWorkers(int) BuildOption {
+	return func(*buildOptions) {}
 }
 
 // WithArena builds into buffers recycled from a (see Arena). The arena's
@@ -115,22 +109,16 @@ func orient(g *graph.Graph, rank []int32, owned bool, opts []BuildOption) (*Orie
 	for _, opt := range opts {
 		opt(&bo)
 	}
-	w := max(bo.workers, 1)
 
 	n := g.NumNodes()
 	if len(rank) != n {
 		return nil, fmt.Errorf("digraph: rank length %d != n %d", len(rank), n)
 	}
-	if err := par.CheckBijection(rank, w); err != nil {
-		var re *par.RangeError
-		if errors.As(err, &re) {
-			return nil, fmt.Errorf("digraph: rank[%d] = %d out of range", re.Index, re.Label)
+	if bad := order.FirstNonBijective(rank); bad >= 0 {
+		if rank[bad] < 0 || int(rank[bad]) >= n {
+			return nil, fmt.Errorf("digraph: rank[%d] = %d out of range", bad, rank[bad])
 		}
-		var de *par.DupError
-		if errors.As(err, &de) {
-			return nil, fmt.Errorf("digraph: label %d assigned twice", de.Label)
-		}
-		return nil, fmt.Errorf("digraph: %w", err)
+		return nil, fmt.Errorf("digraph: label %d assigned twice", rank[bad])
 	}
 
 	o := &Oriented{}
@@ -156,48 +144,33 @@ func orient(g *graph.Graph, rank []int32, owned bool, opts []BuildOption) (*Orie
 		copy(o.rank, rank)
 	}
 
-	// Degree histogram: the bijection guarantees the slots rank[v]+1 are
-	// all distinct, so node ranges write disjointly. Recycled buffers may
-	// be dirty — every slot including offsets[0] is overwritten.
+	// inv[l] is the node labelled l. offsets[l+1] starts as label l's
+	// start and serves as its fill cursor, so it ends at l's end.
+	// Recycled buffers may be dirty: every slot of all three arrays is
+	// written before it is read.
+	inv := order.Perm(rank).Inverse()
 	o.offsets[0] = 0
-	par.Ranges(n, w, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			o.offsets[rank[v]+1] = int64(g.Degree(int32(v)))
+	var start int64
+	for l, v := range inv {
+		o.offsets[l+1] = start
+		start += int64(g.Degree(v))
+	}
+	// Scatter in ascending label order: l reaches each neighbor's list
+	// after every smaller label has, so the lists fill sorted, and l's
+	// own list holds exactly its out-neighbors when its turn comes.
+	for l, v := range inv {
+		o.split[l] = o.offsets[l+1]
+		for _, u := range g.Neighbors(v) {
+			k := rank[u] + 1
+			o.nbrs[o.offsets[k]] = int32(l)
+			o.offsets[k]++
 		}
-	})
-	par.PrefixSum(o.offsets[1:], w)
-
-	// Scatter: label rank[v]'s whole slot range [offsets[rank[v]],
-	// offsets[rank[v]+1]) is written only while processing node v, so no
-	// fill cursors are needed and writes stay disjoint across workers.
-	// Node ranges are balanced by edge weight so a few huge adjacency
-	// lists cannot serialize the pass.
-	par.WeightedRanges(g.AdjacencyOffsets(), w, func(lo, hi int) {
-		for v := lo; v < hi; v++ {
-			base := o.offsets[rank[v]]
-			for i, u := range g.Neighbors(int32(v)) {
-				o.nbrs[base+int64(i)] = rank[u]
-			}
-		}
-	})
-
-	// Per-label sort + split, again balanced by edge weight. The split —
-	// where in-neighbors begin — is the insertion point of l itself
-	// (never present: no self-loops).
-	par.WeightedRanges(o.offsets, w, func(lo, hi int) {
-		for l := lo; l < hi; l++ {
-			adj := o.nbrs[o.offsets[l]:o.offsets[l+1]]
-			slices.Sort(adj)
-			k, _ := slices.BinarySearch(adj, int32(l))
-			o.split[l] = o.offsets[l] + int64(k)
-		}
-	})
+	}
 	return o, nil
 }
 
 // Equal reports whether two orientations are bitwise identical across
-// all four arrays — the invariant the parallel build guarantees against
-// the serial one.
+// all four arrays.
 func (o *Oriented) Equal(p *Oriented) bool {
 	return slices.Equal(o.offsets, p.offsets) &&
 		slices.Equal(o.nbrs, p.nbrs) &&

@@ -14,7 +14,7 @@ import (
 
 // parallelTestGraphs builds the three workload families of the worker
 // invariance contract: Erdős–Rényi plus root- and linear-truncated
-// Pareto graphs (the skewed cases where shard balancing matters).
+// Pareto graphs (the skewed cases).
 func parallelTestGraphs(t *testing.T) map[string]*graph.Graph {
 	t.Helper()
 	out := map[string]*graph.Graph{}
@@ -34,10 +34,9 @@ func parallelTestGraphs(t *testing.T) map[string]*graph.Graph {
 	return out
 }
 
-// TestOrientWorkerInvariance is the tentpole property: for every order
-// kind and workload, the oriented CSR built with 2 and 8 workers is
-// bitwise identical to the serial build — including when the parallel
-// build runs into a dirty recycled arena.
+// TestOrientWorkerInvariance: for every order kind and workload,
+// WithWorkers never changes the oriented CSR — including when the build
+// runs into a dirty recycled arena.
 func TestOrientWorkerInvariance(t *testing.T) {
 	for name, g := range parallelTestGraphs(t) {
 		for _, kind := range order.Kinds {
@@ -65,27 +64,8 @@ func TestOrientWorkerInvariance(t *testing.T) {
 					if !par.Equal(serial) {
 						t.Fatalf("workers=%d: orientation differs from serial build", w)
 					}
-					// Same property through a deliberately dirty arena: fill
-					// recycled buffers with garbage before reuse.
-					ar := &Arena{}
-					poison, err := Orient(g, rank, WithArena(ar))
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range poison.nbrs {
-						poison.nbrs[i] = -7
-					}
-					for i := range poison.offsets {
-						poison.offsets[i] = -7
-					}
-					for i := range poison.split {
-						poison.split[i] = -7
-					}
-					for i := range poison.rank {
-						poison.rank[i] = -7
-					}
-					ar.Put(poison)
-					reused, err := Orient(g, rank, WithWorkers(w), WithArena(ar))
+					// Same property through a deliberately dirty arena.
+					reused, err := Orient(g, rank, WithWorkers(w), WithArena(poisonedArena(t, g, rank)))
 					if err != nil {
 						t.Fatalf("workers=%d arena: %v", w, err)
 					}
@@ -156,8 +136,8 @@ func TestOrientArenaReuse(t *testing.T) {
 	}
 }
 
-// TestOrientParallelRejectsBadRank: the parallel validator reports the
-// same deterministic errors as the serial one at every worker count.
+// TestOrientParallelRejectsBadRank: bad ranks get the same error text
+// at every WithWorkers value.
 func TestOrientParallelRejectsBadRank(t *testing.T) {
 	g, err := gen.ErdosRenyi(300, 900, stats.NewRNGFromSeed(5))
 	if err != nil {

@@ -85,8 +85,8 @@ type PlannerConfig struct {
 	// Seed feeds graph generation and the uniform order. Default
 	// 20170514.
 	Seed uint64
-	// Workers parallelizes plan pricing and graph preparation; the
-	// output is identical for any value.
+	// Workers parallelizes plan pricing; the output is identical for
+	// any value.
 	Workers int
 }
 
@@ -124,7 +124,7 @@ func TablePlanner(cfg PlannerConfig) (*PlannerTable, error) {
 		// column costs O(n) after the prepare.
 		measured := make(map[string]int64, len(listing.Methods)*len(planner.Orders))
 		for _, kind := range planner.Orders {
-			o, err := core.Prepare(g, core.Config{Order: kind, Seed: cfg.Seed, Workers: cfg.Workers})
+			o, err := core.Prepare(g, core.Config{Order: kind, Seed: cfg.Seed})
 			if err != nil {
 				return nil, err
 			}

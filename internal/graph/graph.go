@@ -50,13 +50,6 @@ func (g *Graph) Neighbors(v int32) []int32 {
 	return g.nbrs[g.offsets[v]:g.offsets[v+1]]
 }
 
-// AdjacencyOffsets returns the CSR offset array: len n+1, with node v's
-// adjacency spanning [offsets[v], offsets[v+1]). It doubles as the
-// cumulative degree sequence, which lets parallel builders split nodes
-// into ranges of near-equal edge weight. The returned slice aliases the
-// graph's internal storage and must not be modified.
-func (g *Graph) AdjacencyOffsets() []int64 { return g.offsets }
-
 // Degrees returns the degree of every node as a fresh slice.
 func (g *Graph) Degrees() []int64 {
 	d := make([]int64, g.NumNodes())

@@ -22,31 +22,23 @@
 package order
 
 import (
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
 
 	"trilist/internal/graph"
-	"trilist/internal/par"
 	"trilist/internal/stats"
 )
 
 // RankOption configures Rank/RankFromPerm.
 type RankOption func(*rankOptions)
 
-type rankOptions struct {
-	workers int
-}
+type rankOptions struct{}
 
-// WithWorkers sets the number of goroutines the rank construction may
-// use for its per-node work (degree bucketing, permutation validation,
-// the position → rank scatter). Values of 1 or less run serially (the
-// default); the resulting rank is bitwise identical at every worker
-// count. KindDegenerate ignores it: the Matula–Beck peel is inherently
-// sequential.
-func WithWorkers(w int) RankOption {
-	return func(o *rankOptions) { o.workers = w }
+// WithWorkers is accepted and ignored: the rank is built serially. It
+// remains only because jobbench's replay still passes it.
+func WithWorkers(int) RankOption {
+	return func(*rankOptions) {}
 }
 
 // Perm is a permutation θ over positions 0..n-1: Perm[i] is the new label
@@ -55,22 +47,34 @@ type Perm []int32
 
 // Validate reports an error unless the permutation is a bijection on
 // [0, n).
-func (p Perm) Validate() error { return p.validate(1) }
-
-func (p Perm) validate(workers int) error {
-	err := par.CheckBijection(p, workers)
-	if err == nil {
+func (p Perm) Validate() error {
+	switch bad := FirstNonBijective(p); {
+	case bad < 0:
 		return nil
+	case p[bad] < 0 || int(p[bad]) >= len(p):
+		return fmt.Errorf("order: perm[%d] = %d out of range [0,%d)", bad, p[bad], len(p))
+	default:
+		return fmt.Errorf("order: label %d assigned twice", p[bad])
 	}
-	var re *par.RangeError
-	if errors.As(err, &re) {
-		return fmt.Errorf("order: perm[%d] = %d out of range [0,%d)", re.Index, re.Label, len(p))
+}
+
+// FirstNonBijective returns the index of the first entry of vals that
+// is out of range [0, len(vals)) or repeats an earlier one, or -1 when
+// vals is a bijection on [0, len(vals)).
+func FirstNonBijective(vals []int32) int {
+	n := len(vals)
+	seen := make([]uint64, (n+63)/64)
+	for i, v := range vals {
+		if v < 0 || int(v) >= n {
+			return i
+		}
+		w, b := v>>6, uint64(1)<<(v&63)
+		if seen[w]&b != 0 {
+			return i
+		}
+		seen[w] |= b
 	}
-	var de *par.DupError
-	if errors.As(err, &de) {
-		return fmt.Errorf("order: label %d assigned twice", de.Label)
-	}
-	return fmt.Errorf("order: %w", err)
+	return -1
 }
 
 // Inverse returns the inverse permutation: Inverse()[label] = position.
@@ -295,58 +299,25 @@ func (k Kind) ShortName() string {
 //
 // (degree, id) is a total order with degrees bounded by maxDeg, so a
 // counting sort placing ascending node ids into per-degree buckets
-// produces it in O(n + maxDeg) with no comparator calls. The parallel
-// variant gives each id-range shard its own histogram and scans the
-// cursors in (degree-major, shard-minor) order, which preserves the id
-// tie-break exactly: shards cover ascending id ranges.
-func ascendingDegreePositions(g *graph.Graph, workers int) []int32 {
+// produces it in O(n + maxDeg) with no comparator calls.
+func ascendingDegreePositions(g *graph.Graph) []int32 {
 	n := g.NumNodes()
 	nodes := make([]int32, n)
 	if n == 0 {
 		return nodes
 	}
-	maxDeg := g.MaxDegree()
-	p := par.ShardCount(n, workers)
-	if p > 1 && (maxDeg+1)*p > 8*n {
-		p = 1 // per-shard histograms would dwarf the input itself
+	count := make([]int64, g.MaxDegree()+2)
+	for v := 0; v < n; v++ {
+		count[g.Degree(int32(v))+1]++
 	}
-	if p == 1 {
-		count := make([]int64, maxDeg+2)
-		for v := 0; v < n; v++ {
-			count[g.Degree(int32(v))+1]++
-		}
-		for d := 1; d < len(count); d++ {
-			count[d] += count[d-1]
-		}
-		for v := 0; v < n; v++ {
-			d := g.Degree(int32(v))
-			nodes[count[d]] = int32(v)
-			count[d]++
-		}
-		return nodes
+	for d := 1; d < len(count); d++ {
+		count[d] += count[d-1]
 	}
-	counts := make([][]int64, p)
-	par.Shards(n, p, func(s, lo, hi int) {
-		c := make([]int64, maxDeg+1)
-		for v := lo; v < hi; v++ {
-			c[g.Degree(int32(v))]++
-		}
-		counts[s] = c
-	})
-	var cursor int64
-	for d := 0; d <= maxDeg; d++ {
-		for s := 0; s < p; s++ {
-			counts[s][d], cursor = cursor, cursor+counts[s][d]
-		}
+	for v := 0; v < n; v++ {
+		d := g.Degree(int32(v))
+		nodes[count[d]] = int32(v)
+		count[d]++
 	}
-	par.Shards(n, p, func(s, lo, hi int) {
-		c := counts[s]
-		for v := lo; v < hi; v++ {
-			d := g.Degree(int32(v))
-			nodes[c[d]] = int32(v)
-			c[d]++
-		}
-	})
 	return nodes
 }
 
@@ -355,7 +326,7 @@ func ascendingDegreePositions(g *graph.Graph, workers int) []int32 {
 // the ascending-degree position of each node; KindUniform draws the
 // bijection from rng (which must be non-nil for that kind); and
 // KindDegenerate runs Matula–Beck smallest-last on the graph structure.
-// The result is bitwise identical at every WithWorkers setting.
+// opts are accepted and ignored (see WithWorkers).
 func Rank(g *graph.Graph, k Kind, rng *stats.RNG, opts ...RankOption) ([]int32, error) {
 	n := g.NumNodes()
 	switch k {
@@ -363,8 +334,6 @@ func Rank(g *graph.Graph, k Kind, rng *stats.RNG, opts ...RankOption) ([]int32, 
 		if rng == nil {
 			return nil, fmt.Errorf("order: uniform order requires an RNG")
 		}
-		// The bijection is drawn serially so the RNG stream — and thus the
-		// rank — never depends on the worker count.
 		rank := make([]int32, n)
 		for v, label := range rng.Perm(n) {
 			rank[v] = int32(label)
@@ -386,51 +355,32 @@ func Rank(g *graph.Graph, k Kind, rng *stats.RNG, opts ...RankOption) ([]int32, 
 	default:
 		return nil, fmt.Errorf("order: unknown kind %v", k)
 	}
-	return RankFromPerm(g, p, opts...)
+	return RankFromPerm(g, p)
 }
 
 // RankFromPerm applies an arbitrary permutation θ to the ascending-degree
-// positions of g's nodes: rank[v] = θ(position of v in A_n).
+// positions of g's nodes: rank[v] = θ(position of v in A_n). opts are
+// accepted and ignored (see WithWorkers).
 func RankFromPerm(g *graph.Graph, p Perm, opts ...RankOption) ([]int32, error) {
-	var ro rankOptions
-	for _, opt := range opts {
-		opt(&ro)
-	}
-	w := max(ro.workers, 1)
 	if len(p) != g.NumNodes() {
 		return nil, fmt.Errorf("order: perm length %d != n %d", len(p), g.NumNodes())
 	}
-	if err := p.validate(w); err != nil {
+	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	pos := ascendingDegreePositions(g, w)
 	rank := make([]int32, len(p))
-	// pos is a permutation of the nodes, so the scatter's writes are
-	// disjoint across position ranges.
-	par.Ranges(len(p), w, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rank[pos[i]] = p[i]
-		}
-	})
+	for i, v := range ascendingDegreePositions(g) {
+		rank[v] = p[i]
+	}
 	return rank, nil
 }
 
-// DegenerateRank computes the smallest-last (degeneracy) order of
-// Matula–Beck [29] with a bucket queue in O(n + m): repeatedly delete a
-// minimum-degree node from the remaining graph; the i-th deleted node
-// receives label n-1-i, so every node's not-yet-deleted neighbors — its
-// out-neighbors under the orientation — number at most the graph's
-// degeneracy. This is the orientation that minimizes max_i X_i(θ).
 // Degeneracy returns the graph's degeneracy k — the smallest value such
-// that every subgraph has a node of degree at most k, equal to the
-// maximum out-degree achieved by the smallest-last orientation. It is
-// computed as the largest degree seen at peel time during the
-// Matula–Beck sweep; O(n + m).
+// that every subgraph has a node of degree at most k. It is the maximum
+// out-degree under the smallest-last rank (each node's out-neighbors are
+// exactly the neighbors still present when it was peeled); O(n + m).
 func Degeneracy(g *graph.Graph) int {
 	rank := DegenerateRank(g)
-	// Max out-degree under the smallest-last orientation equals the
-	// degeneracy (each node's out-neighbors are exactly the neighbors
-	// still present when it was peeled).
 	max := 0
 	for v := 0; v < g.NumNodes(); v++ {
 		out := 0
@@ -446,6 +396,12 @@ func Degeneracy(g *graph.Graph) int {
 	return max
 }
 
+// DegenerateRank computes the smallest-last (degeneracy) order of
+// Matula–Beck [29] with a bucket queue in O(n + m): repeatedly delete a
+// minimum-degree node from the remaining graph; the i-th deleted node
+// receives label n-1-i, so every node's not-yet-deleted neighbors — its
+// out-neighbors under the orientation — number at most the graph's
+// degeneracy. This is the orientation that minimizes max_i X_i(θ).
 func DegenerateRank(g *graph.Graph) []int32 {
 	// Canonical Batagelj–Zaveršnik bucket queue: vert holds the nodes
 	// partitioned into contiguous buckets of equal current degree, in

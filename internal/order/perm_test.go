@@ -137,15 +137,26 @@ func permEq(a, b Perm) bool {
 	return true
 }
 
+// TestValidateRejects pins the error text for each way a perm can fail
+// to be a bijection; the first offending index in scan order is named.
 func TestValidateRejects(t *testing.T) {
-	if (Perm{0, 0}).Validate() == nil {
-		t.Fatal("duplicate label accepted")
-	}
-	if (Perm{0, 2}).Validate() == nil {
-		t.Fatal("out-of-range label accepted")
-	}
-	if (Perm{-1, 0}).Validate() == nil {
-		t.Fatal("negative label accepted")
+	oob := Ascending(400)
+	oob[123], oob[300] = 400, -1
+	dup := Ascending(400)
+	dup[399], dup[41] = dup[40], dup[2]
+	for _, tc := range []struct {
+		p    Perm
+		want string
+	}{
+		{Perm{0, 0}, "order: label 0 assigned twice"},
+		{Perm{0, 2}, "order: perm[1] = 2 out of range [0,2)"},
+		{Perm{-1, 0}, "order: perm[0] = -1 out of range [0,2)"},
+		{oob, "order: perm[123] = 400 out of range [0,400)"},
+		{dup, "order: label 2 assigned twice"},
+	} {
+		if err := tc.p.Validate(); err == nil || err.Error() != tc.want {
+			t.Errorf("Validate(%v...) = %v, want %q", tc.p[:2], err, tc.want)
+		}
 	}
 }
 

@@ -73,8 +73,8 @@ type JobSpec struct {
 	// at any worker count either way, and a serial list job records the
 	// first Limit triangles of the method's canonical sequence.
 	Workers int `json:"workers,omitempty"`
-	// Parts > 0 runs the job through the external-memory partitioned
-	// lister: the orientation is split into Parts label ranges and swept
+	// Parts > 0 runs the job through the partitioned lister: the
+	// in-memory orientation is split into Parts label ranges and swept
 	// one block-triple pass at a time (Workers passes concurrently).
 	// Partitioned jobs use the fixed E2-style block merge, so an explicit
 	// method is rejected; order defaults to descending. Capped at

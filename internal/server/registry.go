@@ -69,8 +69,9 @@ type Registry struct {
 // NewRegistry returns a registry that evicts least-recently-used graphs
 // once resident bytes exceed budget. The most recently used entry is
 // never evicted, so a single graph larger than the budget still serves.
-// Cache-miss rank/orient rebuilds use up to workers goroutines (values
-// below 2 build serially).
+// Cache-miss plans price their candidate grid on up to workers
+// goroutines (values below 2 plan serially); rank/orient rebuilds are
+// serial.
 func NewRegistry(budget int64, workers int, m *serverMetrics) *Registry {
 	return &Registry{
 		budget:  budget,
@@ -141,15 +142,14 @@ func (r *Registry) Oriented(id string, kind order.Kind, seed uint64, rec *obsv.R
 	g := e.g
 	r.mu.Unlock()
 
-	// Relabel + orient outside the lock: it is O(m log d) and must not
+	// Relabel + orient outside the lock: it is O(n + m) and must not
 	// block unrelated lookups. A concurrent request for the same key may
 	// duplicate the work; the first writer's result is kept, which is
 	// sound because orientation is deterministic given kind and seed.
-	// The build runs on the server's worker budget.
 	if r.m != nil {
 		r.m.cacheMisses.Inc()
 	}
-	o, err = core.Prepare(g, core.Config{Order: kind, Seed: seed, Workers: r.workers, Recorder: rec})
+	o, err = core.Prepare(g, core.Config{Order: kind, Seed: seed, Recorder: rec})
 	if err != nil {
 		return nil, false, err
 	}

@@ -62,7 +62,7 @@ type Options struct {
 	// Default 64.
 	QueueDepth int
 	// Workers is the job worker pool size; it also bounds the
-	// parallelism of registry rank/orient rebuilds on cache misses.
+	// parallelism of the planner's candidate grid on cache misses.
 	// Default GOMAXPROCS.
 	Workers int
 	// DefaultListLimit is the triangle quota of list jobs that omit
