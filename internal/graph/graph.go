@@ -119,7 +119,7 @@ func (g *Graph) EdgeSlice() []Edge {
 
 // Validate checks the structural invariants: offsets monotone, neighbor
 // IDs in range, adjacency sorted strictly ascending (no duplicates), no
-// self-loops, and symmetry (u ∈ N(v) ⇔ v ∈ N(u)). It is O(m log d) and
+// self-loops, and symmetry (u ∈ N(v) ⇔ v ∈ N(u)). It is O(n + m) and
 // intended for tests and for data loaded from external files.
 func (g *Graph) Validate() error {
 	n := g.NumNodes()
@@ -156,9 +156,29 @@ func (g *Graph) Validate() error {
 			if i > 0 && adj[i-1] >= w {
 				return fmt.Errorf("graph: adjacency of node %d not strictly ascending at index %d", v, i)
 			}
-			if !g.HasEdge(w, int32(v)) {
-				return fmt.Errorf("graph: edge %d->%d present but %d->%d missing", v, w, w, v)
+		}
+	}
+	// Symmetry by cursors: walking v in ascending order, the arcs into
+	// w arrive in ascending source order, which is the order of w's
+	// sorted list, so each arc v->w must meet v at w's cursor, which
+	// then advances. Every arc advances exactly one cursor and no
+	// cursor passes the end of its list, so once all 2m arcs have
+	// matched, every cursor sits at its end: no final pass is needed.
+	cur := slices.Clone(g.offsets[:n])
+	for v := int32(0); int(v) < n; v++ {
+		for _, w := range g.Neighbors(v) {
+			c := cur[w]
+			if c < g.offsets[w+1] && g.nbrs[c] == v {
+				cur[w]++
+				continue
 			}
+			// The entries of w's list before c were matched, in order,
+			// by nodes below v. An entry x < v at c is an arc whose
+			// reverse x->w is missing; otherwise w lacks v.
+			if c < g.offsets[w+1] && g.nbrs[c] < v {
+				v, w = w, g.nbrs[c]
+			}
+			return fmt.Errorf("graph: edge %d->%d present but %d->%d missing", v, w, w, v)
 		}
 	}
 	return nil
@@ -228,16 +248,21 @@ func FromEdges(n int, edges []Edge, dedupe bool) (*Graph, error) {
 		fill[e.V]++
 	}
 	g := &Graph{offsets: offsets, nbrs: nbrs}
-	for v := 0; v < n; v++ {
-		slices.Sort(nbrs[offsets[v]:offsets[v+1]])
-	}
-	// Detect (and optionally collapse) duplicates.
+	// Finish each list in one walk: a strictly ascending list (every
+	// list of an edge list in ascending (U, V) order, as WriteEdgeList
+	// writes) is final; any other is sorted and its duplicates counted.
 	dups := int64(0)
 	for v := 0; v < n; v++ {
 		adj := g.Neighbors(int32(v))
 		for i := 1; i < len(adj); i++ {
-			if adj[i] == adj[i-1] {
-				dups++
+			if adj[i] <= adj[i-1] {
+				slices.Sort(adj)
+				for j := 1; j < len(adj); j++ {
+					if adj[j] == adj[j-1] {
+						dups++
+					}
+				}
+				break
 			}
 		}
 	}

@@ -111,7 +111,7 @@ func parseChunks(data []byte, lo, hi int, o Options, parse func(chunk []byte, re
 	starts := chunkStarts(data, lo, hi, chunkBytes)
 	k := len(starts) - 1
 	res := make([]chunkResult, k)
-	par.Ranges(k, o.Workers, func(clo, chi int) {
+	par.Ranges(k, par.Workers(o.Workers), func(clo, chi int) {
 		for c := clo; c < chi; c++ {
 			r := &res[c]
 			r.maxID, r.declaredN = -1, -1
@@ -147,7 +147,7 @@ func mergeEdges(results []chunkResult, workers int) []graph.Edge {
 		offs[i+1] = total
 	}
 	edges := make([]graph.Edge, total)
-	par.Ranges(len(results), workers, func(lo, hi int) {
+	par.Ranges(len(results), par.Workers(workers), func(lo, hi int) {
 		for c := lo; c < hi; c++ {
 			copy(edges[offs[c]:offs[c+1]], results[c].edges)
 		}
@@ -155,21 +155,61 @@ func mergeEdges(results []chunkResult, workers int) []graph.Edge {
 	return edges
 }
 
-// forEachLine iterates the newline-terminated lines of chunk (the last
-// line may lack its terminator at EOF), passing each line without the
-// '\n'. Returning false stops the iteration.
-func forEachLine(chunk []byte, fn func(line []byte) bool) {
-	for len(chunk) > 0 {
-		var line []byte
-		if j := bytes.IndexByte(chunk, '\n'); j >= 0 {
-			line, chunk = chunk[:j], chunk[j+1:]
-		} else {
-			line, chunk = chunk, nil
-		}
-		if !fn(line) {
-			return
-		}
+// cutLine splits off the first line of data, returning it without the
+// terminator plus the number of bytes consumed (terminator included).
+func cutLine(data []byte) (line []byte, n int) {
+	if j := bytes.IndexByte(data, '\n'); j >= 0 {
+		return data[:j], j + 1
 	}
+	return data, len(data)
+}
+
+// scanPair is the record scanner's fast path. It decodes the common
+// record shape at data[p:] — a run of 1–18 digits, one or more isSpace
+// bytes, a second run of 1–18 digits, then the end of data, a '\n' or
+// an isSpace byte (after which the rest of the line is ignored, as the
+// per-line parsers ignore fields past the second) — and returns both
+// values and the offset of the next line. ok is false for every other
+// line; the caller then hands the line to its per-line parser, which
+// owns comments, signs, leading whitespace, long digit runs and every
+// error. Eighteen digits cannot overflow an int64, so the fast path
+// needs no per-digit overflow check.
+func scanPair(data []byte, p int) (a, b int64, next int, ok bool) {
+	if a, p, ok = scanDigits(data, p); !ok || p == len(data) || !isSpace(data[p]) {
+		return 0, 0, 0, false
+	}
+	for p++; p < len(data) && isSpace(data[p]); p++ {
+	}
+	if b, p, ok = scanDigits(data, p); !ok {
+		return 0, 0, 0, false
+	}
+	switch {
+	case p == len(data):
+		return a, b, p, true
+	case data[p] == '\n':
+		return a, b, p + 1, true
+	case !isSpace(data[p]):
+		return 0, 0, 0, false
+	}
+	if j := bytes.IndexByte(data[p:], '\n'); j >= 0 {
+		return a, b, p + j + 1, true
+	}
+	return a, b, len(data), true
+}
+
+// scanDigits decodes the run of ASCII digits at data[p:], returning
+// its value, the offset just past it, and whether the run is 1–18
+// digits long (a longer run's value is meaningless).
+func scanDigits(data []byte, p int) (v int64, end int, ok bool) {
+	start := p
+	for ; p < len(data); p++ {
+		d := data[p] - '0'
+		if d > 9 {
+			break
+		}
+		v = v*10 + int64(d)
+	}
+	return v, p, p > start && p-start <= 18
 }
 
 // isSpace matches ASCII field separators; '\r' is included so CRLF

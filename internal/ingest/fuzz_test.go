@@ -2,6 +2,8 @@ package ingest
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"trilist/internal/graph"
@@ -9,18 +11,20 @@ import (
 )
 
 // The differential fuzz contract: for ANY input bytes, the chunked
-// parallel parse must behave exactly like the serial scan — same graph
-// or same error text — and must never panic. The targets run the same
-// input through adversarial chunk sizes (3 bytes puts a boundary
-// inside nearly every record) and worker counts, diffing each against
-// the single-chunk reference. Corpus seeds live in
-// testdata/fuzz/FuzzParse{SNAP,MTX}; CI runs each target briefly on
-// every push, and any crasher the longer local runs find lands there
-// as a regression test automatically.
+// parallel parse must behave exactly like the serial scan, and the
+// inline record scanner exactly like the reference per-line tokenizer
+// (reference_test.go) — same graph or same error text — and neither
+// may panic. The targets run the same input through adversarial chunk
+// sizes (3 bytes puts a boundary inside nearly every record) and
+// worker counts, diffing each against the single-chunk reference.
+// Corpus seeds live in testdata/fuzz/FuzzParse{SNAP,MTX}; CI runs each
+// target briefly on every push, and any crasher the longer local runs
+// find lands there as a regression test automatically.
 
 // longDigitRun reports a run of n+ consecutive ASCII digits. Node
 // counts forged into headers allocate the O(n) CSR offsets array, so
-// the harness skips inputs that could claim more than ~10^6 nodes —
+// the harness builds no graph from inputs that could claim more than
+// ~10^6 nodes (only the tokenizer differential runs on them) —
 // resource exhaustion by declared size is bounded by the caller's
 // input cap in production, not a parser invariant worth OOMing CI for.
 func longDigitRun(data []byte, n int) bool {
@@ -37,9 +41,64 @@ func longDigitRun(data []byte, n int) bool {
 	return false
 }
 
-// fuzzDifferential diffs chunked configurations against the serial
-// reference parse.
+// referenceParse is Parse over the reference tokenizer.
+func referenceParse(data []byte, f Format, o Options) (*graph.Graph, error) {
+	if bytes.HasPrefix(data, tricsrMagic) {
+		return nil, errRetiredTRICSR
+	}
+	if f == FormatMTX {
+		return parseMTX(data, o, referenceMTXChunk)
+	}
+	return parseSNAP(data, o, referenceSNAPChunk)
+}
+
+// sameResult fails unless (g, err) is (want, wantErr): equal graphs,
+// or errors with equal text.
+func sameResult(t *testing.T, what string, g *graph.Graph, err error, want *graph.Graph, wantErr error) {
+	t.Helper()
+	if (err == nil) != (wantErr == nil) {
+		t.Fatalf("%s: err %v, want err %v", what, err, wantErr)
+	}
+	if err != nil {
+		if err.Error() != wantErr.Error() {
+			t.Fatalf("%s: err %q, want %q", what, err, wantErr)
+		}
+		return
+	}
+	if !g.Equal(want) {
+		t.Fatalf("%s: graph differs", what)
+	}
+}
+
+// tokenizerDifferential runs the real chunk parser and the reference
+// tokenizer over the same chunks and requires identical chunk results:
+// edges, line and entry counts, largest ID, header declaration and
+// first error. It builds no graph, so it covers the inputs with long
+// digit runs that fuzzDifferential cannot build.
+func tokenizerDifferential(t *testing.T, data []byte, format Format) {
+	lo, fast, ref := 0, parseSNAPChunk, referenceSNAPChunk
+	if format == FormatMTX {
+		h, err := parseMTXHeader(data)
+		if err != nil {
+			return // the header parse is shared, not part of the tokenizer
+		}
+		lo = h.entriesAt
+		fast = func(c []byte, r *chunkResult) { parseMTXChunk(c, h.n, r) }
+		ref = func(c []byte, r *chunkResult) { referenceMTXChunk(c, h.n, r) }
+	}
+	for _, o := range []Options{serialOpts(data), {Workers: 1, ChunkBytes: 3}} {
+		got := parseChunks(data, lo, len(data), o, fast)
+		want := parseChunks(data, lo, len(data), o, ref)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("chunk=%d: chunk results differ from the reference tokenizer on %q", o.ChunkBytes, data)
+		}
+	}
+}
+
+// fuzzDifferential diffs the real parser against the reference
+// tokenizer, and chunked configurations against the serial parse.
 func fuzzDifferential(t *testing.T, data []byte, format Format) {
+	tokenizerDifferential(t, data, format)
 	if longDigitRun(data, 7) {
 		t.Skip("declared sizes above 10^6 nodes: allocation-bound, not parse-bound")
 	}
@@ -49,24 +108,15 @@ func fuzzDifferential(t *testing.T, data []byte, format Format) {
 			t.Fatalf("serial parse returned invalid graph: %v", err)
 		}
 	}
+	g, err := referenceParse(data, format, serialOpts(data))
+	sameResult(t, "reference tokenizer", ref, refErr, g, err)
 	for _, cfg := range []Options{
 		{Workers: 2, ChunkBytes: 3},
 		{Workers: 8, ChunkBytes: 16},
 		{Workers: 3, ChunkBytes: 1},
 	} {
 		g, _, err := Parse(data, format, cfg)
-		if (err == nil) != (refErr == nil) {
-			t.Fatalf("%+v: err %v, serial err %v", cfg, err, refErr)
-		}
-		if err != nil {
-			if err.Error() != refErr.Error() {
-				t.Fatalf("%+v: err %q, serial err %q", cfg, err, refErr)
-			}
-			continue
-		}
-		if !g.Equal(ref) {
-			t.Fatalf("%+v: graph differs from serial parse of %q", cfg, data)
-		}
+		sameResult(t, fmt.Sprintf("%+v vs serial parse of %q", cfg, data), g, err, ref, refErr)
 	}
 }
 

@@ -12,6 +12,13 @@
 // differential fuzz targets (FuzzParseMTX, FuzzParseSNAP) and the
 // chunk-boundary property tests enforce.
 //
+// Each chunk is one scan loop whose fast path (scanPair) decodes the
+// common two-ID record inline. Every other line — comments, signs,
+// leading whitespace, long digit runs, out-of-range IDs, every error —
+// goes to the per-line parser, so graph, error text and line number are
+// the per-line tokenizer's by construction; the fuzz targets also diff
+// the parsers against a test-only copy of that tokenizer.
+//
 // Untrusted input discipline: every byte of the input can be hostile.
 // Parsers never panic, never allocate proportionally to a forged
 // entry-count claim (edge buffers scale with actual input bytes; only

@@ -1,7 +1,6 @@
 package ingest
 
 import (
-	"bytes"
 	"fmt"
 
 	"trilist/internal/graph"
@@ -113,20 +112,17 @@ func parseMTXHeader(data []byte) (*mtxHeader, error) {
 	}
 }
 
-// cutLine splits off the first line of data, returning it without the
-// terminator plus the number of bytes consumed (terminator included).
-func cutLine(data []byte) (line []byte, n int) {
-	if j := bytes.IndexByte(data, '\n'); j >= 0 {
-		return data[:j], j + 1
-	}
-	return data, len(data)
-}
-
 // ParseMTX parses a MatrixMarket coordinate file into a simple
 // undirected graph. The header is read serially; the entry region is
 // parsed chunk-parallel (see Options) with a result — graph or error —
 // identical to a serial scan's.
 func ParseMTX(data []byte, o Options) (*graph.Graph, error) {
+	return parseMTX(data, o, parseMTXChunk)
+}
+
+// parseMTX is ParseMTX over a given chunk parser, so tests can run the
+// same pipeline over a reference tokenizer.
+func parseMTX(data []byte, o Options, parseChunk func([]byte, int64, *chunkResult)) (*graph.Graph, error) {
 	spParse := o.Recorder.Start(obsv.StageParse)
 	h, err := parseMTXHeader(data)
 	if err != nil {
@@ -135,7 +131,7 @@ func ParseMTX(data []byte, o Options) (*graph.Graph, error) {
 	}
 	n := h.n
 	results := parseChunks(data, h.entriesAt, len(data), o, func(chunk []byte, res *chunkResult) {
-		parseMTXChunk(chunk, n, res)
+		parseChunk(chunk, n, res)
 	})
 	err = firstError(results, h.lines, "mtx")
 	spParse.End()
@@ -155,37 +151,58 @@ func ParseMTX(data []byte, o Options) (*graph.Graph, error) {
 	return graph.FromEdges(int(h.n), mergeEdges(results, o.Workers), true)
 }
 
-// parseMTXChunk parses one line-aligned chunk of coordinate entries.
-// Indices are 1-based in [1, n]; diagonal entries are stripped; value
-// tokens are ignored.
+// parseMTXChunk parses one line-aligned chunk of coordinate entries:
+// the common "i j" entry is decoded inline by scanPair, and every other
+// line goes to parseMTXLine.
 func parseMTXChunk(chunk []byte, n int64, res *chunkResult) {
 	res.edges = make([]graph.Edge, 0, len(chunk)/8+1)
-	forEachLine(chunk, func(line []byte) bool {
+	for p := 0; p < len(chunk); {
 		res.lines++
-		tok, rest := nextField(line)
-		if len(tok) == 0 || tok[0] == '%' {
-			return true // blank or stray comment line: tolerated
+		i, j, next, ok := scanPair(chunk, p)
+		if !ok || i < 1 || i > n || j < 1 || j > n {
+			line, k := cutLine(chunk[p:])
+			if !parseMTXLine(line, n, res) {
+				return
+			}
+			p += k
+			continue
 		}
-		i, ok := parseInt(tok)
-		if !ok {
-			res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad row index %q", tok)}
-			return false
-		}
-		tok, _ = nextField(rest)
-		j, ok := parseInt(tok)
-		if !ok {
-			res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad column index %q", tok)}
-			return false
-		}
-		if i < 1 || i > n || j < 1 || j > n {
-			res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("entry (%d, %d) outside the declared %dx%d matrix", i, j, n, n)}
-			return false
-		}
+		p = next
 		res.entries++
-		if i == j {
-			return true // diagonal: stripped
+		if i != j {
+			res.edges = append(res.edges, graph.Edge{U: int32(i - 1), V: int32(j - 1)})
 		}
-		res.edges = append(res.edges, graph.Edge{U: int32(i - 1), V: int32(j - 1)})
-		return true
-	})
+	}
+}
+
+// parseMTXLine parses one entry line (without its '\n') that the fast
+// path declined. Indices are 1-based in [1, n]; diagonal entries are
+// stripped; value tokens are ignored. It returns false on a parse
+// error.
+func parseMTXLine(line []byte, n int64, res *chunkResult) bool {
+	tok, rest := nextField(line)
+	if len(tok) == 0 || tok[0] == '%' {
+		return true // blank or stray comment line: tolerated
+	}
+	i, ok := parseInt(tok)
+	if !ok {
+		res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad row index %q", tok)}
+		return false
+	}
+	tok, _ = nextField(rest)
+	j, ok := parseInt(tok)
+	if !ok {
+		res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad column index %q", tok)}
+		return false
+	}
+	if i < 1 || i > n || j < 1 || j > n {
+		res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("entry (%d, %d) outside the declared %dx%d matrix", i, j, n, n)}
+		return false
+	}
+	res.entries++
+	if i == j {
+		return true // diagonal: stripped
+	}
+	res.edges = append(res.edges, graph.Edge{U: int32(i - 1), V: int32(j - 1)})
+	return true
 }

@@ -26,8 +26,14 @@ import (
 // graph. The parse is chunk-parallel (see Options) and its result —
 // graph or error — is identical to a serial scan's.
 func ParseSNAP(data []byte, o Options) (*graph.Graph, error) {
+	return parseSNAP(data, o, parseSNAPChunk)
+}
+
+// parseSNAP is ParseSNAP over a given chunk parser, so tests can run
+// the same pipeline over a reference tokenizer.
+func parseSNAP(data []byte, o Options, parseChunk func([]byte, *chunkResult)) (*graph.Graph, error) {
 	spParse := o.Recorder.Start(obsv.StageParse)
-	results := parseChunks(data, 0, len(data), o, parseSNAPChunk)
+	results := parseChunks(data, 0, len(data), o, parseChunk)
 	err := firstError(results, 0, "snap")
 	spParse.End()
 	if err != nil {
@@ -63,55 +69,78 @@ func ParseSNAP(data []byte, o Options) (*graph.Graph, error) {
 // maxNodes bounds node counts to what int32 IDs can address.
 const maxNodes = 1 << 31
 
-// parseSNAPChunk parses one line-aligned chunk of SNAP records.
+// parseSNAPChunk parses one line-aligned chunk of SNAP records: the
+// common "u v" record is decoded inline by scanPair, and every other
+// line goes to parseSNAPLine.
 func parseSNAPChunk(chunk []byte, res *chunkResult) {
 	res.edges = make([]graph.Edge, 0, len(chunk)/8+1)
-	forEachLine(chunk, func(line []byte) bool {
+	for p := 0; p < len(chunk); {
 		res.lines++
-		tok, rest := nextField(line)
-		if len(tok) == 0 {
-			return true // blank line
+		u, v, next, ok := scanPair(chunk, p)
+		if !ok || u >= maxNodes || v >= maxNodes {
+			line, n := cutLine(chunk[p:])
+			if !parseSNAPLine(line, res) {
+				return
+			}
+			p += n
+			continue
 		}
-		if tok[0] == '#' {
-			scanSNAPHeader(line, res)
-			return true
-		}
-		u, ok := parseInt(tok)
-		if !ok {
-			res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad node ID %q", tok)}
-			return false
-		}
-		tok, _ = nextField(rest)
-		if len(tok) == 0 {
-			res.err = &lineError{line: res.lines - 1, msg: `expected "u v"`}
-			return false
-		}
-		v, ok := parseInt(tok)
-		if !ok {
-			res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad node ID %q", tok)}
-			return false
-		}
-		if u < 0 || v < 0 {
-			res.err = &lineError{line: res.lines - 1, msg: "negative node ID"}
-			return false
-		}
-		if u >= maxNodes || v >= maxNodes {
-			res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("node ID %d exceeds int32", max(u, v))}
-			return false
-		}
+		p = next
 		res.entries++
-		if u > res.maxID {
-			res.maxID = u
+		res.maxID = max(res.maxID, u, v)
+		if u != v {
+			res.edges = append(res.edges, graph.Edge{U: int32(u), V: int32(v)})
 		}
-		if v > res.maxID {
-			res.maxID = v
-		}
-		if u == v {
-			return true // self-loop: the node counts, the edge is stripped
-		}
-		res.edges = append(res.edges, graph.Edge{U: int32(u), V: int32(v)})
+	}
+}
+
+// parseSNAPLine parses one SNAP line (without its '\n') that the fast
+// path declined, recording its edge, header or error in res. It
+// returns false on a parse error.
+func parseSNAPLine(line []byte, res *chunkResult) bool {
+	tok, rest := nextField(line)
+	if len(tok) == 0 {
+		return true // blank line
+	}
+	if tok[0] == '#' {
+		scanSNAPHeader(line, res)
 		return true
-	})
+	}
+	u, ok := parseInt(tok)
+	if !ok {
+		res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad node ID %q", tok)}
+		return false
+	}
+	tok, _ = nextField(rest)
+	if len(tok) == 0 {
+		res.err = &lineError{line: res.lines - 1, msg: `expected "u v"`}
+		return false
+	}
+	v, ok := parseInt(tok)
+	if !ok {
+		res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("bad node ID %q", tok)}
+		return false
+	}
+	if u < 0 || v < 0 {
+		res.err = &lineError{line: res.lines - 1, msg: "negative node ID"}
+		return false
+	}
+	if u >= maxNodes || v >= maxNodes {
+		res.err = &lineError{line: res.lines - 1, msg: fmt.Sprintf("node ID %d exceeds int32", max(u, v))}
+		return false
+	}
+	res.entries++
+	if u > res.maxID {
+		res.maxID = u
+	}
+	if v > res.maxID {
+		res.maxID = v
+	}
+	if u == v {
+		return true // self-loop: the node counts, the edge is stripped
+	}
+	res.edges = append(res.edges, graph.Edge{U: int32(u), V: int32(v)})
+	return true
 }
 
 // scanSNAPHeader extracts a node-count declaration from a comment

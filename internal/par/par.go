@@ -24,53 +24,27 @@ func Workers(requested int) int {
 	return requested
 }
 
-// ShardCount returns the number of shards Ranges and Shards will use
-// for n items and the requested worker count: min(workers, n), at
-// least 1. Callers size per-shard accumulators with it.
-func ShardCount(n, workers int) int {
-	if workers > n {
-		workers = n
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	return workers
-}
-
-// shardBounds returns the half-open range of shard s out of p over n
-// items. Boundaries depend only on (n, p), never on scheduling.
-func shardBounds(n, p, s int) (lo, hi int) {
-	return n * s / p, n * (s + 1) / p
-}
-
-// Ranges splits [0, n) into ShardCount(n, workers) near-equal
-// contiguous ranges and runs body(lo, hi) on each concurrently,
-// blocking until all return. With one shard, body runs inline.
+// Ranges splits [0, n) into min(workers, n) near-equal contiguous
+// ranges (at least one) and runs body(lo, hi) on each concurrently,
+// blocking until all return. Range s of p is [n*s/p, n*(s+1)/p),
+// fixed by (n, workers) alone. With one range, body runs inline.
 func Ranges(n, workers int, body func(lo, hi int)) {
-	Shards(n, workers, func(_, lo, hi int) { body(lo, hi) })
-}
-
-// Shards is Ranges passing the shard index as well, for per-shard
-// accumulators: body(s, lo, hi) with 0 <= s < ShardCount(n, workers).
-// Results must not depend on s — only scratch reuse and reduction
-// slots may.
-func Shards(n, workers int, body func(shard, lo, hi int)) {
 	if n <= 0 {
 		return
 	}
-	p := ShardCount(n, workers)
+	p := max(min(workers, n), 1)
 	if p == 1 {
-		body(0, 0, n)
+		body(0, n)
 		return
 	}
 	var wg sync.WaitGroup
 	for s := 0; s < p; s++ {
-		lo, hi := shardBounds(n, p, s)
+		lo, hi := n*s/p, n*(s+1)/p
 		wg.Add(1)
-		go func(s, lo, hi int) {
+		go func() {
 			defer wg.Done()
-			body(s, lo, hi)
-		}(s, lo, hi)
+			body(lo, hi)
+		}()
 	}
 	wg.Wait()
 }

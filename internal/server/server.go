@@ -204,7 +204,13 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
 	if err != nil {
-		writeError(w, http.StatusRequestEntityTooLarge, "reading body: %v", err)
+		// Only an oversize body is a 413; a truncated or aborted one is
+		// the client's malformed request.
+		code := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, "reading body: %v", err)
 		return
 	}
 	info, code, err := s.registerBytes(body, format)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -12,6 +13,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"time"
 
 	"trilist/internal/gen"
@@ -171,6 +173,24 @@ func TestRegisterGraphAndContentHashDedup(t *testing.T) {
 	}
 	if code, _ := e.do(t, "POST", "/v1/graphs?format=binary", tricsr); code != http.StatusBadRequest {
 		t.Fatalf("format=binary: status %d, want 400", code)
+	}
+}
+
+// TestRegisterGraphBodyErrors pins the status of a body that cannot be
+// read whole: an oversize body is a 413, while a truncated or aborted
+// one is the client's malformed request, a 400.
+func TestRegisterGraphBodyErrors(t *testing.T) {
+	e := newTestEnv(t, Options{MaxUploadBytes: 8})
+	if code, body := e.do(t, "POST", "/v1/graphs", []byte(k4)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversize body: status %d, want 413: %s", code, body)
+	}
+	for _, cut := range []error{io.ErrUnexpectedEOF, errors.New("connection reset by peer")} {
+		req := httptest.NewRequest("POST", "/v1/graphs", io.MultiReader(strings.NewReader("0 1\n"), iotest.ErrReader(cut)))
+		rec := httptest.NewRecorder()
+		e.srv.Handler().ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("body cut by %q: status %d, want 400: %s", cut, rec.Code, rec.Body)
+		}
 	}
 }
 
