@@ -6,7 +6,7 @@
 //
 //	trid [-addr :8080] [-cache-bytes 1073741824] [-queue 64] \
 //	     [-workers 0] [-drain-timeout 30s] [-debug-addr addr] \
-//	     [-csr-dir dir] [-upload-dir dir]
+//	     [-csr-dir dir]
 //
 // -workers sizes the job worker pool and also bounds the parallelism
 // of the planner's candidate grid on cache misses.
@@ -14,11 +14,13 @@
 // -csr-dir persists every registered graph as a checksummed TRCSRF
 // file and warm-starts the registry on boot by memory-mapping the
 // files back — a restart costs page faults, not a reparse. Corrupt
-// files are skipped with a warning. -upload-dir is where the chunked
-// upload API (POST /v1/graphs/upload, then offset-resumable PUTs and a
-// commit) spools bytes before parsing; it defaults to the system temp
-// directory. Partitioned jobs (JobSpec parts > 0) keep their partition
-// blocks in memory.
+// files are skipped with a warning. Partitioned jobs (JobSpec parts > 0)
+// keep their partition blocks in memory.
+//
+// POST /v1/graphs is the one way to register a graph. -upload-dir,
+// once the spool of a chunked-upload protocol that is gone, still
+// parses so existing command lines keep working, and is ignored; the
+// benchmark change that stops passing it (ROADMAP step 9a) drops it.
 //
 // The daemon logs its listen address on startup and shuts down
 // gracefully on SIGINT/SIGTERM: new submissions get 503 while queued
@@ -98,7 +100,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "graceful-shutdown budget before in-flight jobs are cancelled")
 	debugAddr := fs.String("debug-addr", "", "optional listen address serving net/http/pprof under /debug/pprof/ (empty = disabled)")
 	csrDir := fs.String("csr-dir", "", "directory persisting registered graphs as TRCSRF files, mmap-loaded on restart (empty = disabled)")
-	uploadDir := fs.String("upload-dir", "", "spool directory for chunked uploads (default: system temp)")
+	_ = fs.String("upload-dir", "", "ignored: the chunked-upload spool is gone; kept so old command lines parse until ROADMAP step 9a's benchmark change drops it")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -113,7 +115,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		QueueDepth: *queueDepth,
 		Workers:    *workers,
 		CSRDir:     *csrDir,
-		UploadDir:  *uploadDir,
 	})
 	if *csrDir != "" {
 		loaded, err := srv.LoadCSRDir()

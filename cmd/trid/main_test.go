@@ -36,14 +36,15 @@ func (b *syncBuffer) String() string {
 
 // TestDaemonLifecycle boots the daemon on an ephemeral port, serves a
 // register→count round trip, then shuts it down via context cancel
-// (the signal path) and checks the drain messages.
+// (the signal path) and checks the drain messages. It passes the
+// ignored -upload-dir, which must still parse.
 func TestDaemonLifecycle(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	out := &syncBuffer{}
 	done := make(chan error, 1)
 	go func() {
-		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2"}, out)
+		done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-workers", "2", "-upload-dir", t.TempDir()}, out)
 	}()
 
 	// The listen line appears once the port is bound.
@@ -194,6 +195,56 @@ func TestDebugAddrServesPprof(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("daemon did not shut down")
+	}
+}
+
+// TestRetiredUploadRoutes: the chunked-upload protocol is gone, so
+// each of its four routes is a 404 or 405, and the -upload-dir the
+// daemon still accepts stays empty.
+func TestRetiredUploadRoutes(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	spool := t.TempDir()
+	out := &syncBuffer{}
+	done := make(chan error, 1)
+	go func() { done <- run(ctx, []string{"-addr", "127.0.0.1:0", "-upload-dir", spool}, out) }()
+	base := "http://" + waitLogAddr(t, out, "trid listening on ")
+
+	for _, r := range []struct{ method, path string }{
+		{"POST", "/v1/graphs/upload"},
+		{"PUT", "/v1/graphs/upload/a1b2c3d4e5f60718"},
+		{"POST", "/v1/graphs/upload/a1b2c3d4e5f60718/commit"},
+		{"DELETE", "/v1/graphs/upload/a1b2c3d4e5f60718"},
+	} {
+		req, err := http.NewRequest(r.method, base+r.path, strings.NewReader("0 1\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound && resp.StatusCode != http.StatusMethodNotAllowed {
+			t.Errorf("%s %s: status %d, want 404 or 405", r.method, r.path, resp.StatusCode)
+		}
+	}
+
+	cancel()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("run returned %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("daemon did not shut down")
+	}
+	ents, err := os.ReadDir(spool)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ents) != 0 {
+		t.Fatalf("-upload-dir is not ignored: it holds %v", ents)
 	}
 }
 

@@ -30,6 +30,7 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
+	"path/filepath"
 
 	"trilist/internal/graph"
 )
@@ -157,6 +158,8 @@ func Write(w io.Writer, g *graph.Graph) error {
 // WriteFile atomically writes g to path: the bytes land in a temporary
 // file in the same directory, are synced, and are renamed over path, so
 // a crash mid-write never leaves a partial file under the final name.
+// The directory is synced after the rename, so once WriteFile returns
+// nil the new name survives a crash too.
 func WriteFile(path string, g *graph.Graph) (err error) {
 	dir, base := splitPath(path)
 	f, err := os.CreateTemp(dir, "."+base+".tmp*")
@@ -181,7 +184,26 @@ func WriteFile(path string, g *graph.Graph) (err error) {
 	if err = os.Rename(f.Name(), path); err != nil {
 		return fmt.Errorf("csrfile: %w", err)
 	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("csrfile: %w", err)
+	}
+	err = d.Sync()
+	if cerr := d.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		return fmt.Errorf("csrfile: syncing directory %s: %w", dir, err)
+	}
 	return nil
+}
+
+// IsTemp reports whether the base name is one of the temp files that
+// WriteFile creates beside a *.csrf target. A writer killed before its
+// rename leaves one behind, and it never holds a finished image.
+func IsTemp(name string) bool {
+	ok, _ := filepath.Match(".*.csrf.tmp*", name)
+	return ok
 }
 
 // splitPath separates path into its directory and final element

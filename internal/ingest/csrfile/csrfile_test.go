@@ -217,10 +217,10 @@ func TestFaultInjection(t *testing.T) {
 
 // TestForgedHeaderBoundedAllocation: a checksum-consistent header
 // claiming n=2^31 describes a ~16 GiB payload, and it is reachable
-// remotely — Detect sniffs the TRCSRF magic on POST /v1/graphs and
-// upload commit. ReadBytes must fail with a descriptive error after
-// allocating memory proportional to the bytes that actually arrived
-// (64), never to the header's claim.
+// remotely — Detect sniffs the TRCSRF magic on POST /v1/graphs.
+// ReadBytes must fail with a descriptive error after allocating memory
+// proportional to the bytes that actually arrived (64), never to the
+// header's claim.
 func TestForgedHeaderBoundedAllocation(t *testing.T) {
 	forged := encodeHeader(1<<31, 0, 0)
 	var before, after runtime.MemStats

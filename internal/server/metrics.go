@@ -45,10 +45,6 @@ type serverMetrics struct {
 	execTriples        *metrics.CounterVec // block-triple executions by outcome
 	execStragglers     *metrics.Counter
 	execTripleDuration *metrics.Histogram
-
-	uploadsOpen      *metrics.Gauge
-	uploadsCommitted *metrics.Counter
-	uploadBytes      *metrics.Counter
 }
 
 func newServerMetrics() *serverMetrics {
@@ -77,7 +73,7 @@ func newServerMetrics() *serverMetrics {
 		cacheBytes:     r.NewGauge("trid_graph_cache_bytes", "Bytes of resident graphs and orientations."),
 		graphsResident: r.NewGauge("trid_graphs_resident", "Graphs currently resident in the registry."),
 
-		graphsRegistered: r.NewCounter("trid_graphs_registered_total", "Accepted graph registrations, direct or upload-commit (including re-registrations)."),
+		graphsRegistered: r.NewCounter("trid_graphs_registered_total", "Accepted POST /v1/graphs registrations (including re-registrations)."),
 		graphsPersisted:  r.NewCounter("trid_graphs_persisted_total", "Graphs written to the CSR directory."),
 		graphsWarmLoaded: r.NewCounter("trid_graphs_warm_loaded_total", "Graphs memory-mapped from the CSR directory at startup."),
 
@@ -95,9 +91,5 @@ func newServerMetrics() *serverMetrics {
 			"Speculative straggler re-issues of in-flight block-triple passes."),
 		execTripleDuration: r.NewHistogram("trid_exec_triple_duration_seconds",
 			"Wall-clock duration of winning block-triple pass executions.", metrics.DefBuckets),
-
-		uploadsOpen:      r.NewGauge("trid_uploads_open", "Chunked uploads currently spooling."),
-		uploadsCommitted: r.NewCounter("trid_uploads_committed_total", "Chunked uploads committed into the registry."),
-		uploadBytes:      r.NewCounter("trid_upload_bytes_total", "Bytes appended across all chunked uploads."),
 	}
 }

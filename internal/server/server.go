@@ -4,10 +4,6 @@
 // serving system.
 //
 //	POST   /v1/graphs            register a graph body (MatrixMarket, SNAP edge list or TRCSRF)
-//	POST   /v1/graphs/upload     begin a resumable upload
-//	PUT    /v1/graphs/upload/{id}         append bytes at Upload-Offset
-//	POST   /v1/graphs/upload/{id}/commit  register the uploaded bytes
-//	DELETE /v1/graphs/upload/{id}         abort an upload
 //	GET    /v1/graphs            list resident graphs (MRU order)
 //	GET    /v1/graphs/{id}/plan  predicted cost ranking for every (method, order)
 //	POST   /v1/jobs              submit a count/list job (JobSpec body)
@@ -27,16 +23,22 @@ package server
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"os"
+	"path/filepath"
 	"runtime"
+	"strings"
 	"sync"
 
+	"trilist/internal/graph"
 	"trilist/internal/ingest"
+	"trilist/internal/ingest/csrfile"
 	"trilist/internal/metrics"
 	"trilist/internal/planner"
 )
@@ -46,14 +48,9 @@ type Options struct {
 	// CacheBytes is the registry's resident-byte budget (graphs plus
 	// cached orientations). Default 1 GiB.
 	CacheBytes int64
-	// MaxUploadBytes bounds a POST /v1/graphs body and the total spooled
-	// size of a chunked upload. Default 1 GiB.
+	// MaxUploadBytes bounds a POST /v1/graphs body, the only way a
+	// graph's bytes reach the daemon. Default 1 GiB.
 	MaxUploadBytes int64
-	// MaxUploads bounds concurrently open chunked uploads. Default 16.
-	MaxUploads int
-	// UploadDir is where chunked uploads spool before commit. Default
-	// the system temp directory.
-	UploadDir string
 	// CSRDir, when set, persists every registered graph as a TRCSRF
 	// file and lets LoadCSRDir mmap them back on restart. Empty
 	// disables persistence.
@@ -79,12 +76,6 @@ func (o Options) withDefaults() Options {
 	if o.MaxUploadBytes <= 0 {
 		o.MaxUploadBytes = 1 << 30
 	}
-	if o.MaxUploads <= 0 {
-		o.MaxUploads = 16
-	}
-	if o.UploadDir == "" {
-		o.UploadDir = os.TempDir()
-	}
 	if o.QueueDepth <= 0 {
 		o.QueueDepth = 64
 	}
@@ -107,7 +98,6 @@ type Server struct {
 	reg     *Registry
 	jobs    *Manager
 	mux     *http.ServeMux
-	uploads *uploadSet
 
 	mappedMu sync.Mutex
 	mapped   []io.Closer // warm-start mmaps, released on Shutdown
@@ -124,13 +114,8 @@ func New(opts Options) *Server {
 		reg:     reg,
 		jobs:    NewManager(opts, reg, m),
 		mux:     http.NewServeMux(),
-		uploads: newUploadSet(opts.UploadDir, opts.MaxUploads),
 	}
 	s.mux.HandleFunc("POST /v1/graphs", s.handleRegisterGraph)
-	s.mux.HandleFunc("POST /v1/graphs/upload", s.handleUploadBegin)
-	s.mux.HandleFunc("PUT /v1/graphs/upload/{id}", s.handleUploadAppend)
-	s.mux.HandleFunc("POST /v1/graphs/upload/{id}/commit", s.handleUploadCommit)
-	s.mux.HandleFunc("DELETE /v1/graphs/upload/{id}", s.handleUploadAbort)
 	s.mux.HandleFunc("GET /v1/graphs", s.handleListGraphs)
 	s.mux.HandleFunc("GET /v1/graphs/{id}/plan", s.handleGraphPlan)
 	s.mux.HandleFunc("POST /v1/jobs", s.handleCreateJob)
@@ -149,18 +134,88 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Registry() *Registry { return s.reg }
 
 // Shutdown drains the job queue and pool; see Manager.Shutdown. New
-// graph registrations, uploads and job submissions 503 from the moment
-// it is called, while GETs keep serving so clients can collect
-// results. In-flight upload spools are discarded; warm-start mappings
-// are released only after a clean drain (an expired ctx may leave jobs
-// reading mapped pages).
+// graph registrations and job submissions 503 from the moment it is
+// called, while GETs keep serving so clients can collect results.
+// Warm-start mappings are released only after a clean drain (an
+// expired ctx may leave jobs reading mapped pages).
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.jobs.Shutdown(ctx)
-	s.uploads.closeAll()
 	if err == nil {
 		s.closeMapped()
 	}
 	return err
+}
+
+// LoadCSRDir warm-starts the registry from CSRDir: every *.csrf file
+// is memory-mapped (no parse, no copy — pages fault in on first use)
+// and registered under the content hash encoded in its name. Corrupt
+// or truncated files are skipped, reported in the joined error, and
+// never crash the daemon; loaded is the number of graphs now resident.
+// The temp files of writes killed before their rename (csrfile.IsTemp)
+// are removed: nothing loads them, so nothing else would reclaim them.
+// Mappings live until Shutdown.
+func (s *Server) LoadCSRDir() (loaded int, err error) {
+	dir := s.opts.CSRDir
+	if dir == "" {
+		return 0, nil
+	}
+	ents, readErr := os.ReadDir(dir)
+	if readErr != nil {
+		if errors.Is(readErr, os.ErrNotExist) {
+			return 0, nil
+		}
+		return 0, readErr
+	}
+	var errs []error
+	for _, e := range ents {
+		name := e.Name()
+		if e.IsDir() {
+			continue
+		}
+		if csrfile.IsTemp(name) {
+			if rmErr := os.Remove(filepath.Join(dir, name)); rmErr != nil {
+				errs = append(errs, rmErr)
+			}
+			continue
+		}
+		if !strings.HasSuffix(name, ".csrf") {
+			continue
+		}
+		m, openErr := csrfile.Open(filepath.Join(dir, name))
+		if openErr != nil {
+			errs = append(errs, openErr)
+			continue
+		}
+		id := "sha256:" + strings.TrimSuffix(name, ".csrf")
+		if s.reg.Add(id, m.Graph()) {
+			s.mappedMu.Lock()
+			s.mapped = append(s.mapped, m)
+			s.mappedMu.Unlock()
+			s.metrics.graphsWarmLoaded.Inc()
+			loaded++
+			// Warm the query plan alongside the graph: a restart should
+			// leave auto-job planning as cheap as before it. Non-fatal,
+			// like a corrupt file — the graph itself is fine.
+			if _, planErr := s.reg.Plan(id); planErr != nil {
+				errs = append(errs, planErr)
+			}
+		} else {
+			_ = m.Close()
+		}
+	}
+	return loaded, errors.Join(errs...)
+}
+
+// closeMapped releases every warm-start mapping. Only safe once no job
+// can touch a registered graph, i.e. after a successful drain.
+func (s *Server) closeMapped() {
+	s.mappedMu.Lock()
+	mapped := s.mapped
+	s.mapped = nil
+	s.mappedMu.Unlock()
+	for _, c := range mapped {
+		_ = c.Close()
+	}
 }
 
 // errorBody is the uniform JSON error envelope.
@@ -189,9 +244,10 @@ type graphInfo struct {
 
 // handleRegisterGraph ingests a graph body in any ingest format
 // (MatrixMarket, SNAP edge list or TRCSRF — sniffed), keys it by
-// content hash, and makes it resident. The optional ?format= query
-// parameter pins the format instead of sniffing. A body in the retired
-// TRICSR format is a 400 that names the format.
+// content hash, makes it resident and persists it to CSRDir. The
+// optional ?format= query parameter pins the format instead of
+// sniffing. A body in the retired TRICSR format is a 400 that names
+// the format.
 func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	if s.jobs.Draining() {
 		writeError(w, http.StatusServiceUnavailable, "draining")
@@ -213,12 +269,50 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, code, "reading body: %v", err)
 		return
 	}
-	info, code, err := s.registerBytes(body, format)
-	if err != nil {
-		writeError(w, code, "%v", err)
+	// The full digest is the identity: a truncated hash would let a
+	// birthday-colliding pre-registration impersonate a future graph.
+	sum := sha256.Sum256(body)
+	id := "sha256:" + hex.EncodeToString(sum[:])
+	s.metrics.graphsRegistered.Inc()
+	if g, ok := s.reg.Get(id); ok {
+		writeJSON(w, http.StatusOK, graphInfo{
+			ID: id, Nodes: g.NumNodes(), Edges: g.NumEdges(),
+			Bytes: graphBytes(g), Cached: true,
+		})
 		return
 	}
-	writeJSON(w, code, info)
+	g, _, err := ingest.Parse(body, format, ingest.Options{Workers: s.opts.Workers})
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "parsing graph: %v", err)
+		return
+	}
+	s.reg.Add(id, g)
+	// Eagerly compute and memoize the query plan so the first
+	// method=auto job (or /plan preview) pays nothing. Best-effort: a
+	// planning failure must not undo a registration that is already
+	// resident — auto jobs will retry and surface the error.
+	_, _ = s.reg.Plan(id)
+	s.persistCSR(id, g)
+	writeJSON(w, http.StatusCreated, graphInfo{
+		ID: id, Nodes: g.NumNodes(), Edges: g.NumEdges(), Bytes: graphBytes(g),
+	})
+}
+
+// persistCSR writes the registered graph to CSRDir as a TRCSRF file
+// named after its content hash, so a restarted daemon can mmap it back
+// without reparsing. Best-effort: a full disk must not fail the
+// registration that is already resident.
+func (s *Server) persistCSR(id string, g *graph.Graph) {
+	if s.opts.CSRDir == "" {
+		return
+	}
+	path := filepath.Join(s.opts.CSRDir, strings.TrimPrefix(id, "sha256:")+".csrf")
+	if _, err := os.Stat(path); err == nil {
+		return // already persisted by an earlier run
+	}
+	if err := csrfile.WriteFile(path, g); err == nil {
+		s.metrics.graphsPersisted.Inc()
+	}
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {

@@ -146,6 +146,11 @@ func TestRegisterGraphAndContentHashDedup(t *testing.T) {
 	if gi.Nodes != 4 || gi.Edges != 6 || gi.Cached {
 		t.Fatalf("bad first registration: %+v", gi)
 	}
+	// Graph identity is the full sha256 digest; a truncated hash would
+	// be open to birthday-collision impersonation.
+	if len(gi.ID) != len("sha256:")+64 {
+		t.Fatalf("graph id %q is not a full sha256 digest", gi.ID)
+	}
 	gi2 := e.register(t, []byte(k4))
 	if gi2.ID != gi.ID || !gi2.Cached {
 		t.Fatalf("re-registration not served from cache: %+v", gi2)
