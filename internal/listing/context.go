@@ -65,9 +65,10 @@ func applyOptions(opts []Option) runConfig {
 // of global hash insertions paid up front (the vertex iterators build
 // the arc set once; SEI and LEI build nothing global before the sweep).
 // Each newWorker() call allocates that worker's private scratch — the
-// SEI intersector or the LEI membership set — so parallel workers
-// never share mutable state; release returns pooled scratch when the
-// worker retires.
+// SEI intersector or the LEI membership set, and for the methods that
+// cut remote lists the arena's cursors — so parallel workers never
+// share mutable state; release returns pooled scratch when the worker
+// retires.
 func methodSweep(o *digraph.Oriented, m Method, visit Visitor, cfg *runConfig) (newWorker func() (run func(lo, hi int32, s *Stats), release func()), hashBuild int64) {
 	if m < 0 || m >= numMethods {
 		panic(fmt.Sprintf("listing: unknown method %d", int(m)))
@@ -83,12 +84,12 @@ func methodSweep(o *digraph.Oriented, m Method, visit Visitor, cfg *runConfig) (
 	case ScanningEdgeIterator:
 		mergeRef := cfg.mergeRef
 		return func() (func(lo, hi int32, s *Stats), func()) {
-			it := newIntersector(n, mergeRef)
+			it := &intersector{ar: getArena(n, m.cutsRemote()), mergeRef: mergeRef}
 			return func(lo, hi int32, s *Stats) { runSEI(o, m, it, visit, s, lo, hi) }, it.release
 		}, 0
 	default:
 		return func() (func(lo, hi int32, s *Stats), func()) {
-			ar := getArena(n)
+			ar := getArena(n, m.cutsRemote())
 			return func(lo, hi int32, s *Stats) { runLEI(o, m, ar, visit, s, lo, hi) }, func() { putArena(ar) }
 		}, 0
 	}
@@ -116,9 +117,6 @@ func methodSweep(o *digraph.Oriented, m Method, visit Visitor, cfg *runConfig) (
 // Shun–Tangwongsan [35]) applied to its unified framework.
 func RunCtx(ctx context.Context, o *digraph.Oriented, m Method, visit Visitor, opts ...Option) (Stats, error) {
 	cfg := applyOptions(opts)
-	if visit == nil {
-		visit = func(x, y, z int32) {}
-	}
 	if err := ctx.Err(); err != nil {
 		return Stats{Method: m}, err
 	}

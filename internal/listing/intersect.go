@@ -12,26 +12,39 @@ import (
 // galloping does at most a handful of probes per window element.
 const skewRatio = 8
 
-// arena is per-worker scratch for the stamp probes: it marks the nodes
-// of the currently stamped base list, validated by an epoch so
-// re-stamping is O(|base|) with no clearing. One arena serves both SEI
-// window probes and LEI membership tests.
+// arena is per-worker scratch. Its epoch stamps mark the nodes of the
+// currently stamped base list, validated by an epoch so re-stamping is
+// O(|base|) with no clearing; one arena serves both SEI window probes
+// and LEI membership tests. Its cursors serve the sweeps that cut a
+// remote list at the anchor (see cut).
 type arena struct {
 	epoch []uint32 // epoch[v] == cur ⇔ v is in the stamped base list
 	cur   uint32
+	// cursor[v] is where the next cut of v's cut list starts searching.
+	cursor []int32
 }
 
 // arenaPool recycles arenas across runs so repeated sweeps (Monte-Carlo
 // trials, benchmarks, the trid job loop) allocate no per-run scratch.
 var arenaPool sync.Pool
 
-// getArena returns an arena able to index nodes [0, n).
-func getArena(n int) *arena {
+// getArena returns an arena able to index nodes [0, n). cuts readies
+// the cursors of nodes [0, n) for a sweep that cuts remote lists: a
+// pooled arena's cursors belong to its previous run, so they are
+// zeroed here, once per run and worker.
+func getArena(n int, cuts bool) *arena {
 	a, _ := arenaPool.Get().(*arena)
 	if a == nil {
 		a = &arena{}
 	}
 	a.ensure(n)
+	if cuts {
+		if len(a.cursor) < n {
+			a.cursor = make([]int32, n)
+		} else {
+			clear(a.cursor[:n])
+		}
+	}
 	return a
 }
 
@@ -47,10 +60,11 @@ func (a *arena) ensure(n int) {
 	a.cur = 1
 }
 
-// stamp records base as the current list. Stale stamps from prior
-// anchors (or prior graphs, when the arena is pooled) are invalidated
-// by the epoch bump; the epoch array is cleared only on uint32 wrap.
-func (a *arena) stamp(base []int32) {
+// stamp records base as the current list and returns its epoch. Stale
+// stamps from prior anchors (or prior graphs, when the arena is pooled)
+// are invalidated by the epoch bump; the epoch array is cleared only on
+// uint32 wrap.
+func (a *arena) stamp(base []int32) uint32 {
 	a.cur++
 	if a.cur == 0 {
 		clear(a.epoch)
@@ -59,10 +73,21 @@ func (a *arena) stamp(base []int32) {
 	for _, v := range base {
 		a.epoch[v] = a.cur
 	}
+	return a.cur
 }
 
-// member reports whether v is in the stamped base list.
-func (a *arena) member(v int32) bool { return a.epoch[v] == a.cur }
+// cut returns the position of v in list, the ascending cut list owned
+// by node owner, which must contain v. Every cut value is an element of
+// its cut list (z ∈ N⁻(y) ⇔ y ∈ N⁺(z)), and a worker meets an owner's
+// cuts in ascending anchor order, so the position only grows: the
+// search gallops forward from the owner's cursor and leaves the cursor
+// just past v. A serial sweep finds v at the cursor itself, in O(1); a
+// worker that skipped other workers' blocks gallops over the gap.
+func (a *arena) cut(list []int32, owner, v int32) int {
+	k := gallopSearch(list, int(a.cursor[owner]), v)
+	a.cursor[owner] = int32(k + 1)
+	return k
+}
 
 // upperBound returns the number of elements <= v in an ascending list.
 func upperBound(list []int32, v int32) int {
@@ -130,7 +155,7 @@ func gallopSearch(list []int32, lo int, v int32) int {
 
 // gallopIntersect emits the common elements of two ascending lists in
 // ascending order by galloping the shorter list's elements through the
-// longer, and returns the number of matches.
+// longer, and returns the number of matches. A nil emit only counts.
 func gallopIntersect(a, b []int32, emit func(int32)) int64 {
 	if len(a) > len(b) {
 		a, b = b, a
@@ -144,7 +169,9 @@ func gallopIntersect(a, b []int32, emit func(int32)) int64 {
 		}
 		if b[j] == v {
 			matches++
-			emit(v)
+			if emit != nil {
+				emit(v)
+			}
 			j++
 		}
 	}
@@ -172,20 +199,10 @@ type intersector struct {
 	mergeRef bool
 }
 
-// newIntersector builds one worker's engine for a graph on n nodes.
-func newIntersector(n int, mergeRef bool) *intersector {
-	if mergeRef {
-		return &intersector{mergeRef: true}
-	}
-	return &intersector{ar: getArena(n)}
-}
-
 // release returns pooled scratch; the intersector is dead afterwards.
 func (it *intersector) release() {
-	if it.ar != nil {
-		putArena(it.ar)
-		it.ar = nil
-	}
+	putArena(it.ar)
+	it.ar = nil
 }
 
 // setBase installs the anchor's base adjacency list. Every window
@@ -196,22 +213,25 @@ func (it *intersector) setBase(base []int32) {
 }
 
 // probe intersects the window with remote via the stamped arena,
-// emitting matches in ascending order (remote is ascending). It tests
-// membership in the whole base list, which is exact for every SEI
-// method: the base elements outside the window lie outside the remote
-// list's value range. E1 and E6 take the prefix below a bound that
-// every remote element is also below; E3 and E4 take the suffix above
-// a bound that every remote element is also above; E2 and E5 take the
-// whole list.
+// emitting matches in ascending order (remote is ascending) unless emit
+// is nil, and returns the number of matches. It tests membership in the
+// whole base list, which is exact for every SEI method: the base
+// elements outside the window lie outside the remote list's value
+// range. E1 and E6 take the prefix below a bound that every remote
+// element is also below; E3 and E4 take the suffix above a bound that
+// every remote element is also above; E2 and E5 take the whole list.
 func (it *intersector) probe(remote []int32, emit func(int32)) int64 {
 	if !it.stamped {
 		it.ar.stamp(it.base)
 		it.stamped = true
 	}
-	ar := it.ar
+	epoch, cur := it.ar.epoch, it.ar.cur
+	if emit == nil {
+		return countStamped(epoch, cur, remote)
+	}
 	var matches int64
 	for _, v := range remote {
-		if ar.epoch[v] == ar.cur {
+		if epoch[v] == cur {
 			matches++
 			emit(v)
 		}
@@ -219,19 +239,40 @@ func (it *intersector) probe(remote []int32, emit func(int32)) int64 {
 	return matches
 }
 
+// countStamped returns how many elements of list carry the stamp cur
+// in epoch. Its loop has no branch on a match, so a counting sweep pays
+// no misprediction per triangle.
+func countStamped(epoch []uint32, cur uint32, list []int32) int64 {
+	var matches int64
+	for _, v := range list {
+		if epoch[v] == cur {
+			matches++
+		}
+	}
+	return matches
+}
+
 // win intersects the window base[alo:ahi] with remote, emitting each
-// common element exactly once in ascending order, and returns the
-// merge-equivalent comparison count, the same on either path.
-func (it *intersector) win(alo, ahi int, remote []int32, emit func(int32)) int64 {
+// common element exactly once in ascending order (none if emit is nil),
+// and returns the merge-equivalent comparison count, the same on either
+// path, and the number of common elements.
+func (it *intersector) win(alo, ahi int, remote []int32, emit func(int32)) (comps, matches int64) {
 	local := it.base[alo:ahi]
 	switch {
 	case len(local) == 0 || len(remote) == 0:
-		return 0
+		return 0, 0
 	case it.mergeRef:
-		return intersect(local, remote, emit)
+		comps = intersect(local, remote, func(v int32) {
+			matches++
+			if emit != nil {
+				emit(v)
+			}
+		})
+		return comps, matches
 	case len(local)*skewRatio <= len(remote):
-		return mergeComps(local, remote, gallopIntersect(local, remote, emit))
+		matches = gallopIntersect(local, remote, emit)
 	default:
-		return mergeComps(local, remote, it.probe(remote, emit))
+		matches = it.probe(remote, emit)
 	}
+	return mergeComps(local, remote, matches), matches
 }

@@ -117,7 +117,7 @@ func TestGallopIntersectMatchesMerge(t *testing.T) {
 }
 
 func TestArenaStampAndMembership(t *testing.T) {
-	a := getArena(10)
+	a := getArena(10, false)
 	defer putArena(a)
 	a.stamp([]int32{1, 4, 7})
 	for v := int32(0); v < 10; v++ {

@@ -15,24 +15,31 @@ import (
 // a direct-address table standing in for the paper's hash table: the
 // same insertions (HashBuild) and probes (Lookups), both
 // length-determined, with O(1) stamps instead of hashing and no
-// clearing.
+// clearing. L2, L4, L5 and L6 probe a prefix or suffix of a neighbor's
+// list; the arena's cursor finds the cut (see arena.cut), so a serial
+// sweep pays no search for it. The meters are summed by list length
+// into locals and added to s once per block; visit may be nil.
 func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, lo, hi int32) {
-	fill := func(list []int32) {
-		ar.stamp(list)
-		s.HashBuild += int64(len(list))
-	}
+	var build, lookups, tris int64
+	epoch := ar.epoch
 	switch m {
 	case L1:
 		// Hash N⁺(z); for each y ∈ N⁺(z), probe every x ∈ N⁺(y).
 		// x < y holds automatically for x ∈ N⁺(y).
 		for z := lo; z < hi; z++ {
 			out := o.Out(z)
-			fill(out)
+			cur := ar.stamp(out)
+			build += int64(len(out))
 			for _, y := range out {
-				for _, x := range o.Out(y) {
-					s.Lookups++
-					if ar.member(x) {
-						s.Triangles++
+				probe := o.Out(y)
+				lookups += int64(len(probe))
+				if visit == nil {
+					tris += countStamped(epoch, cur, probe)
+					continue
+				}
+				for _, x := range probe {
+					if epoch[x] == cur {
+						tris++
 						visit(x, y, z)
 					}
 				}
@@ -42,12 +49,20 @@ func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, l
 		// Hash N⁺(y); for each z ∈ N⁻(y), probe the prefix of N⁺(z)
 		// below y.
 		for y := lo; y < hi; y++ {
-			fill(o.Out(y))
+			out := o.Out(y)
+			cur := ar.stamp(out)
+			build += int64(len(out))
 			for _, z := range o.In(y) {
-				for _, x := range prefixBelow(o.Out(z), y) {
-					s.Lookups++
-					if ar.member(x) {
-						s.Triangles++
+				zOut := o.Out(z)
+				probe := zOut[:ar.cut(zOut, z, y)]
+				lookups += int64(len(probe))
+				if visit == nil {
+					tris += countStamped(epoch, cur, probe)
+					continue
+				}
+				for _, x := range probe {
+					if epoch[x] == cur {
+						tris++
 						visit(x, y, z)
 					}
 				}
@@ -58,12 +73,18 @@ func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, l
 		// z > y holds automatically for z ∈ N⁻(y).
 		for x := lo; x < hi; x++ {
 			in := o.In(x)
-			fill(in)
+			cur := ar.stamp(in)
+			build += int64(len(in))
 			for _, y := range in {
-				for _, z := range o.In(y) {
-					s.Lookups++
-					if ar.member(z) {
-						s.Triangles++
+				probe := o.In(y)
+				lookups += int64(len(probe))
+				if visit == nil {
+					tris += countStamped(epoch, cur, probe)
+					continue
+				}
+				for _, z := range probe {
+					if epoch[z] == cur {
+						tris++
 						visit(x, y, z)
 					}
 				}
@@ -74,12 +95,19 @@ func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, l
 		// below z. y > x holds automatically for y ∈ N⁻(x).
 		for z := lo; z < hi; z++ {
 			out := o.Out(z)
-			fill(out)
+			cur := ar.stamp(out)
+			build += int64(len(out))
 			for _, x := range out {
-				for _, y := range prefixBelow(o.In(x), z) {
-					s.Lookups++
-					if ar.member(y) {
-						s.Triangles++
+				xIn := o.In(x)
+				probe := xIn[:ar.cut(xIn, x, z)]
+				lookups += int64(len(probe))
+				if visit == nil {
+					tris += countStamped(epoch, cur, probe)
+					continue
+				}
+				for _, y := range probe {
+					if epoch[y] == cur {
+						tris++
 						visit(x, y, z)
 					}
 				}
@@ -89,12 +117,20 @@ func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, l
 		// Hash N⁻(y); for each x ∈ N⁺(y), probe the suffix of N⁻(x)
 		// above y.
 		for y := lo; y < hi; y++ {
-			fill(o.In(y))
+			in := o.In(y)
+			cur := ar.stamp(in)
+			build += int64(len(in))
 			for _, x := range o.Out(y) {
-				for _, z := range suffixAbove(o.In(x), y) {
-					s.Lookups++
-					if ar.member(z) {
-						s.Triangles++
+				xIn := o.In(x)
+				probe := xIn[ar.cut(xIn, x, y)+1:]
+				lookups += int64(len(probe))
+				if visit == nil {
+					tris += countStamped(epoch, cur, probe)
+					continue
+				}
+				for _, z := range probe {
+					if epoch[z] == cur {
+						tris++
 						visit(x, y, z)
 					}
 				}
@@ -105,16 +141,26 @@ func runLEI(o *digraph.Oriented, m Method, ar *arena, visit Visitor, s *Stats, l
 		// above x. y < z holds automatically for y ∈ N⁺(z).
 		for x := lo; x < hi; x++ {
 			in := o.In(x)
-			fill(in)
+			cur := ar.stamp(in)
+			build += int64(len(in))
 			for _, z := range in {
-				for _, y := range suffixAbove(o.Out(z), x) {
-					s.Lookups++
-					if ar.member(y) {
-						s.Triangles++
+				zOut := o.Out(z)
+				probe := zOut[ar.cut(zOut, z, x)+1:]
+				lookups += int64(len(probe))
+				if visit == nil {
+					tris += countStamped(epoch, cur, probe)
+					continue
+				}
+				for _, y := range probe {
+					if epoch[y] == cur {
+						tris++
 						visit(x, y, z)
 					}
 				}
 			}
 		}
 	}
+	s.HashBuild += build
+	s.Lookups += lookups
+	s.Triangles += tris
 }

@@ -12,15 +12,19 @@
 //   - the model cost the paper analyzes — candidate-tuple counts for
 //     vertex iterators (eqs. 7–9), local/remote sublist volumes for SEI
 //     (Table 1), and hash-lookup counts for LEI (Table 2);
-//   - actual operation counts — live two-pointer comparisons for SEI and
-//     hash probes for VI/LEI — which tests use to confirm that real work
-//     never exceeds the model bound.
+//   - for SEI, the pointer advances a two-pointer merge scan of each
+//     window pair would make (Comparisons). The sweep probes or gallops
+//     instead of merging and computes this count in closed form; tests
+//     use it to confirm that the work never exceeds the model bound.
+//     For VI and LEI the probes are the model cost itself.
 //
 // Scanning edge iterators intersect each window pair along one adaptive
 // path: they stamp the anchor's list once and probe it, or gallop when
 // the window is much shorter than the remote list (see intersector).
 // The path yields the merge scan's triangles, visit order and every
-// Stats meter, Comparisons included.
+// Stats meter, Comparisons included. The sweeps that cut a neighbor's
+// list at the anchor (E2, E4–E6, L2, L4–L6) find each cut with a
+// per-worker cursor instead of a search (see arena.cut).
 package listing
 
 import (
@@ -68,7 +72,9 @@ const (
 	E4
 	// E5 visits y, and for each x ∈ N⁺(y) intersects N⁻(y) (local) with
 	// the suffix of N⁻(x) above y (remote). Cost T2 + T3. The remote
-	// start is buried mid-list, requiring an extra binary search (§2.3).
+	// start is buried mid-list: §2.3 notes the extra search it takes,
+	// which the model does not charge. The sweep finds it with a
+	// per-worker cursor, O(1) per cut when serial.
 	E5
 	// E6 visits x, and for each z ∈ N⁻(x) intersects the prefix of N⁻(x)
 	// below z (local) with the suffix of N⁺(z) above x (remote).
@@ -160,6 +166,18 @@ func (m Method) Family() Family {
 	default:
 		return LookupEdgeIterator
 	}
+}
+
+// cutsRemote reports whether m's remote list is a prefix or suffix of
+// a neighbor's list, cut at the anchor: E2, E4, E5, E6 and their lookup
+// twins L2, L4, L5, L6. Their sweeps find each cut through the worker
+// arena's cursors.
+func (m Method) cutsRemote() bool {
+	switch m {
+	case E2, E4, E5, E6, L2, L4, L5, L6:
+		return true
+	}
+	return false
 }
 
 // costTerm identifies one of the three vertex-iterator cost formulas.

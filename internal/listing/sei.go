@@ -39,13 +39,28 @@ func prefixBelow(list []int32, v int32) []int32 {
 	return list[:k]
 }
 
-// suffixAbove returns the suffix of the ascending list with elements > v.
-func suffixAbove(list []int32, v int32) []int32 {
-	k, found := slices.BinarySearch(list, v)
-	if found {
-		k++
+// emitX, emitY and emitZ build an SEI window's match callback, which
+// completes the triangle at its x, y or z corner, or return nil when
+// there is no visitor, so a counting sweep calls nothing per match.
+func emitX(visit Visitor, y, z int32) func(int32) {
+	if visit == nil {
+		return nil
 	}
-	return list[k:]
+	return func(x int32) { visit(x, y, z) }
+}
+
+func emitY(visit Visitor, x, z int32) func(int32) {
+	if visit == nil {
+		return nil
+	}
+	return func(y int32) { visit(x, y, z) }
+}
+
+func emitZ(visit Visitor, x, y int32) func(int32) {
+	if visit == nil {
+		return nil
+	}
+	return func(z int32) { visit(x, y, z) }
 }
 
 // runSEI executes a scanning edge iterator (§2.3): for every directed
@@ -53,13 +68,21 @@ func suffixAbove(list []int32, v int32) []int32 {
 // intersector. The local list belongs to the first visited node, the
 // remote list to the second; their model volumes follow Table 1 and are
 // charged by length, and Comparisons is the merge scan's count (via
-// mergeComps), so no meter depends on how a window was intersected. The
-// local sublist is always a window of the anchor's base adjacency list,
-// which is what lets the intersector stamp the base once per anchor
-// and answer every window probe in O(1). Methods E5 and E6 start the
-// remote scan mid-list (located here by binary search), the property
-// that makes them uncompetitive on real hardware (§2.3).
+// mergeComps), so no meter depends on how a window was intersected.
+// The meters are summed into locals and added to s once per block;
+// visit may be nil. The local sublist is always a window of the
+// anchor's base adjacency list, which is what lets the intersector
+// stamp the base once per anchor and answer every window probe in
+// O(1). E2, E4, E5 and E6 cut the remote list at the anchor; the
+// arena's cursor finds the cut (see arena.cut). E5 and E6 start the
+// remote scan mid-list. §2.3 notes that locating that start costs an
+// extra search the model does not charge, which makes them
+// uncompetitive on real hardware; here the cursor locates it (O(1) per
+// cut in a serial sweep), and Stats, like the model, charge only the
+// scanned volumes.
 func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *Stats, lo, hi int32) {
+	var local, remote, comps, tris int64
+	ar := it.ar
 	switch m {
 	case E1:
 		// Visit z; for each y ∈ N⁺(z): local = N⁺(z) prefix below y
@@ -68,31 +91,28 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 			out := o.Out(z)
 			it.setBase(out)
 			for j, y := range out {
-				remote := o.Out(y)
-				s.LocalScan += int64(j)
-				s.RemoteScan += int64(len(remote))
-				yy, zz := y, z
-				s.Comparisons += it.win(0, j, remote, func(x int32) {
-					s.Triangles++
-					visit(x, yy, zz)
-				})
+				rem := o.Out(y)
+				local += int64(j)
+				remote += int64(len(rem))
+				c, k := it.win(0, j, rem, emitX(visit, y, z))
+				comps += c
+				tris += k
 			}
 		}
 	case E2:
 		// Visit y; for each z ∈ N⁻(y): local = N⁺(y) (candidates x),
 		// remote = N⁺(z) prefix below y.
 		for y := lo; y < hi; y++ {
-			local := o.Out(y)
-			it.setBase(local)
+			out := o.Out(y)
+			it.setBase(out)
 			for _, z := range o.In(y) {
-				remote := prefixBelow(o.Out(z), y)
-				s.LocalScan += int64(len(local))
-				s.RemoteScan += int64(len(remote))
-				yy, zz := y, z
-				s.Comparisons += it.win(0, len(local), remote, func(x int32) {
-					s.Triangles++
-					visit(x, yy, zz)
-				})
+				zOut := o.Out(z)
+				rem := zOut[:ar.cut(zOut, z, y)]
+				local += int64(len(out))
+				remote += int64(len(rem))
+				c, k := it.win(0, len(out), rem, emitX(visit, y, z))
+				comps += c
+				tris += k
 			}
 		}
 	case E3:
@@ -102,14 +122,12 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 			in := o.In(x)
 			it.setBase(in)
 			for j, y := range in {
-				remote := o.In(y)
-				s.LocalScan += int64(len(in) - j - 1)
-				s.RemoteScan += int64(len(remote))
-				xx, yy := x, y
-				s.Comparisons += it.win(j+1, len(in), remote, func(z int32) {
-					s.Triangles++
-					visit(xx, yy, z)
-				})
+				rem := o.In(y)
+				local += int64(len(in) - j - 1)
+				remote += int64(len(rem))
+				c, k := it.win(j+1, len(in), rem, emitZ(visit, x, y))
+				comps += c
+				tris += k
 			}
 		}
 	case E4:
@@ -119,31 +137,29 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 			out := o.Out(z)
 			it.setBase(out)
 			for j, x := range out {
-				remote := prefixBelow(o.In(x), z)
-				s.LocalScan += int64(len(out) - j - 1)
-				s.RemoteScan += int64(len(remote))
-				xx, zz := x, z
-				s.Comparisons += it.win(j+1, len(out), remote, func(y int32) {
-					s.Triangles++
-					visit(xx, y, zz)
-				})
+				xIn := o.In(x)
+				rem := xIn[:ar.cut(xIn, x, z)]
+				local += int64(len(out) - j - 1)
+				remote += int64(len(rem))
+				c, k := it.win(j+1, len(out), rem, emitY(visit, x, z))
+				comps += c
+				tris += k
 			}
 		}
 	case E5:
 		// Visit y; for each x ∈ N⁺(y): local = N⁻(y) (candidates z),
 		// remote = N⁻(x) suffix above y — the mid-list start.
 		for y := lo; y < hi; y++ {
-			local := o.In(y)
-			it.setBase(local)
+			in := o.In(y)
+			it.setBase(in)
 			for _, x := range o.Out(y) {
-				remote := suffixAbove(o.In(x), y)
-				s.LocalScan += int64(len(local))
-				s.RemoteScan += int64(len(remote))
-				xx, yy := x, y
-				s.Comparisons += it.win(0, len(local), remote, func(z int32) {
-					s.Triangles++
-					visit(xx, yy, z)
-				})
+				xIn := o.In(x)
+				rem := xIn[ar.cut(xIn, x, y)+1:]
+				local += int64(len(in))
+				remote += int64(len(rem))
+				c, k := it.win(0, len(in), rem, emitZ(visit, x, y))
+				comps += c
+				tris += k
 			}
 		}
 	case E6:
@@ -153,15 +169,18 @@ func runSEI(o *digraph.Oriented, m Method, it *intersector, visit Visitor, s *St
 			in := o.In(x)
 			it.setBase(in)
 			for j, z := range in {
-				remote := suffixAbove(o.Out(z), x)
-				s.LocalScan += int64(j)
-				s.RemoteScan += int64(len(remote))
-				xx, zz := x, z
-				s.Comparisons += it.win(0, j, remote, func(y int32) {
-					s.Triangles++
-					visit(xx, y, zz)
-				})
+				zOut := o.Out(z)
+				rem := zOut[ar.cut(zOut, z, x)+1:]
+				local += int64(j)
+				remote += int64(len(rem))
+				c, k := it.win(0, j, rem, emitY(visit, x, z))
+				comps += c
+				tris += k
 			}
 		}
 	}
+	s.LocalScan += local
+	s.RemoteScan += remote
+	s.Comparisons += comps
+	s.Triangles += tris
 }

@@ -11,8 +11,10 @@ import (
 // which triangle corner anchors the search (T1: largest, T2: middle,
 // T3: smallest) and in the sweep order of the two inner loops (T4–T6
 // mirror T1–T3 with the last two neighbors visited in reverse, which
-// leaves the cost unchanged).
+// leaves the cost unchanged). The meters are summed into locals and
+// added to s once per block; visit may be nil.
 func runVertex(o *digraph.Oriented, m Method, arcs *hashset.EdgeSet, visit Visitor, s *Stats, lo, hi int32) {
+	var cands, tris int64
 	switch m {
 	case T1:
 		// Anchor z (largest): for each pair x < y in N⁺(z), probe y → x.
@@ -22,10 +24,12 @@ func runVertex(o *digraph.Oriented, m Method, arcs *hashset.EdgeSet, visit Visit
 				y := out[j]
 				for i := 0; i < j; i++ {
 					x := out[i]
-					s.Candidates++
+					cands++
 					if arcs.Contains(y, x) {
-						s.Triangles++
-						visit(x, y, z)
+						tris++
+						if visit != nil {
+							visit(x, y, z)
+						}
 					}
 				}
 			}
@@ -39,10 +43,12 @@ func runVertex(o *digraph.Oriented, m Method, arcs *hashset.EdgeSet, visit Visit
 				x := out[i]
 				for j := i + 1; j < len(out); j++ {
 					y := out[j]
-					s.Candidates++
+					cands++
 					if arcs.Contains(y, x) {
-						s.Triangles++
-						visit(x, y, z)
+						tris++
+						if visit != nil {
+							visit(x, y, z)
+						}
 					}
 				}
 			}
@@ -55,10 +61,12 @@ func runVertex(o *digraph.Oriented, m Method, arcs *hashset.EdgeSet, visit Visit
 			in := o.In(y)
 			for _, x := range out {
 				for _, z := range in {
-					s.Candidates++
+					cands++
 					if arcs.Contains(z, x) {
-						s.Triangles++
-						visit(x, y, z)
+						tris++
+						if visit != nil {
+							visit(x, y, z)
+						}
 					}
 				}
 			}
@@ -70,10 +78,12 @@ func runVertex(o *digraph.Oriented, m Method, arcs *hashset.EdgeSet, visit Visit
 			in := o.In(y)
 			for _, z := range in {
 				for _, x := range out {
-					s.Candidates++
+					cands++
 					if arcs.Contains(z, x) {
-						s.Triangles++
-						visit(x, y, z)
+						tris++
+						if visit != nil {
+							visit(x, y, z)
+						}
 					}
 				}
 			}
@@ -86,10 +96,12 @@ func runVertex(o *digraph.Oriented, m Method, arcs *hashset.EdgeSet, visit Visit
 				z := in[j]
 				for i := 0; i < j; i++ {
 					y := in[i]
-					s.Candidates++
+					cands++
 					if arcs.Contains(z, y) {
-						s.Triangles++
-						visit(x, y, z)
+						tris++
+						if visit != nil {
+							visit(x, y, z)
+						}
 					}
 				}
 			}
@@ -102,13 +114,17 @@ func runVertex(o *digraph.Oriented, m Method, arcs *hashset.EdgeSet, visit Visit
 				y := in[i]
 				for j := i + 1; j < len(in); j++ {
 					z := in[j]
-					s.Candidates++
+					cands++
 					if arcs.Contains(z, y) {
-						s.Triangles++
-						visit(x, y, z)
+						tris++
+						if visit != nil {
+							visit(x, y, z)
+						}
 					}
 				}
 			}
 		}
 	}
+	s.Candidates += cands
+	s.Triangles += tris
 }
