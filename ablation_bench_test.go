@@ -81,7 +81,10 @@ func BenchmarkAblationWeightedSampling(b *testing.B) {
 		w[i] = float64(rng.IntN(50) + 1)
 	}
 	b.Run("fenwick", func(b *testing.B) {
-		tr := fenwick.FromWeights(w)
+		tr := fenwick.New(n)
+		for i, x := range w {
+			tr.Add(i, x)
+		}
 		src := stats.NewRNGFromSeed(3)
 		for i := 0; i < b.N; i++ {
 			j := tr.FindByPrefix(src.OpenFloat64() * tr.Total())

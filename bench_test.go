@@ -23,6 +23,7 @@ import (
 	"trilist/internal/model"
 	"trilist/internal/order"
 	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 // benchConfig is the scaled-down protocol used by the per-table benches.
@@ -39,7 +40,7 @@ func benchConfig() experiments.Config {
 // --- Table 3: hash probe vs. merge comparison throughput ---
 
 func BenchmarkTable3HashProbe(b *testing.B) {
-	g := paretoGraph(b, 1.7, 20000, degseq.RootTruncation)
+	g := testkit.ParetoGraph(b, 1.7, 20000, degseq.RootTruncation, 77)
 	o := orient(b, g, order.KindDescending)
 	arcs := o.ArcSet()
 	probes := collectArcs(o)
@@ -56,7 +57,7 @@ func BenchmarkTable3HashProbe(b *testing.B) {
 
 func BenchmarkTable3MergeScan(b *testing.B) {
 	// Comparisons/sec across full E1 runs (the SEI primitive in context).
-	g := paretoGraph(b, 1.7, 20000, degseq.RootTruncation)
+	g := testkit.ParetoGraph(b, 1.7, 20000, degseq.RootTruncation, 77)
 	o := orient(b, g, order.KindDescending)
 	b.ResetTimer()
 	var comps int64
@@ -184,16 +185,6 @@ func BenchmarkTable12(b *testing.B) {
 
 // --- Microbenchmarks: listing methods ---
 
-func paretoGraph(b *testing.B, alpha float64, n int, trunc degseq.Truncation) *graph.Graph {
-	b.Helper()
-	p := degseq.StandardPareto(alpha)
-	g, _, err := gen.ParetoGraph(p, n, trunc, stats.NewRNGFromSeed(77))
-	if err != nil {
-		b.Fatal(err)
-	}
-	return g
-}
-
 func orient(b *testing.B, g *graph.Graph, k order.Kind) *digraph.Oriented {
 	b.Helper()
 	rank, err := order.Rank(g, k, stats.NewRNGFromSeed(3))
@@ -218,7 +209,7 @@ func collectArcs(o *digraph.Oriented) [][2]int32 {
 }
 
 func BenchmarkListingMethods(b *testing.B) {
-	g := paretoGraph(b, 1.7, 30000, degseq.RootTruncation)
+	g := testkit.ParetoGraph(b, 1.7, 30000, degseq.RootTruncation, 77)
 	for _, m := range []listing.Method{
 		listing.T1, listing.T2, listing.E1, listing.E4, listing.L1,
 	} {
@@ -245,16 +236,18 @@ func BenchmarkListingMethods(b *testing.B) {
 }
 
 func BenchmarkBaselines(b *testing.B) {
-	g := paretoGraph(b, 1.7, 8000, degseq.RootTruncation)
+	g := testkit.ParetoGraph(b, 1.7, 8000, degseq.RootTruncation, 77)
 	baselines := []struct {
 		name string
-		run  func(*graph.Graph, listing.Visitor) listing.BaselineStats
+		run  func(*graph.Graph, func(x, y, z int32)) testkit.BaselineStats
 	}{
-		{"ClassicNodeIterator", listing.ClassicNodeIterator},
-		{"ClassicEdgeIterator", listing.ClassicEdgeIterator},
-		{"ChibaNishizeki", listing.ChibaNishizeki},
-		{"Forward", listing.Forward},
-		{"CompactForward", listing.CompactForward},
+		{"ClassicNodeIterator", testkit.ClassicNodeIterator},
+		{"ClassicEdgeIterator", testkit.ClassicEdgeIterator},
+		{"ChibaNishizeki", testkit.ChibaNishizeki},
+		{"Forward", testkit.Forward},
+		{"CompactForward", func(g *graph.Graph, visit func(x, y, z int32)) testkit.BaselineStats {
+			return testkit.BaselineStats(listing.CompactForward(g, visit))
+		}},
 	}
 	for _, base := range baselines {
 		b.Run(base.name, func(b *testing.B) {
@@ -297,7 +290,7 @@ func BenchmarkGenerators(b *testing.B) {
 }
 
 func BenchmarkOrientations(b *testing.B) {
-	g := paretoGraph(b, 1.7, 30000, degseq.RootTruncation)
+	g := testkit.ParetoGraph(b, 1.7, 30000, degseq.RootTruncation, 77)
 	for _, k := range order.Kinds {
 		b.Run(k.String(), func(b *testing.B) {
 			rng := stats.NewRNGFromSeed(2)

@@ -8,6 +8,7 @@ import (
 
 	"trilist/internal/graph"
 	"trilist/internal/ingest"
+	"trilist/internal/testkit"
 )
 
 func genTo(t *testing.T, args ...string) *graph.Graph {
@@ -79,7 +80,7 @@ func TestGenerateDeterministic(t *testing.T) {
 	if a.NumEdges() != b.NumEdges() {
 		t.Fatal("same seed produced different graphs")
 	}
-	ea, eb := a.EdgeSlice(), b.EdgeSlice()
+	ea, eb := testkit.EdgeSlice(a), testkit.EdgeSlice(b)
 	for i := range ea {
 		if ea[i] != eb[i] {
 			t.Fatal("same seed produced different edges")
@@ -108,7 +109,7 @@ func TestGenerateFormats(t *testing.T) {
 	if txt.Format != ingest.FormatSNAP || csr.Format != ingest.FormatCSR {
 		t.Fatalf("formats sniffed as %v and %v, want snap and csr", txt.Format, csr.Format)
 	}
-	if txt.Graph.NumEdges() == 0 || !txt.Graph.Equal(csr.Graph) {
+	if txt.Graph.NumEdges() == 0 || !testkit.GraphsEqual(txt.Graph, csr.Graph) {
 		t.Fatalf("text %d/%d vs csr %d/%d", txt.Graph.NumNodes(), txt.Graph.NumEdges(),
 			csr.Graph.NumNodes(), csr.Graph.NumEdges())
 	}

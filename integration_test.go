@@ -18,6 +18,7 @@ import (
 	"trilist/internal/listing"
 	"trilist/internal/order"
 	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 // generateAnyGraph produces a graph from one of the repo's families,
@@ -77,7 +78,7 @@ func TestAllImplementationsAgree(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		want := listing.BruteForce(g, nil).Triangles
+		want := testkit.BruteForce(g, nil).Triangles
 		// 18 oriented methods.
 		for _, m := range listing.Methods {
 			if listing.Run(o, m, nil).Triangles != want {
@@ -97,10 +98,10 @@ func TestAllImplementationsAgree(t *testing.T) {
 			return false
 		}
 		// Baselines.
-		if listing.ClassicNodeIterator(g, nil).Triangles != want ||
-			listing.ClassicEdgeIterator(g, nil).Triangles != want ||
-			listing.ChibaNishizeki(g, nil).Triangles != want ||
-			listing.Forward(g, nil).Triangles != want ||
+		if testkit.ClassicNodeIterator(g, nil).Triangles != want ||
+			testkit.ClassicEdgeIterator(g, nil).Triangles != want ||
+			testkit.ChibaNishizeki(g, nil).Triangles != want ||
+			testkit.Forward(g, nil).Triangles != want ||
 			listing.CompactForward(g, nil).Triangles != want {
 			return false
 		}

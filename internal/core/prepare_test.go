@@ -9,6 +9,7 @@ import (
 	"trilist/internal/graph"
 	"trilist/internal/order"
 	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 // TestPrepareWorkerInvariance: Config.Workers never changes Prepare's
@@ -44,7 +45,7 @@ func TestPrepareWorkerInvariance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}
-					if !par.Equal(serial) {
+					if !testkit.OrientationsEqual(par, serial) {
 						t.Fatalf("workers=%d: Prepare output differs from serial", w)
 					}
 				}

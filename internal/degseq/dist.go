@@ -2,9 +2,9 @@
 // paper's stochastic graph model (§1.2, §3.1): discretized Pareto
 // distributions F(x) = 1 - (1 + ⌊x⌋/β)^{-α}, truncated versions
 // F_n(x) = F(x)/F(t_n) with root (t_n = √n) or linear (t_n = n-1)
-// truncation, inverse-CDF sampling of iid degree sequences D_n, the
-// Erdős–Gallai graphicality test, and the AMRC (asymptotically
-// max-root-constrained) property of Definition 1.
+// truncation, and inverse-CDF sampling of iid degree sequences D_n.
+// (The Erdős–Gallai graphicality test and the AMRC check of Definition 1
+// are test oracles in the package's test files.)
 package degseq
 
 import (
@@ -131,26 +131,6 @@ func (p Pareto) Mean() float64 {
 		sum.Add(math.Pow(1+float64(k)/p.Beta, -p.Alpha))
 	}
 	sum.Add(paretoTail(p.Alpha, p.Beta))
-	return sum.Value()
-}
-
-// SecondMoment returns E[D²], +Inf for α <= 2. Used by the uniform-
-// permutation cost E[D²-D]·E[h(U)] (eq. 31) and AMRC checks (Prop. 3).
-//
-// E[D²] = Σ_{k>=1} (2k-1) P(D >= k) = Σ_{k>=0} (2k+1)(1+k/β)^{-α}. The
-// first emHead terms are added directly; since 2k+1 = 2β(1+k/β) − (2β−1),
-// the rest is 2β·S(α−1) − (2β−1)·S(α) with S paretoTail's closed form.
-func (p Pareto) SecondMoment() float64 {
-	if p.Alpha <= 2 {
-		return math.Inf(1)
-	}
-	a, b := p.Alpha, p.Beta
-	var sum stats.KahanSum
-	for k := 0; k < emHead; k++ {
-		sum.Add((2*float64(k) + 1) * math.Pow(1+float64(k)/b, -a))
-	}
-	sum.Add(2 * b * paretoTail(a-1, b))
-	sum.Add(-(2*b - 1) * paretoTail(a, b))
 	return sum.Value()
 }
 
@@ -346,16 +326,6 @@ func (t *Truncated) Mean() float64 {
 	return sum.Value()
 }
 
-// MeanExact returns E[D_n] by direct summation, O(t_n). Used by tests to
-// validate the blocked Mean.
-func (t *Truncated) MeanExact() float64 {
-	var sum stats.KahanSum
-	for k := int64(0); k < t.Tn; k++ {
-		sum.Add(1 - t.CDF(k))
-	}
-	return sum.Value()
-}
-
 // Empirical is a distribution given by an explicit PMF on {1..len(p)}.
 // It exists mainly for tests and for modeling measured degree histograms.
 type Empirical struct {
@@ -388,28 +358,6 @@ func NewEmpirical(w []float64) (*Empirical, error) {
 	}
 	e.cdf[len(w)-1] = 1 // kill rounding drift
 	return e, nil
-}
-
-// FromDegrees builds the empirical distribution of an observed degree
-// sequence (all entries must be >= 1).
-func FromDegrees(d []int64) (*Empirical, error) {
-	var max int64
-	for _, x := range d {
-		if x < 1 {
-			return nil, fmt.Errorf("degseq: degree %d < 1", x)
-		}
-		if x > max {
-			max = x
-		}
-	}
-	if max == 0 {
-		return nil, fmt.Errorf("degseq: empty degree sequence")
-	}
-	w := make([]float64, max)
-	for _, x := range d {
-		w[x-1]++
-	}
-	return NewEmpirical(w)
 }
 
 // FromHistogram builds the empirical distribution from a degree

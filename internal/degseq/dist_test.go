@@ -2,6 +2,7 @@ package degseq
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -283,19 +284,6 @@ func TestEmpiricalErrors(t *testing.T) {
 	}
 }
 
-func TestFromDegrees(t *testing.T) {
-	e, err := FromDegrees([]int64{1, 1, 3, 3, 3, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.PMF(3); math.Abs(got-0.5) > 1e-15 {
-		t.Fatalf("PMF(3) = %v, want 0.5", got)
-	}
-	if _, err := FromDegrees([]int64{0, 1}); err == nil {
-		t.Fatal("accepted degree 0")
-	}
-}
-
 func TestSamplingMatchesCDF(t *testing.T) {
 	base := Pareto{Alpha: 1.7, Beta: 21}
 	tr, _ := NewTruncated(base, 1000)
@@ -305,7 +293,7 @@ func TestSamplingMatchesCDF(t *testing.T) {
 	for i := range obs {
 		obs[i] = float64(tr.Quantile(r.OpenFloat64()))
 	}
-	d := stats.NewECDF(obs).KSDistance(func(x float64) float64 {
+	d := ksDistance(obs, func(x float64) float64 {
 		return tr.CDF(int64(math.Floor(x)))
 	})
 	if d > 0.01 {
@@ -350,4 +338,51 @@ func mustTruncated(t *testing.T, base Dist, tn int64) *Truncated {
 		t.Fatal(err)
 	}
 	return tr
+}
+
+// ksDistance is sup_x |cdf(x) - F_emp(x)| over the observation points,
+// with F_emp(x) the fraction of observations <= x. internal/testkit has
+// the shared copy, but it imports degseq, so degseq's tests keep their
+// own.
+func ksDistance(obs []float64, cdf func(float64) float64) float64 {
+	sorted := slices.Clone(obs)
+	slices.Sort(sorted)
+	var d float64
+	for i, x := range sorted {
+		if i+1 < len(sorted) && sorted[i+1] == x {
+			continue
+		}
+		d = math.Max(d, math.Abs(cdf(x)-float64(i+1)/float64(len(sorted))))
+	}
+	return d
+}
+
+// SecondMoment returns E[D²], +Inf for α <= 2. Only its
+// own tests use it.
+//
+// E[D²] = Σ_{k>=1} (2k-1) P(D >= k) = Σ_{k>=0} (2k+1)(1+k/β)^{-α}. The
+// first emHead terms are added directly; since 2k+1 = 2β(1+k/β) − (2β−1),
+// the rest is 2β·S(α−1) − (2β−1)·S(α) with S paretoTail's closed form.
+func (p Pareto) SecondMoment() float64 {
+	if p.Alpha <= 2 {
+		return math.Inf(1)
+	}
+	a, b := p.Alpha, p.Beta
+	var sum stats.KahanSum
+	for k := 0; k < emHead; k++ {
+		sum.Add((2*float64(k) + 1) * math.Pow(1+float64(k)/b, -a))
+	}
+	sum.Add(2 * b * paretoTail(a-1, b))
+	sum.Add(-(2*b - 1) * paretoTail(a, b))
+	return sum.Value()
+}
+
+// MeanExact returns E[D_n] by direct summation, O(t_n). The reference
+// TestTruncatedMeanBlockedVsExact checks the blocked Mean against.
+func (t *Truncated) MeanExact() float64 {
+	var sum stats.KahanSum
+	for k := int64(0); k < t.Tn; k++ {
+		sum.Add(1 - t.CDF(k))
+	}
+	return sum.Value()
 }

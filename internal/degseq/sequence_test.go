@@ -1,7 +1,10 @@
 package degseq
 
 import (
+	"cmp"
 	"math"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -207,4 +210,84 @@ func TestRootTruncatedSamplesAreGraphicable(t *testing.T) {
 	if failures > 0 {
 		t.Fatalf("%d/20 root-truncated sequences non-graphic", failures)
 	}
+}
+
+// The Sequence methods below serve only these tests; no command calls
+// them.
+
+// Max returns the largest degree L_n, or 0 for an empty sequence.
+func (d Sequence) Max() int64 {
+	var m int64
+	for _, x := range d {
+		if x > m {
+			m = x
+		}
+	}
+	return m
+}
+
+// Mean returns the average degree.
+func (d Sequence) Mean() float64 {
+	if len(d) == 0 {
+		return math.NaN()
+	}
+	return float64(d.Sum()) / float64(len(d))
+}
+
+// IsRootConstrained reports whether L_n <= √n, the deterministic AMRC
+// guarantee of root truncation (Definition 1, §3.1).
+func (d Sequence) IsRootConstrained() bool {
+	max := d.Max()
+	return max*max <= int64(len(d))
+}
+
+// SortedAscending returns a copy of the sequence sorted ascending: the
+// vector A_n of order statistics the paper's permutations act on.
+func (d Sequence) SortedAscending() Sequence {
+	a := make(Sequence, len(d))
+	copy(a, d)
+	slices.Sort(a)
+	return a
+}
+
+// IsGraphic reports whether the sequence is graphic — realizable by a
+// simple undirected graph — using the Erdős–Gallai theorem: with
+// d_1 >= ... >= d_n,
+//
+//	Σ_{i<=k} d_i  <=  k(k-1) + Σ_{i>k} min(d_i, k)   for every k,
+//
+// and the degree sum even. Runs in O(n log n) (dominated by the sort).
+func (d Sequence) IsGraphic() bool {
+	n := len(d)
+	if n == 0 {
+		return true
+	}
+	if d.Sum()%2 != 0 {
+		return false
+	}
+	desc := make([]int64, n)
+	copy(desc, d)
+	slices.SortFunc(desc, func(a, b int64) int { return cmp.Compare(b, a) })
+	if desc[0] > int64(n-1) || desc[n-1] < 0 {
+		return false
+	}
+	// Prefix sums of the descending sequence.
+	prefix := make([]int64, n+1)
+	for i, x := range desc {
+		prefix[i+1] = prefix[i] + x
+	}
+	// For each k, Σ_{i>k} min(d_i, k) splits at the first index (0-based,
+	// beyond k) where d_i < k: before it the min is k, after it the sum of
+	// degrees. Because desc is sorted, that index is found by binary
+	// search; overall O(n log n).
+	for k := 1; k <= n; k++ {
+		lhs := prefix[k]
+		// First index j in [k, n) with desc[j] < k.
+		j := sort.Search(n-k, func(t int) bool { return desc[k+t] < int64(k) }) + k
+		rhs := int64(k*(k-1)) + int64(j-k)*int64(k) + (prefix[n] - prefix[j])
+		if lhs > rhs {
+			return false
+		}
+	}
+	return true
 }

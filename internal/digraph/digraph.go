@@ -21,7 +21,6 @@ package digraph
 
 import (
 	"fmt"
-	"slices"
 
 	"trilist/internal/graph"
 	"trilist/internal/hashset"
@@ -169,15 +168,6 @@ func orient(g *graph.Graph, rank []int32, owned bool, opts []BuildOption) (*Orie
 	return o, nil
 }
 
-// Equal reports whether two orientations are bitwise identical across
-// all four arrays.
-func (o *Oriented) Equal(p *Oriented) bool {
-	return slices.Equal(o.offsets, p.offsets) &&
-		slices.Equal(o.nbrs, p.nbrs) &&
-		slices.Equal(o.split, p.split) &&
-		slices.Equal(o.rank, p.rank)
-}
-
 // NumNodes returns n.
 func (o *Oriented) NumNodes() int {
 	if o.offsets == nil {
@@ -203,18 +193,8 @@ func (o *Oriented) OutDeg(v int32) int64 { return o.split[v] - o.offsets[v] }
 // InDeg returns Y_v = |N⁻(v)|.
 func (o *Oriented) InDeg(v int32) int64 { return o.offsets[v+1] - o.split[v] }
 
-// Deg returns the total degree d_v = X_v + Y_v.
-func (o *Oriented) Deg(v int32) int64 { return o.offsets[v+1] - o.offsets[v] }
-
 // Rank returns the label of original node v.
 func (o *Oriented) Rank(v int32) int32 { return o.rank[v] }
-
-// HasArc reports whether the directed edge y → x (y > x) exists, by
-// binary search in N⁺(y).
-func (o *Oriented) HasArc(y, x int32) bool {
-	_, found := slices.BinarySearch(o.Out(y), x)
-	return found
-}
 
 // ArcSet builds the hash table of all directed edges y → x that the
 // vertex iterators probe for edge-existence checks (§2.2). Packing is
@@ -228,24 +208,6 @@ func (o *Oriented) ArcSet() *hashset.EdgeSet {
 		}
 	}
 	return s
-}
-
-// OutDegrees returns X_i for every label as a fresh slice.
-func (o *Oriented) OutDegrees() []int64 {
-	x := make([]int64, o.NumNodes())
-	for v := range x {
-		x[v] = o.OutDeg(int32(v))
-	}
-	return x
-}
-
-// InDegrees returns Y_i for every label as a fresh slice.
-func (o *Oriented) InDegrees() []int64 {
-	y := make([]int64, o.NumNodes())
-	for v := range y {
-		y[v] = o.InDeg(int32(v))
-	}
-	return y
 }
 
 // MaxOutDeg returns max_i X_i(θ), the quantity the degenerate orientation
@@ -288,44 +250,4 @@ func (o *Oriented) SumT3() float64 {
 		s += y * (y - 1) / 2
 	}
 	return s
-}
-
-// Validate checks structural invariants: per-node adjacency sorted
-// strictly ascending, split positioned exactly at the own-label boundary,
-// arc symmetry (x ∈ N⁺(y) ⇔ y ∈ N⁻(x)), and ΣX = ΣY = m.
-func (o *Oriented) Validate() error {
-	n := o.NumNodes()
-	var sx, sy int64
-	for v := int32(0); int(v) < n; v++ {
-		adj := o.nbrs[o.offsets[v]:o.offsets[v+1]]
-		for i := 1; i < len(adj); i++ {
-			if adj[i-1] >= adj[i] {
-				return fmt.Errorf("digraph: adjacency of %d not strictly ascending", v)
-			}
-		}
-		for _, w := range o.Out(v) {
-			if w >= v {
-				return fmt.Errorf("digraph: out-neighbor %d of %d not smaller", w, v)
-			}
-			if !contains(o.In(w), v) {
-				return fmt.Errorf("digraph: arc %d->%d missing from N⁻(%d)", v, w, w)
-			}
-		}
-		for _, w := range o.In(v) {
-			if w <= v {
-				return fmt.Errorf("digraph: in-neighbor %d of %d not larger", w, v)
-			}
-		}
-		sx += o.OutDeg(v)
-		sy += o.InDeg(v)
-	}
-	if sx != o.NumEdges() || sy != o.NumEdges() {
-		return fmt.Errorf("digraph: ΣX = %d, ΣY = %d, m = %d", sx, sy, o.NumEdges())
-	}
-	return nil
-}
-
-func contains(s []int32, v int32) bool {
-	_, found := slices.BinarySearch(s, v)
-	return found
 }

@@ -53,7 +53,7 @@ func TestOrientWorkerInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if err := serial.Validate(); err != nil {
+				if err := validate(serial); err != nil {
 					t.Fatal(err)
 				}
 				for _, w := range []int{1, 2, 8} {
@@ -61,7 +61,7 @@ func TestOrientWorkerInvariance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers=%d: %v", w, err)
 					}
-					if !par.Equal(serial) {
+					if !equal(par, serial) {
 						t.Fatalf("workers=%d: orientation differs from serial build", w)
 					}
 					// Same property through a deliberately dirty arena.
@@ -69,7 +69,7 @@ func TestOrientWorkerInvariance(t *testing.T) {
 					if err != nil {
 						t.Fatalf("workers=%d arena: %v", w, err)
 					}
-					if !reused.Equal(serial) {
+					if !equal(reused, serial) {
 						t.Fatalf("workers=%d: arena-recycled orientation differs from serial build", w)
 					}
 				}
@@ -95,7 +95,7 @@ func TestOrientOwnedMatchesOrient(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !owned.Equal(copied) {
+	if !equal(owned, copied) {
 		t.Fatal("OrientOwned result differs from Orient")
 	}
 	if &owned.rank[0] != &ownedRank[0] {
@@ -131,7 +131,7 @@ func TestOrientArenaReuse(t *testing.T) {
 	if &second.nbrs[0] != p0 {
 		t.Fatal("second build did not reuse the recycled neighbor buffer")
 	}
-	if err := second.Validate(); err != nil {
+	if err := validate(second); err != nil {
 		t.Fatal(err)
 	}
 }

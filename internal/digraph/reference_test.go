@@ -130,17 +130,17 @@ func TestOrientMatchesSortReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !fresh.Equal(want) {
+				if !equal(fresh, want) {
 					t.Fatal("fresh build differs from the sort reference")
 				}
-				if err := fresh.Validate(); err != nil {
+				if err := validate(fresh); err != nil {
 					t.Fatal(err)
 				}
 				reused, err := OrientOwned(g, slices.Clone(rank), WithArena(poisonedArena(t, g, rank)))
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reused.Equal(want) {
+				if !equal(reused, want) {
 					t.Fatal("build into a poisoned arena differs from the sort reference")
 				}
 			})

@@ -12,9 +12,9 @@ import (
 	"trilist/internal/digraph"
 	"trilist/internal/gen"
 	"trilist/internal/graph"
-	"trilist/internal/listing"
 	"trilist/internal/order"
 	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 // wallGraph is one workload of the determinism wall: the undirected
@@ -80,7 +80,7 @@ func TestParallelDeterminismWall(t *testing.T) {
 			// Brute-force reference on the undirected graph, relabeled
 			// through the rank so sets are comparable.
 			ref := make(map[[3]int32]bool)
-			listing.BruteForce(wg.g, func(x, y, z int32) {
+			testkit.BruteForce(wg.g, func(x, y, z int32) {
 				a, b, c := wg.rank[x], wg.rank[y], wg.rank[z]
 				if a > b {
 					a, b = b, a

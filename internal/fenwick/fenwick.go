@@ -13,7 +13,7 @@ package fenwick
 import "fmt"
 
 // Tree is a Fenwick tree over n float64 weights indexed 0..n-1.
-// The zero value is unusable; construct with New or FromWeights.
+// The zero value is unusable; construct with New.
 type Tree struct {
 	// tree uses the conventional 1-based internal layout.
 	tree []float64
@@ -27,21 +27,6 @@ func New(n int) *Tree {
 	}
 	return &Tree{tree: make([]float64, n+1), n: n}
 }
-
-// FromWeights builds a tree initialized to the given weights in O(n).
-func FromWeights(w []float64) *Tree {
-	t := New(len(w))
-	copy(t.tree[1:], w)
-	for i := 1; i <= t.n; i++ {
-		if p := i + (i & -i); p <= t.n {
-			t.tree[p] += t.tree[i]
-		}
-	}
-	return t
-}
-
-// Len returns the number of slots.
-func (t *Tree) Len() int { return t.n }
 
 // Add adds delta to the weight at index i (0-based).
 func (t *Tree) Add(i int, delta float64) {

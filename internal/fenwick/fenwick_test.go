@@ -22,7 +22,7 @@ func TestEmptyAndSingle(t *testing.T) {
 
 func TestFromWeightsMatchesAdds(t *testing.T) {
 	w := []float64{1, 0, 2.5, 3, 0.25, 7}
-	a := FromWeights(w)
+	a := fromWeights(w)
 	b := New(len(w))
 	for i, x := range w {
 		b.Add(i, x)
@@ -43,7 +43,7 @@ func TestPrefixSumsAgainstNaive(t *testing.T) {
 			}
 			w[i] = math.Abs(math.Mod(x, 100))
 		}
-		tr := FromWeights(w)
+		tr := fromWeights(w)
 		var naive float64
 		for i := range w {
 			naive += w[i]
@@ -59,7 +59,7 @@ func TestPrefixSumsAgainstNaive(t *testing.T) {
 }
 
 func TestRangeSumAndSet(t *testing.T) {
-	tr := FromWeights([]float64{1, 2, 3, 4, 5})
+	tr := fromWeights([]float64{1, 2, 3, 4, 5})
 	if got := tr.RangeSum(1, 3); got != 9 {
 		t.Fatalf("RangeSum(1,3) = %v, want 9", got)
 	}
@@ -76,7 +76,7 @@ func TestRangeSumAndSet(t *testing.T) {
 }
 
 func TestFindByPrefixBoundaries(t *testing.T) {
-	tr := FromWeights([]float64{2, 0, 3, 5})
+	tr := fromWeights([]float64{2, 0, 3, 5})
 	cases := []struct {
 		x    float64
 		want int
@@ -91,7 +91,7 @@ func TestFindByPrefixBoundaries(t *testing.T) {
 }
 
 func TestFindByPrefixSkipsZeroWeight(t *testing.T) {
-	tr := FromWeights([]float64{0, 0, 1, 0, 1})
+	tr := fromWeights([]float64{0, 0, 1, 0, 1})
 	r := stats.NewRNGFromSeed(3)
 	for i := 0; i < 1000; i++ {
 		x := r.OpenFloat64() * tr.Total()
@@ -104,7 +104,7 @@ func TestFindByPrefixSkipsZeroWeight(t *testing.T) {
 
 func TestWeightedSamplingProportions(t *testing.T) {
 	w := []float64{1, 2, 3, 4}
-	tr := FromWeights(w)
+	tr := fromWeights(w)
 	r := stats.NewRNGFromSeed(99)
 	counts := make([]float64, len(w))
 	const draws = 200000
@@ -121,7 +121,7 @@ func TestWeightedSamplingProportions(t *testing.T) {
 
 func TestDynamicUpdatesSampling(t *testing.T) {
 	// Zero out an index; it must never be selected afterwards.
-	tr := FromWeights([]float64{5, 5, 5})
+	tr := fromWeights([]float64{5, 5, 5})
 	tr.Set(1, 0)
 	r := stats.NewRNGFromSeed(7)
 	for i := 0; i < 5000; i++ {
@@ -149,3 +149,21 @@ func TestPanics(t *testing.T) {
 		}()
 	}
 }
+
+// fromWeights and Tree.Len serve only these tests; no command calls
+// them.
+
+// fromWeights builds a tree initialized to the given weights in O(n).
+func fromWeights(w []float64) *Tree {
+	t := New(len(w))
+	copy(t.tree[1:], w)
+	for i := 1; i <= t.n; i++ {
+		if p := i + (i & -i); p <= t.n {
+			t.tree[p] += t.tree[i]
+		}
+	}
+	return t
+}
+
+// Len returns the number of slots.
+func (t *Tree) Len() int { return t.n }

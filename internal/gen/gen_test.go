@@ -2,6 +2,7 @@ package gen
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"trilist/internal/degseq"
@@ -92,14 +93,10 @@ func TestResidualDegreeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1, e2 := g1.EdgeSlice(), g2.EdgeSlice()
-	if len(e1) != len(e2) {
-		t.Fatal("edge counts differ across identical seeds")
-	}
-	for i := range e1 {
-		if e1[i] != e2[i] {
-			t.Fatalf("edge %d differs: %v vs %v", i, e1[i], e2[i])
-		}
+	o1, a1 := g1.CSR()
+	o2, a2 := g2.CSR()
+	if !slices.Equal(o1, o2) || !slices.Equal(a1, a2) {
+		t.Fatal("identical seeds produced different graphs")
 	}
 }
 
@@ -192,7 +189,7 @@ func TestChungLuEdgeProbability(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g.HasEdge(0, 1) {
+		if slices.Contains(g.Neighbors(0), 1) {
 			hits++
 		}
 	}
@@ -271,10 +268,26 @@ func TestResidualDegreeMatchesTargetDistribution(t *testing.T) {
 	for i := 0; i < n; i++ {
 		obs[i] = float64(g.Degree(int32(i)))
 	}
-	ks := stats.NewECDF(obs).KSDistance(func(x float64) float64 {
+	ks := ksDistance(obs, func(x float64) float64 {
 		return tr.CDF(int64(math.Floor(x)))
 	})
 	if ks > 0.02 {
 		t.Fatalf("KS distance %v between realized degrees and F_n", ks)
 	}
+}
+
+// ksDistance is sup_x |cdf(x) - F_emp(x)| over the observation points,
+// with F_emp(x) the fraction of observations <= x. internal/testkit
+// has the shared copy, but it imports gen, so gen's tests keep their own.
+func ksDistance(obs []float64, cdf func(float64) float64) float64 {
+	sorted := slices.Clone(obs)
+	slices.Sort(sorted)
+	var d float64
+	for i, x := range sorted {
+		if i+1 < len(sorted) && sorted[i+1] == x {
+			continue
+		}
+		d = math.Max(d, math.Abs(cdf(x)-float64(i+1)/float64(len(sorted))))
+	}
+	return d
 }

@@ -50,15 +50,6 @@ func (g *Graph) Neighbors(v int32) []int32 {
 	return g.nbrs[g.offsets[v]:g.offsets[v+1]]
 }
 
-// Degrees returns the degree of every node as a fresh slice.
-func (g *Graph) Degrees() []int64 {
-	d := make([]int64, g.NumNodes())
-	for v := range d {
-		d[v] = g.offsets[v+1] - g.offsets[v]
-	}
-	return d
-}
-
 // MaxDegree returns the largest degree L_n, or 0 for an empty graph.
 func (g *Graph) MaxDegree() int {
 	max := 0
@@ -78,20 +69,6 @@ func (g *Graph) MeanDegree() float64 {
 	return float64(len(g.nbrs)) / float64(g.NumNodes())
 }
 
-// HasEdge reports whether {u, v} ∈ E using binary search over the shorter
-// adjacency list; O(log min(d_u, d_v)).
-func (g *Graph) HasEdge(u, v int32) bool {
-	if u == v {
-		return false
-	}
-	if g.Degree(u) > g.Degree(v) {
-		u, v = v, u
-	}
-	a := g.Neighbors(u)
-	_, found := slices.BinarySearch(a, v)
-	return found
-}
-
 // Edges calls fn once for every undirected edge with U < V. Iteration is
 // in ascending (U, V) order. If fn returns false, iteration stops.
 func (g *Graph) Edges(fn func(e Edge) bool) {
@@ -105,16 +82,6 @@ func (g *Graph) Edges(fn func(e Edge) bool) {
 			}
 		}
 	}
-}
-
-// EdgeSlice returns all undirected edges with U < V in ascending order.
-func (g *Graph) EdgeSlice() []Edge {
-	edges := make([]Edge, 0, g.NumEdges())
-	g.Edges(func(e Edge) bool {
-		edges = append(edges, e)
-		return true
-	})
-	return edges
 }
 
 // Validate checks the structural invariants: offsets monotone, neighbor
@@ -208,13 +175,6 @@ func FromCSR(offsets []int64, nbrs []int32) (*Graph, error) {
 // graph's internal storage and must not be modified; they are the
 // serialization surface for binary on-disk formats.
 func (g *Graph) CSR() (offsets []int64, nbrs []int32) { return g.offsets, g.nbrs }
-
-// Equal reports whether g and h are bitwise-identical CSR structures:
-// same offsets, same neighbor array. It is the equality the parallel
-// ingest invariance tests assert, so it must be exact, not semantic.
-func (g *Graph) Equal(h *Graph) bool {
-	return slices.Equal(g.offsets, h.offsets) && slices.Equal(g.nbrs, h.nbrs)
-}
 
 // FromEdges builds a simple graph on n nodes from an edge list. Self-loops
 // are rejected; duplicate edges are rejected unless dedupe is true, in

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -23,7 +24,7 @@ func TestBasicProperties(t *testing.T) {
 		t.Fatalf("n=%d m=%d", g.NumNodes(), g.NumEdges())
 	}
 	if g.Degree(2) != 3 || g.Degree(3) != 1 {
-		t.Fatalf("degrees wrong: %v", g.Degrees())
+		t.Fatalf("degrees wrong: %d, %d", g.Degree(2), g.Degree(3))
 	}
 	if g.MaxDegree() != 3 {
 		t.Fatalf("MaxDegree = %d", g.MaxDegree())
@@ -56,23 +57,17 @@ func TestHasEdge(t *testing.T) {
 		{1, 3, false}, {0, 0, false}, {3, 3, false},
 	}
 	for _, c := range cases {
-		if got := g.HasEdge(c.u, c.v); got != c.want {
-			t.Errorf("HasEdge(%d,%d) = %v, want %v", c.u, c.v, got, c.want)
+		if got := slices.Contains(g.Neighbors(c.u), c.v); got != c.want {
+			t.Errorf("%d in Neighbors(%d) = %v, want %v", c.v, c.u, got, c.want)
 		}
 	}
 }
 
 func TestEdgesIterationOrder(t *testing.T) {
 	g := triangleGraph(t)
-	es := g.EdgeSlice()
-	want := []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}}
-	if len(es) != len(want) {
-		t.Fatalf("EdgeSlice = %v", es)
-	}
-	for i := range want {
-		if es[i] != want[i] {
-			t.Fatalf("EdgeSlice = %v, want %v", es, want)
-		}
+	es := edgeSlice(g)
+	if want := []Edge{{0, 1}, {0, 2}, {1, 2}, {2, 3}}; !slices.Equal(es, want) {
+		t.Fatalf("Edges visited %v, want %v", es, want)
 	}
 	// Early stop.
 	count := 0
@@ -177,8 +172,8 @@ func TestRandomGraphInvariants(t *testing.T) {
 			return false
 		}
 		var sum int64
-		for _, d := range g.Degrees() {
-			sum += d
+		for v := int32(0); int(v) < n; v++ {
+			sum += int64(g.Degree(v))
 		}
 		if sum != 2*g.NumEdges() {
 			return false
@@ -186,7 +181,7 @@ func TestRandomGraphInvariants(t *testing.T) {
 		for i := 0; i < 20; i++ {
 			u := int32(r.IntN(n))
 			v := int32(r.IntN(n))
-			if g.HasEdge(u, v) != g.HasEdge(v, u) {
+			if slices.Contains(g.Neighbors(u), v) != slices.Contains(g.Neighbors(v), u) {
 				return false
 			}
 		}
@@ -195,4 +190,14 @@ func TestRandomGraphInvariants(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// edgeSlice collects the edges g.Edges visits, in visit order.
+func edgeSlice(g *Graph) []Edge {
+	var edges []Edge
+	g.Edges(func(e Edge) bool {
+		edges = append(edges, e)
+		return true
+	})
+	return edges
 }

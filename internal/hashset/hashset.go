@@ -138,25 +138,6 @@ func tableSize(capacity int) int {
 	return n
 }
 
-// Reset clears the set and sizes it for at least capacity entries.
-// A table far larger than needed (>= 4x) is reallocated at the right
-// size rather than wiped: one huge fill must not make every later
-// Reset pay for clearing the high-water-mark array.
-func (s *NodeSet) Reset(capacity int) {
-	if capacity < 0 {
-		panic(fmt.Sprintf("hashset: negative capacity %d", capacity))
-	}
-	need := tableSize(capacity)
-	if need > len(s.keys) || need*4 <= len(s.keys) {
-		s.keys = make([]int32, need)
-		s.mask = uint32(need - 1)
-	}
-	for i := range s.keys {
-		s.keys[i] = -1
-	}
-	s.size = 0
-}
-
 func hash32(k int32) uint32 {
 	x := uint32(k)
 	x ^= x >> 16
@@ -202,9 +183,6 @@ func (s *NodeSet) Contains(v int32) bool {
 		i = (i + 1) & s.mask
 	}
 }
-
-// Len returns the number of stored IDs.
-func (s *NodeSet) Len() int { return s.size }
 
 func (s *NodeSet) growNodes() {
 	old := s.keys

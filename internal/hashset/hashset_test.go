@@ -1,6 +1,7 @@
 package hashset
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -281,3 +282,28 @@ func TestNodeSetGrowth(t *testing.T) {
 		}
 	}
 }
+
+// NodeSet.Reset and NodeSet.Len serve only these tests; no command
+// calls them.
+
+// Reset clears the set and sizes it for at least capacity entries.
+// A table far larger than needed (>= 4x) is reallocated at the right
+// size rather than wiped: one huge fill must not make every later
+// Reset pay for clearing the high-water-mark array.
+func (s *NodeSet) Reset(capacity int) {
+	if capacity < 0 {
+		panic(fmt.Sprintf("hashset: negative capacity %d", capacity))
+	}
+	need := tableSize(capacity)
+	if need > len(s.keys) || need*4 <= len(s.keys) {
+		s.keys = make([]int32, need)
+		s.mask = uint32(need - 1)
+	}
+	for i := range s.keys {
+		s.keys[i] = -1
+	}
+	s.size = 0
+}
+
+// Len returns the number of stored IDs.
+func (s *NodeSet) Len() int { return s.size }

@@ -11,31 +11,8 @@ import (
 	"testing"
 
 	"trilist/internal/graph"
+	"trilist/internal/testkit"
 )
-
-func mustGraph(t testing.TB, n int, edges []graph.Edge) *graph.Graph {
-	t.Helper()
-	g, err := graph.FromEdges(n, edges, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
-// testGraphs covers the boundary shapes: empty, edgeless, a clique,
-// and a sparse graph with isolated nodes at both ends.
-func testGraphs(t testing.TB) map[string]*graph.Graph {
-	return map[string]*graph.Graph{
-		"empty":    mustGraph(t, 0, nil),
-		"edgeless": mustGraph(t, 5, nil),
-		"k4": mustGraph(t, 4, []graph.Edge{
-			{U: 0, V: 1}, {U: 0, V: 2}, {U: 0, V: 3}, {U: 1, V: 2}, {U: 1, V: 3}, {U: 2, V: 3},
-		}),
-		"sparse": mustGraph(t, 100, []graph.Edge{
-			{U: 3, V: 97}, {U: 41, V: 42}, {U: 3, V: 41},
-		}),
-	}
-}
 
 // encode renders a graph's TRCSRF image in memory.
 func encode(t testing.TB, g *graph.Graph) []byte {
@@ -48,7 +25,7 @@ func encode(t testing.TB, g *graph.Graph) []byte {
 }
 
 func TestRoundTrip(t *testing.T) {
-	for name, g := range testGraphs(t) {
+	for name, g := range testkit.BoundaryGraphs(t) {
 		t.Run(name, func(t *testing.T) {
 			img := encode(t, g)
 			if want := headerSize + payloadSize(int64(g.NumNodes()), g.NumEdges()); int64(len(img)) != want {
@@ -60,7 +37,7 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("ReadBytes: %v", err)
 			}
-			if !got.Equal(g) {
+			if !testkit.GraphsEqual(got, g) {
 				t.Fatal("ReadBytes round trip changed the graph")
 			}
 
@@ -80,7 +57,7 @@ func TestRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Open: %v", err)
 			}
-			if !m.Graph().Equal(g) {
+			if !testkit.GraphsEqual(m.Graph(), g) {
 				t.Fatal("Open round trip changed the graph")
 			}
 
@@ -102,7 +79,7 @@ func TestRoundTrip(t *testing.T) {
 func TestWriteFileAtomic(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "g.csrf")
-	g := testGraphs(t)["k4"]
+	g := testkit.BoundaryGraphs(t)["k4"]
 	// Writing over an existing file replaces it wholesale.
 	for i := 0; i < 2; i++ {
 		if err := WriteFile(path, g); err != nil {
@@ -131,7 +108,7 @@ func corrupt(img []byte, mutate func(b []byte)) []byte {
 // check the exact size before the payload, so every truncation
 // surfaces as that size check (or, below 64 bytes, as a short header).
 func TestFaultInjection(t *testing.T) {
-	g := testGraphs(t)["k4"]
+	g := testkit.BoundaryGraphs(t)["k4"]
 	img := encode(t, g)
 	cases := []struct {
 		name string

@@ -8,6 +8,7 @@ import (
 
 	"trilist/internal/graph"
 	"trilist/internal/ingest/csrfile"
+	"trilist/internal/testkit"
 )
 
 // The differential fuzz contract: for ANY input bytes, the chunked
@@ -65,7 +66,7 @@ func sameResult(t *testing.T, what string, g *graph.Graph, err error, want *grap
 		}
 		return
 	}
-	if !g.Equal(want) {
+	if !testkit.GraphsEqual(g, want) {
 		t.Fatalf("%s: graph differs", what)
 	}
 }

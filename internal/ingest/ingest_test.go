@@ -8,8 +8,8 @@ import (
 
 	"trilist/internal/graph"
 	"trilist/internal/ingest/csrfile"
-	"trilist/internal/listing"
 	"trilist/internal/obsv"
+	"trilist/internal/testkit"
 )
 
 // serialOpts forces a single chunk spanning the whole input on one
@@ -70,7 +70,7 @@ func TestParseSNAPBasic(t *testing.T) {
 		t.Fatal(err)
 	}
 	g = mustParse(t, sb.String(), FormatSNAP)
-	if !g.Equal(gsrc) {
+	if !testkit.GraphsEqual(g, gsrc) {
 		t.Fatal("WriteEdgeList output did not round-trip through ParseSNAP")
 	}
 }
@@ -198,7 +198,7 @@ func TestChunkInvariance(t *testing.T) {
 						}
 						continue
 					}
-					if !g.Equal(refG) {
+					if !testkit.GraphsEqual(g, refG) {
 						t.Fatalf("chunk=%d workers=%d: graph differs from serial parse", chunk, workers)
 					}
 				}
@@ -235,7 +235,7 @@ func TestGoldenGraphs(t *testing.T) {
 			if g.NumNodes() != tc.n || g.NumEdges() != tc.m {
 				t.Fatalf("n=%d m=%d, want %d/%d", g.NumNodes(), g.NumEdges(), tc.n, tc.m)
 			}
-			if got := listing.BruteForce(g, nil).Triangles; got != tc.triangles {
+			if got := testkit.BruteForce(g, nil).Triangles; got != tc.triangles {
 				t.Fatalf("brute force found %d triangles, want %d", got, tc.triangles)
 			}
 
@@ -253,10 +253,10 @@ func TestGoldenGraphs(t *testing.T) {
 			if ld2.Format != FormatCSR {
 				t.Fatalf("sniffed %v, want csr", ld2.Format)
 			}
-			if !ld2.Graph.Equal(g) {
+			if !testkit.GraphsEqual(ld2.Graph, g) {
 				t.Fatal("TRCSRF round trip changed the graph")
 			}
-			if got := listing.BruteForce(ld2.Graph, nil).Triangles; got != tc.triangles {
+			if got := testkit.BruteForce(ld2.Graph, nil).Triangles; got != tc.triangles {
 				t.Fatalf("mmap-loaded graph has %d triangles, want %d", got, tc.triangles)
 			}
 		})
@@ -281,7 +281,7 @@ func TestGoldenChunkInvariance(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s chunk=%d workers=%d: %v", file, chunk, workers, err)
 				}
-				if !g.Equal(ref) {
+				if !testkit.GraphsEqual(g, ref) {
 					t.Fatalf("%s chunk=%d workers=%d: differs from serial", file, chunk, workers)
 				}
 			}
@@ -389,8 +389,8 @@ func TestLoadFileStdin(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ld.Close()
-		if ld.Format != FormatMTX || !ld.Graph.Equal(want) {
-			t.Fatalf("stdin loaded as %v, equal %v", ld.Format, ld.Graph.Equal(want))
+		if ld.Format != FormatMTX || !testkit.GraphsEqual(ld.Graph, want) {
+			t.Fatalf("stdin loaded as %v, equal %v", ld.Format, testkit.GraphsEqual(ld.Graph, want))
 		}
 	})
 }

@@ -13,6 +13,7 @@ import (
 	"trilist/internal/gen"
 	"trilist/internal/graph"
 	"trilist/internal/order"
+	"trilist/internal/testkit"
 )
 
 func TestGallopSearch(t *testing.T) {
@@ -320,7 +321,7 @@ func FuzzKernelsAgainstBruteForce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g := fuzzGraph(data)
 		var brute []triKey
-		BruteForce(g, func(x, y, z int32) { brute = append(brute, triKey{x, y, z}) })
+		testkit.BruteForce(g, func(x, y, z int32) { brute = append(brute, triKey{x, y, z}) })
 		kinds := []order.Kind{order.KindAscending, order.KindDescending, order.KindUniform}
 		for _, kind := range kinds {
 			o := orientBy(t, g, kind, uint64(len(data)))

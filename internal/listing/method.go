@@ -1,9 +1,11 @@
 // Package listing implements every triangle-listing algorithm the paper
 // classifies (§2.2–§2.4) — the six vertex iterators T1–T6, the six
 // scanning edge iterators (SEI) E1–E6, and the six lookup edge iterators
-// (LEI) L1–L6 — over an acyclically oriented graph, plus the historical
-// baselines they generalize (brute force, classic un-oriented node/edge
-// iterators, Chiba–Nishizeki, Forward, and Compact Forward).
+// (LEI) L1–L6 — over an acyclically oriented graph, plus Latapy's
+// Compact Forward (an E2-family baseline). The other historical baselines
+// (brute force, the classic un-oriented node/edge iterators,
+// Chiba–Nishizeki and Forward) are test oracles in internal/testkit, and
+// the §2.4 no-relabel penalties live beside their tests.
 //
 // Every triangle x < y < z (in relabeled IDs) is reported exactly once by
 // every method; the methods differ only in traversal order and therefore
@@ -143,19 +145,6 @@ const (
 	LookupEdgeIterator
 )
 
-func (f Family) String() string {
-	switch f {
-	case VertexIterator:
-		return "vertex-iterator"
-	case ScanningEdgeIterator:
-		return "scanning-edge-iterator"
-	case LookupEdgeIterator:
-		return "lookup-edge-iterator"
-	default:
-		return fmt.Sprintf("Family(%d)", int(f))
-	}
-}
-
 // Family returns the method's family.
 func (m Method) Family() Family {
 	switch {
@@ -233,16 +222,6 @@ func ModelCost(o *digraph.Oriented, m Method) float64 {
 	default:
 		return evalTerm(o, leiCost[m-L1])
 	}
-}
-
-// ModelCostSplit returns SEI local and remote volumes separately
-// (Table 1). For other families, local carries the whole cost.
-func ModelCostSplit(o *digraph.Oriented, m Method) (local, remote float64) {
-	if m.Family() != ScanningEdgeIterator {
-		return ModelCost(o, m), 0
-	}
-	c := seiCost[m-E1]
-	return evalTerm(o, c[0]), evalTerm(o, c[1])
 }
 
 // Visitor receives each triangle once with relabeled IDs x < y < z.

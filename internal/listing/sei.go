@@ -11,7 +11,7 @@ import (
 // performed. A real scan early-exits when either list is exhausted, so
 // the return value is at most len(a)+len(b) and may be much less — the
 // paper's model cost charges the full sublist volumes instead, which is
-// why Stats tracks both. The baselines scan with it, and it is the SEI
+// why Stats tracks both. CompactForward scans with it, and it is the SEI
 // sweep's merge reference; the sweep's adaptive path reports the same
 // count via the mergeComps closed form.
 func intersect(a, b []int32, visit func(int32)) int64 {

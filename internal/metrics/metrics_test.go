@@ -19,7 +19,8 @@ func TestCounterGaugeBasics(t *testing.T) {
 	g := r.NewGauge("inflight", "In-flight jobs.")
 	g.Set(7)
 	g.Dec()
-	g.Add(-2)
+	g.Dec()
+	g.Dec()
 	g.Inc()
 	if g.Value() != 5 {
 		t.Fatalf("gauge = %d, want 5", g.Value())
@@ -137,7 +138,7 @@ func TestConcurrentObservations(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
 				c.Inc()
-				g.Add(1)
+				g.Inc()
 				h.Observe(float64(i) / 100)
 				v.With([]string{"T1", "T2", "E1"}[w%3]).Inc()
 			}

@@ -80,7 +80,7 @@ func TestEq14TracksChungLuCosts(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := degseq.Sample(tr, n, rng.Child())
-	asc := d.SortedAscending()
+	asc := sortedAscending(d)
 
 	cases := []struct {
 		m    listing.Method

@@ -4,8 +4,10 @@
 // maps ξ(u) (§5.3), the exact discrete cost model (eq. 50), the fast
 // geometric-jump evaluation of it (Algorithm 2), the continuous
 // approximation (eq. 49), asymptotic limits with finiteness thresholds
-// (§4.2, §6.3), the scaling rates a_n/b_n (eqs. 47–48), and the
-// finite-n expected out-degree models (eqs. 11–14).
+// (§4.2, §6.3), and the scaling rates a_n/b_n (eqs. 47–48). The
+// finite-n expected out-degree models (eqs. 11–14), the standalone
+// spread, the Definition 5 kernel diagnostics and Berry et al.'s eq. (2)
+// are test oracles in the package's _test.go files.
 //
 // Every model value is the *per-node* expected cost E[c_n(M, θ)|D_n]
 // (eq. 1); multiply by n to compare with total operation counts such as

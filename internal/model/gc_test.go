@@ -25,7 +25,7 @@ func TestLemma1PartialSums(t *testing.T) {
 	}
 	rng := stats.NewRNGFromSeed(2718)
 	n := 400000
-	asc := degseq.Sample(tr, n, rng).SortedAscending()
+	asc := sortedAscending(degseq.Sample(tr, n, rng))
 	for _, u := range []float64{0.25, 0.5, 0.9, 1.0} {
 		var lhs stats.KahanSum
 		limit := int(math.Floor(float64(n) * u))
@@ -65,7 +65,7 @@ func TestLemma2QConvergesToSpread(t *testing.T) {
 	}
 	rng := stats.NewRNGFromSeed(314)
 	n := 200000
-	asc := degseq.Sample(tr, n, rng).SortedAscending()
+	asc := sortedAscending(degseq.Sample(tr, n, rng))
 	byLabel := make([]int64, n)
 	copy(byLabel, asc)
 	q := QFractions(byLabel, nil)
@@ -86,15 +86,7 @@ func TestExponentialDegreesGiveErlang2Spread(t *testing.T) {
 	// §4.1: "exponential D produces S ~ Erlang(2)". With geometric
 	// degrees (discrete exponential, p small), the w(x)=x spread must
 	// approach the Erlang(2) CDF 1-(1+λx)e^{-λx}, λ = -ln(1-p).
-	g, err := degseq.NewGeometric(0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr, err := degseq.NewTruncated(g, 2000) // captures all but ~e-17 mass
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread, err := NewSpread(tr, nil)
+	spread, err := NewSpread(geometricDegrees(t, 0.02, 2000), nil) // all but ~e-17 mass
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,11 +110,7 @@ func TestGeometricDegreesAllCostsFinite(t *testing.T) {
 	// Light tails: every method/order pair has finite, orderable cost.
 	// Verify the optimal-order ranking also holds for geometric degrees
 	// (the paper's results require only monotone g/w, not Pareto).
-	g := degseq.Geometric{P: 1.0 / 30}
-	tr, err := degseq.NewTruncated(g, 1500)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tr := geometricDegrees(t, 1.0/30, 1500)
 	for _, c := range []struct {
 		spec Spec
 		vs   Spec
@@ -145,4 +133,19 @@ func TestGeometricDegreesAllCostsFinite(t *testing.T) {
 			t.Errorf("%v cost %v should beat %v cost %v", c.spec, a, c.vs, b)
 		}
 	}
+}
+
+// geometricDegrees is the geometric law P(D = k) = p(1-p)^{k-1}
+// conditioned on D <= tn: the discrete exponential of §4.1, truncated.
+func geometricDegrees(t *testing.T, p float64, tn int) degseq.Dist {
+	t.Helper()
+	w := make([]float64, tn)
+	for k := range w {
+		w[k] = p * math.Pow(1-p, float64(k))
+	}
+	d, err := degseq.NewEmpirical(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }

@@ -52,22 +52,6 @@ func OrderMap(kind order.Kind, h func(float64) float64) (func(float64) float64, 
 	}
 }
 
-// ReverseMap transforms u ↦ E[h(ξ(u))] into the reversed permutation's
-// map (Prop. 7): ξ'(u) = 1 - ξ(u) means E[h(ξ'(u))] = E[h'(ξ(u))] with
-// h'(x) = h(1-x). Callers therefore pass h pre-composed; this helper
-// exists for the complement, which acts on u instead.
-func ReverseH(h func(float64) float64) func(float64) float64 {
-	return func(x float64) float64 { return h(1 - x) }
-}
-
-// ComplementMap transforms the composed map m(u) = E[h(ξ(u))] into the
-// complement permutation's map: ξ”(u) = ξ(1-u) (Prop. 7), so
-// E[h(ξ”(u))] = m(1-u). By Corollary 3, if ξ is optimal for a method,
-// ξ” is its worst case.
-func ComplementMap(m func(float64) float64) func(float64) float64 {
-	return func(u float64) float64 { return m(1 - u) }
-}
-
 // integrateSimpson integrates f over [a,b] with n panels (n rounded up
 // to even). Exact for cubics; used where the integrand is smooth.
 func integrateSimpson(f func(float64) float64, a, b float64, n int) float64 {

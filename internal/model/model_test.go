@@ -2,6 +2,7 @@ package model
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"trilist/internal/degseq"
@@ -11,6 +12,7 @@ import (
 	"trilist/internal/listing"
 	"trilist/internal/order"
 	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 func close(a, b, tol float64) bool {
@@ -575,7 +577,7 @@ func TestSpreadSampleMatchesJ(t *testing.T) {
 	for i := range obs {
 		obs[i] = float64(SpreadSample(d, src))
 	}
-	ks := stats.NewECDF(obs).KSDistance(func(x float64) float64 {
+	ks := testkit.KSDistance(obs, func(x float64) float64 {
 		return s.At(int64(math.Floor(x)))
 	})
 	if ks > 0.02 {
@@ -607,7 +609,7 @@ func TestExpectedOutDegreesSumToM(t *testing.T) {
 	tr := mustTrunc(t, p, 100)
 	rng := stats.NewRNGFromSeed(5)
 	d := degseq.Sample(tr, 5000, rng)
-	asc := d.SortedAscending()
+	asc := sortedAscending(d)
 	byLabel := make([]int64, len(asc))
 	copy(byLabel, asc)
 	x := ExpectedOutDegrees(byLabel, nil)
@@ -631,7 +633,7 @@ func TestExpectedOutDegreesMatchSimulation(t *testing.T) {
 	d := degseq.Sample(tr, n, rng.Child())
 	d.MakeEven()
 	// Arrange by ascending-degree label order.
-	asc := d.SortedAscending()
+	asc := sortedAscending(d)
 	byLabel := make([]int64, n)
 	copy(byLabel, asc)
 	want := ExpectedOutDegrees(byLabel, nil)
@@ -682,4 +684,35 @@ func TestSequenceCostErrors(t *testing.T) {
 	if _, err := SequenceCost([]int64{1, 2}, nil, nil); err == nil {
 		t.Error("nil h accepted")
 	}
+}
+
+// ReverseMap transforms u ↦ E[h(ξ(u))] into the reversed permutation's
+// map (Prop. 7): ξ'(u) = 1 - ξ(u) means E[h(ξ'(u))] = E[h'(ξ(u))] with
+// h'(x) = h(1-x). Callers therefore pass h pre-composed; this helper
+// exists for the complement, which acts on u instead.
+func ReverseH(h func(float64) float64) func(float64) float64 {
+	return func(x float64) float64 { return h(1 - x) }
+}
+
+// ComplementMap transforms the composed map m(u) = E[h(ξ(u))] into the
+// complement permutation's map: ξ”(u) = ξ(1-u) (Prop. 7), so
+// E[h(ξ”(u))] = m(1-u). By Corollary 3, if ξ is optimal for a method,
+// ξ” is its worst case.
+func ComplementMap(m func(float64) float64) func(float64) float64 {
+	return func(u float64) float64 { return m(1 - u) }
+}
+
+// sortedAscending returns a sorted copy of d: the vector A_n of order
+// statistics the paper's permutations act on.
+func sortedAscending(d degseq.Sequence) degseq.Sequence {
+	a := slices.Clone(d)
+	slices.Sort(a)
+	return a
+}
+
+// rootConstrained reports whether L_n <= √n, the deterministic AMRC
+// guarantee of root truncation (Definition 1, §3.1).
+func rootConstrained(d degseq.Sequence) bool {
+	m := slices.Max(d)
+	return m*m <= int64(len(d))
 }

@@ -182,23 +182,6 @@ func (sp *Span) End() {
 	sp.r.mu.Unlock()
 }
 
-// Record folds an externally measured duration into stage s — the
-// escape hatch for code that already timed itself.
-func (r *Recorder) Record(s Stage, wall time.Duration) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	st := r.stats[s]
-	if st == nil {
-		st = &StageStats{}
-		r.stats[s] = st
-	}
-	st.Count++
-	st.Wall += wall
-	r.mu.Unlock()
-}
-
 // Snapshot returns a copy of the per-stage aggregates (nil on a nil
 // recorder). Open spans are not included until they End.
 func (r *Recorder) Snapshot() map[Stage]StageStats {

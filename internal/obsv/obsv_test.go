@@ -171,7 +171,6 @@ func TestConcurrentRecorder(t *testing.T) {
 			for i := 0; i < spans; i++ {
 				sp := rec.Start(StageList)
 				sp.End()
-				rec.Record(StageRank, time.Microsecond)
 			}
 		}()
 	}
@@ -179,12 +178,6 @@ func TestConcurrentRecorder(t *testing.T) {
 	snap := rec.Snapshot()
 	if c := snap[StageList].Count; c != goroutines*spans {
 		t.Errorf("list count = %d, want %d", c, goroutines*spans)
-	}
-	if c := snap[StageRank].Count; c != goroutines*spans {
-		t.Errorf("rank count = %d, want %d", c, goroutines*spans)
-	}
-	if w := snap[StageRank].Wall; w != goroutines*spans*time.Microsecond {
-		t.Errorf("rank wall = %v, want %v", w, goroutines*spans*time.Microsecond)
 	}
 }
 
@@ -203,7 +196,6 @@ func TestNilRecorderZeroAlloc(t *testing.T) {
 
 func TestNilRecorderMethods(t *testing.T) {
 	var rec *Recorder
-	rec.Record(StageRank, time.Second)
 	if rec.Snapshot() != nil || rec.Stages() != nil || rec.Format() != "" {
 		t.Fatal("nil recorder must report empty state")
 	}

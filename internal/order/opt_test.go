@@ -1,6 +1,7 @@
 package order
 
 import (
+	"slices"
 	"testing"
 
 	"trilist/internal/stats"
@@ -116,4 +117,50 @@ func TestConstantRAllPermutationsEqual(t *testing.T) {
 			t.Fatalf("objective %v != %v under constant r", v, ref)
 		}
 	}
+}
+
+// Opt implements Algorithm 1: it builds the permutation that minimizes
+// the limiting cost E[w(D)]·E[r(U)h(ξ(U))] (eq. 37) when
+// r(x) = g(J⁻¹(x))/w(J⁻¹(x)) is monotonic (Theorem 3). The sequence
+// z = (h(1/n), ..., h(1)) is sorted opposite to r's monotonicity and
+// positions are assigned the resulting label order; by the rearrangement
+// inequality this pairs large r with small h.
+func Opt(n int, h func(float64) float64, rIncreasing bool) Perm {
+	type kv struct {
+		key   float64
+		index int32
+	}
+	z := make([]kv, n)
+	for i := 0; i < n; i++ {
+		z[i] = kv{key: h(float64(i+1) / float64(n)), index: int32(i)}
+	}
+	// Three-way comparators mirror the former sort.SliceStable booleans
+	// exactly, NaN keys included (every NaN comparison yields 0, so
+	// stability keeps them in place), preserving golden outputs.
+	if rIncreasing {
+		slices.SortStableFunc(z, func(a, b kv) int {
+			switch {
+			case a.key > b.key:
+				return -1
+			case b.key > a.key:
+				return 1
+			}
+			return 0
+		})
+	} else {
+		slices.SortStableFunc(z, func(a, b kv) int {
+			switch {
+			case a.key < b.key:
+				return -1
+			case b.key < a.key:
+				return 1
+			}
+			return 0
+		})
+	}
+	p := make(Perm, n)
+	for i := range z {
+		p[i] = z[i].index
+	}
+	return p
 }

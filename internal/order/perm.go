@@ -14,8 +14,9 @@
 //	θ_degen  smallest-last / degeneracy  (graph-dependent, Matula–Beck [29])
 //
 // plus the reverse θ'(i) = n+1-θ(i) and complement θ”(i) = θ(n-i+1)
-// operators of Propositions 1 and 7, and Algorithm 1 (OPT), which builds
-// the cost-optimal permutation for a method's h function (Theorem 3).
+// operators of Propositions 1 and 7. Algorithm 1 (OPT), which builds the
+// cost-optimal permutation for a method's h function (Theorem 3), is a
+// test oracle in opt_test.go.
 //
 // All indices here are 0-based; the paper's 1-based formulas are shifted
 // accordingly.
@@ -23,7 +24,6 @@ package order
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"trilist/internal/graph"
@@ -160,52 +160,6 @@ func Uniform(n int, rng *stats.RNG) Perm {
 	return p
 }
 
-// Opt implements Algorithm 1: it builds the permutation that minimizes
-// the limiting cost E[w(D)]·E[r(U)h(ξ(U))] (eq. 37) when
-// r(x) = g(J⁻¹(x))/w(J⁻¹(x)) is monotonic (Theorem 3). The sequence
-// z = (h(1/n), ..., h(1)) is sorted opposite to r's monotonicity and
-// positions are assigned the resulting label order; by the rearrangement
-// inequality this pairs large r with small h.
-func Opt(n int, h func(float64) float64, rIncreasing bool) Perm {
-	type kv struct {
-		key   float64
-		index int32
-	}
-	z := make([]kv, n)
-	for i := 0; i < n; i++ {
-		z[i] = kv{key: h(float64(i+1) / float64(n)), index: int32(i)}
-	}
-	// Three-way comparators mirror the former sort.SliceStable booleans
-	// exactly, NaN keys included (every NaN comparison yields 0, so
-	// stability keeps them in place), preserving golden outputs.
-	if rIncreasing {
-		slices.SortStableFunc(z, func(a, b kv) int {
-			switch {
-			case a.key > b.key:
-				return -1
-			case b.key > a.key:
-				return 1
-			}
-			return 0
-		})
-	} else {
-		slices.SortStableFunc(z, func(a, b kv) int {
-			switch {
-			case a.key < b.key:
-				return -1
-			case b.key < a.key:
-				return 1
-			}
-			return 0
-		})
-	}
-	p := make(Perm, n)
-	for i := range z {
-		p[i] = z[i].index
-	}
-	return p
-}
-
 // Kind selects one of the paper's six named orders.
 type Kind int
 
@@ -334,11 +288,7 @@ func Rank(g *graph.Graph, k Kind, rng *stats.RNG, opts ...RankOption) ([]int32, 
 		if rng == nil {
 			return nil, fmt.Errorf("order: uniform order requires an RNG")
 		}
-		rank := make([]int32, n)
-		for v, label := range rng.Perm(n) {
-			rank[v] = int32(label)
-		}
-		return rank, nil
+		return Uniform(n, rng), nil
 	case KindDegenerate:
 		return DegenerateRank(g), nil
 	}

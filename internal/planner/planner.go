@@ -53,18 +53,6 @@ var Orders = []order.Kind{
 	order.KindUniform,
 }
 
-// Plannable reports whether the cost model can price the order from a
-// degree distribution alone. False only for the degenerate
-// (smallest-last) order, whose limit map needs the edge structure.
-func Plannable(k order.Kind) bool {
-	for _, o := range Orders {
-		if o == k {
-			return true
-		}
-	}
-	return false
-}
-
 // orderIndex returns k's position in Orders (tie-break rank), or
 // len(Orders) for un-plannable kinds.
 func orderIndex(k order.Kind) int {
@@ -118,11 +106,6 @@ type Candidate struct {
 	// PredictedNs is Total × NsPerOp(Method): the predicted sweep time
 	// the ranking sorts by.
 	PredictedNs float64
-}
-
-// Spec renders the candidate in the paper's notation, e.g. "E1+θ_D".
-func (c Candidate) Spec() string {
-	return fmt.Sprintf("%v+%s", c.Method, c.Order.ShortName())
 }
 
 // Fit reports the degree-distribution fit behind a Plan.

@@ -11,12 +11,11 @@ import (
 	"testing"
 
 	"trilist/internal/degseq"
-	"trilist/internal/gen"
 	"trilist/internal/graph"
 	"trilist/internal/ingest"
 	"trilist/internal/listing"
 	"trilist/internal/order"
-	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 var update = flag.Bool("update", false, "rewrite testdata golden files")
@@ -26,15 +25,12 @@ func TestPlannableOrders(t *testing.T) {
 		t.Fatalf("plannable grid has %d orders, want 5", len(Orders))
 	}
 	for _, k := range Orders {
-		if !Plannable(k) {
-			t.Errorf("order %v in Orders but not Plannable", k)
+		if orderIndex(k) == len(Orders) {
+			t.Errorf("order %v in Orders but not plannable", k)
 		}
 	}
-	if Plannable(order.KindDegenerate) {
-		t.Error("degenerate order must not be plannable (§7.5: its limit map needs edges)")
-	}
 	if got := orderIndex(order.KindDegenerate); got != len(Orders) {
-		t.Errorf("orderIndex(degenerate) = %d, want %d", got, len(Orders))
+		t.Errorf("orderIndex(degenerate) = %d, want %d: the degenerate order must not be plannable (§7.5: its limit map needs edges)", got, len(Orders))
 	}
 }
 
@@ -99,7 +95,7 @@ func TestComputeEdgeless(t *testing.T) {
 }
 
 func TestPlanAccessors(t *testing.T) {
-	g := paretoGraph(t, 1.5, 2000, 11)
+	g := testkit.ParetoGraph(t, 1.5, 2000, degseq.RootTruncation, 11)
 	p, err := Compute(g)
 	if err != nil {
 		t.Fatal(err)
@@ -134,24 +130,10 @@ func TestPlanAccessors(t *testing.T) {
 	}
 }
 
-func paretoGraph(t *testing.T, alpha float64, n int, seed uint64) *graph.Graph {
-	t.Helper()
-	return truncGraph(t, alpha, n, degseq.RootTruncation, seed)
-}
-
-func truncGraph(t *testing.T, alpha float64, n int, trunc degseq.Truncation, seed uint64) *graph.Graph {
-	t.Helper()
-	g, _, err := gen.ParetoGraph(degseq.StandardPareto(alpha), n, trunc, stats.NewRNGFromSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return g
-}
-
 // TestComputeDeterminism: the plan — table text and JSON view alike —
 // is byte-identical across repeated runs and any worker count.
 func TestComputeDeterminism(t *testing.T) {
-	g := paretoGraph(t, 1.5, 4000, 7)
+	g := testkit.ParetoGraph(t, 1.5, 4000, degseq.RootTruncation, 7)
 	var wantText string
 	var wantJSON []byte
 	for _, workers := range []int{1, 1, 2, 8} {
@@ -181,7 +163,7 @@ func TestComputeDeterminism(t *testing.T) {
 // histogram directly through the grid pricer reproduces Compute's
 // ranking exactly.
 func TestComputeDistAgreesWithCompute(t *testing.T) {
-	g := paretoGraph(t, 2.5, 3000, 3)
+	g := testkit.ParetoGraph(t, 2.5, 3000, degseq.RootTruncation, 3)
 	fromGraph, err := Compute(g)
 	if err != nil {
 		t.Fatal(err)
@@ -266,7 +248,7 @@ func rankingGraphs(t *testing.T) map[string]*graph.Graph {
 	}
 	for _, trunc := range []degseq.Truncation{degseq.RootTruncation, degseq.LinearTruncation} {
 		for _, n := range []int{2000, 10000} {
-			gs[fmt.Sprintf("%v/n=%d", trunc, n)] = truncGraph(t, 1.5, n, trunc, uint64(n))
+			gs[fmt.Sprintf("%v/n=%d", trunc, n)] = testkit.ParetoGraph(t, 1.5, n, trunc, uint64(n))
 		}
 	}
 	return gs
@@ -359,4 +341,9 @@ func TestPickDivergingWN(t *testing.T) {
 	if b := last.Best(); b.Method.Family() == listing.ScanningEdgeIterator {
 		t.Fatalf("n=1e8: pick %s is a scanning edge iterator; §6.3 says it must lose", b.Spec())
 	}
+}
+
+// Spec renders the candidate in the paper's notation, e.g. "E1+θ_D".
+func (c Candidate) Spec() string {
+	return fmt.Sprintf("%v+%s", c.Method, c.Order.ShortName())
 }

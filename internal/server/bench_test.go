@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"trilist/internal/testkit"
 )
 
 // BenchmarkServerCountJob measures the steady-state serving path: graph
@@ -18,7 +20,7 @@ func BenchmarkServerCountJob(b *testing.B) {
 	defer ts.Close()
 
 	e := &testEnv{srv: srv, ts: ts}
-	gi := e.register(b, erGraphText(b, 2000, 20000, 9))
+	gi := e.register(b, testkit.ERGraphText(b, 2000, 20000, 9))
 	// Warm the orientation cache so iterations measure sweeps, not setup.
 	if _, v := e.postJob(b, JobSpec{Graph: gi.ID, Method: "E1", Wait: true}); v.Status != "done" {
 		b.Fatalf("warmup job: %+v", v)

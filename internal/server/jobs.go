@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -375,6 +376,11 @@ func (mgr *Manager) Enqueue(spec JobSpec) (*Job, error) {
 	}
 	if spec.TimeoutMS < 0 {
 		return nil, fmt.Errorf("negative timeout_ms %v", spec.TimeoutMS)
+	}
+	// time.Duration is int64 nanoseconds: a larger bound would wrap to a
+	// negative duration and cancel the job at once.
+	if spec.TimeoutMS*float64(time.Millisecond) >= math.MaxInt64 {
+		return nil, fmt.Errorf("timeout_ms %v exceeds the largest duration, %v", spec.TimeoutMS, time.Duration(math.MaxInt64))
 	}
 	if spec.Workers < 0 {
 		return nil, fmt.Errorf("negative workers %d", spec.Workers)

@@ -36,7 +36,9 @@ type serverMetrics struct {
 
 	graphsRegistered *metrics.Counter
 	graphsPersisted  *metrics.Counter
+	persistFailures  *metrics.Counter
 	graphsWarmLoaded *metrics.Counter
+	warmSkipped      *metrics.Counter
 
 	plannerPlans *metrics.Counter
 	plannerJobs  *metrics.CounterVec   // labeled by the method the planner chose
@@ -75,7 +77,9 @@ func newServerMetrics() *serverMetrics {
 
 		graphsRegistered: r.NewCounter("trid_graphs_registered_total", "Accepted POST /v1/graphs registrations (including re-registrations)."),
 		graphsPersisted:  r.NewCounter("trid_graphs_persisted_total", "Graphs written to the CSR directory."),
+		persistFailures:  r.NewCounter("trid_graphs_persist_failures_total", "Graph writes to the CSR directory that failed; the graph stays resident."),
 		graphsWarmLoaded: r.NewCounter("trid_graphs_warm_loaded_total", "Graphs memory-mapped from the CSR directory at startup."),
+		warmSkipped:      r.NewCounter("trid_graphs_warm_skipped_total", "CSR directory files that warm start could not open (corrupt or truncated) and skipped."),
 
 		plannerPlans: r.NewCounter("trid_planner_plans_computed_total",
 			"Query plans computed and memoized by the registry."),

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"trilist/internal/exec"
+	"trilist/internal/testkit"
 )
 
 // TestExecMetricsExposition is the golden test for the trid_exec_*
@@ -81,7 +82,7 @@ trid_exec_triple_duration_seconds_count 2
 // partition meters in its view, and feed the trid_exec_* metrics.
 func TestPartitionedJobEndToEnd(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 300, 2400, 11))
+	info := e.register(t, testkit.ERGraphText(t, 300, 2400, 11))
 
 	code, ref := e.postJob(t, JobSpec{Graph: info.ID, Method: "T1", Wait: true})
 	if code != http.StatusOK || ref.Status != "done" {
@@ -136,7 +137,7 @@ func TestPartitionedJobEndToEnd(t *testing.T) {
 // executor's determinism guarantee.
 func TestPartitionedJobWorkerInvariance(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 250, 2000, 13))
+	info := e.register(t, testkit.ERGraphText(t, 250, 2000, 13))
 
 	var base JobView
 	for i, workers := range []int{1, 8} {
@@ -233,7 +234,7 @@ func TestQueuedJobFailsWhenGraphEvicted(t *testing.T) {
 		t.Fatalf("cancel jobA: status %d", code)
 	}
 	// A graph larger than the whole budget evicts every other entry.
-	e.register(t, erGraphText(t, 300, 2000, 5))
+	e.register(t, testkit.ERGraphText(t, 300, 2000, 5))
 	if _, ok := e.srv.reg.Get(victim.ID); ok {
 		t.Fatal("setup: the first graph is still resident")
 	}

@@ -11,6 +11,7 @@ import (
 	"trilist/internal/gen"
 	"trilist/internal/graph"
 	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 // TestPlannerExposition is the golden test for the three trid_planner_*
@@ -94,7 +95,7 @@ type planView struct {
 
 func TestGraphPlanEndpoint(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 300, 2000, 5))
+	info := e.register(t, testkit.ERGraphText(t, 300, 2000, 5))
 
 	code, out := e.do(t, "GET", "/v1/graphs/"+info.ID+"/plan", nil)
 	if code != http.StatusOK {
@@ -133,7 +134,7 @@ func TestGraphPlanEndpoint(t *testing.T) {
 // and predicted-vs-actual fields; an explicit method reports none.
 func TestPlannerAutoJob(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 300, 2000, 5))
+	info := e.register(t, testkit.ERGraphText(t, 300, 2000, 5))
 
 	// The /plan preview and the auto job must agree on the choice.
 	_, out := e.do(t, "GET", "/v1/graphs/"+info.ID+"/plan", nil)
@@ -241,7 +242,7 @@ func TestPlannerAutoLinearRunsLookup(t *testing.T) {
 // into a 400 instead of silently ignoring it.
 func TestJobKernelFieldRejected(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 120, 900, 6))
+	info := e.register(t, testkit.ERGraphText(t, 120, 900, 6))
 	for _, kern := range []string{"auto", "merge", "hybrid"} {
 		body := []byte(`{"graph":"` + info.ID + `","method":"E1","kernel":"` + kern + `","wait":true}`)
 		code, out := e.do(t, "POST", "/v1/jobs", body)
@@ -259,7 +260,7 @@ func TestJobKernelFieldRejected(t *testing.T) {
 // model cannot price — is rejected, with explicit methods unaffected.
 func TestPlannerAutoOrderConstraint(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 200, 1200, 9))
+	info := e.register(t, testkit.ERGraphText(t, 200, 1200, 9))
 
 	code, jv := e.postJob(t, JobSpec{Graph: info.ID, Method: "auto", Order: "ascending", Wait: true})
 	if code != http.StatusOK || jv.Status != string(JobDone) {

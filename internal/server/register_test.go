@@ -10,7 +10,7 @@ import (
 
 	"trilist/internal/graph"
 	"trilist/internal/ingest"
-	"trilist/internal/listing"
+	"trilist/internal/testkit"
 )
 
 // TestRegisterGoldenGraphs registers the two real-graph fixtures
@@ -46,7 +46,7 @@ func TestRegisterGoldenGraphs(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := listing.BruteForce(g, nil).Triangles
+			want := testkit.BruteForce(g, nil).Triangles
 			if want != tc.triangles {
 				t.Fatalf("fixture drifted: brute force says %d, want %d", want, tc.triangles)
 			}
@@ -134,7 +134,7 @@ func TestCSRDirPersistAndWarmStart(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ld.Close()
-	if got := listing.BruteForce(ld.Graph, nil).Triangles; got != 3 {
+	if got := testkit.BruteForce(ld.Graph, nil).Triangles; got != 3 {
 		t.Fatalf("persisted file has %d triangles, want 3", got)
 	}
 	var g *graph.Graph = ld.Graph
@@ -155,7 +155,7 @@ func TestLoadCSRDirSweepsTempFiles(t *testing.T) {
 	}
 	e1 := newTestEnv(t, Options{CSRDir: csrDir})
 	gi := e1.register(t, data)
-	want, ok := e1.srv.Registry().Get(gi.ID)
+	want, ok := e1.srv.reg.Get(gi.ID)
 	if !ok {
 		t.Fatal("registered graph not resident")
 	}
@@ -178,12 +178,103 @@ func TestLoadCSRDirSweepsTempFiles(t *testing.T) {
 	if _, err := os.Stat(stale); !os.IsNotExist(err) {
 		t.Fatalf("leftover temp file not removed (stat err: %v)", err)
 	}
-	got, ok := e2.srv.Registry().Get(gi.ID)
-	if !ok || !got.Equal(want) {
+	got, ok := e2.srv.reg.Get(gi.ID)
+	if !ok || !testkit.GraphsEqual(got, want) {
 		t.Fatalf("warm-started graph resident=%v, not the registered graph", ok)
 	}
 	code, jv := e2.postJob(t, JobSpec{Graph: gi.ID, Method: "E1", Wait: true})
 	if code != http.StatusOK || jv.Triangles != 45 {
 		t.Fatalf("job on warm-started graph: %d %+v", code, jv)
+	}
+}
+
+// TestCSRDirDamagedFilesSkippedAndCounted: a restart over a CSR
+// directory with one truncated and one corrupted image skips both,
+// counts them in trid_graphs_warm_skipped_total, and serves the intact
+// graph as exactly the graph that was registered. A write that fails
+// counts in trid_graphs_persist_failures_total and leaves the
+// registration resident.
+func TestCSRDirDamagedFilesSkippedAndCounted(t *testing.T) {
+	csrDir := t.TempDir()
+	e1 := newTestEnv(t, Options{CSRDir: csrDir})
+	var ids []string
+	for _, body := range [][]byte{
+		[]byte(k4),
+		testkit.ERGraphText(t, 60, 200, 1),
+		testkit.ERGraphText(t, 80, 300, 2),
+	} {
+		ids = append(ids, e1.register(t, body).ID)
+	}
+	if n := metricValue(t, e1.metricsText(t), "trid_graphs_persisted_total"); n != 3 {
+		t.Fatalf("persisted = %d, want 3", n)
+	}
+	want, ok := e1.srv.reg.Get(ids[0])
+	if !ok {
+		t.Fatal("registered graph not resident")
+	}
+	file := func(id string) string {
+		return filepath.Join(csrDir, strings.TrimPrefix(id, "sha256:")+".csrf")
+	}
+	truncated, err := os.ReadFile(file(ids[1]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(file(ids[1]), truncated[:len(truncated)-5], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	corrupted, err := os.ReadFile(file(ids[2]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	corrupted[len(corrupted)-1] ^= 0xff // last neighbor ID: payload CRC mismatch
+	if err := os.WriteFile(file(ids[2]), corrupted, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestEnv(t, Options{CSRDir: csrDir})
+	loaded, err := e2.srv.LoadCSRDir()
+	if loaded != 1 || err == nil {
+		t.Fatalf("warm start: loaded %d, err %v; want 1 graph and an error naming the damaged files", loaded, err)
+	}
+	for _, id := range ids[1:] {
+		if !strings.Contains(err.Error(), filepath.Base(file(id))) {
+			t.Errorf("warm-start error %q does not name %s", err, filepath.Base(file(id)))
+		}
+		if _, ok := e2.srv.reg.Get(id); ok {
+			t.Errorf("damaged graph %s is resident", id)
+		}
+	}
+	text := e2.metricsText(t)
+	if n := metricValue(t, text, "trid_graphs_warm_skipped_total"); n != 2 {
+		t.Errorf("warm skipped = %d, want 2", n)
+	}
+	if n := metricValue(t, text, "trid_graphs_warm_loaded_total"); n != 1 {
+		t.Errorf("warm loaded = %d, want 1", n)
+	}
+	got, ok := e2.srv.reg.Get(ids[0])
+	if !ok || !testkit.GraphsEqual(got, want) {
+		t.Fatalf("intact graph resident=%v, not the registered graph", ok)
+	}
+	if code, jv := e2.postJob(t, JobSpec{Graph: ids[0], Method: "E1", Wait: true}); code != http.StatusOK || jv.Triangles != 4 {
+		t.Fatalf("job on the intact graph: %d %+v", code, jv)
+	}
+
+	// A CSR "directory" that is a regular file: every write fails, the
+	// registration stands.
+	notDir := filepath.Join(t.TempDir(), "file")
+	if err := os.WriteFile(notDir, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	e3 := newTestEnv(t, Options{CSRDir: notDir})
+	gi := e3.register(t, []byte(k4))
+	if _, ok := e3.srv.reg.Get(gi.ID); !ok {
+		t.Fatal("registration lost after a failed persist")
+	}
+	text = e3.metricsText(t)
+	if n := metricValue(t, text, "trid_graphs_persist_failures_total"); n != 1 {
+		t.Errorf("persist failures = %d, want 1", n)
+	}
+	if n := metricValue(t, text, "trid_graphs_persisted_total"); n != 0 {
+		t.Errorf("persisted = %d, want 0", n)
 	}
 }

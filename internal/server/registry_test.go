@@ -9,6 +9,7 @@ import (
 	"trilist/internal/graph"
 	"trilist/internal/order"
 	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 func regTestGraph(t testing.TB, n int, m int64, seed uint64) *graph.Graph {
@@ -106,7 +107,7 @@ func TestRegistryOrientationCache(t *testing.T) {
 		t.Fatal("uniform seeds 1 and 2 wrongly share a slot")
 	}
 	// The seed reaches the build: the two uniform orders differ.
-	if u1.Equal(u2) {
+	if testkit.OrientationsEqual(u1, u2) {
 		t.Fatal("uniform seeds 1 and 2 built the same orientation")
 	}
 	if _, hit, _ := r.Oriented("g", order.KindUniform, 1, nil); !hit {
@@ -163,7 +164,7 @@ func TestRegistryParallelBuildMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !op.Equal(os) {
+		if !testkit.OrientationsEqual(op, os) {
 			t.Fatalf("kind %v: parallel registry build differs from serial", kind)
 		}
 	}

@@ -130,9 +130,6 @@ func New(opts Options) *Server {
 // (or an httptest one).
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Registry exposes the graph registry (tests, warm-up loaders).
-func (s *Server) Registry() *Registry { return s.reg }
-
 // Shutdown drains the job queue and pool; see Manager.Shutdown. New
 // graph registrations and job submissions 503 from the moment it is
 // called, while GETs keep serving so clients can collect results.
@@ -149,8 +146,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // LoadCSRDir warm-starts the registry from CSRDir: every *.csrf file
 // is memory-mapped (no parse, no copy — pages fault in on first use)
 // and registered under the content hash encoded in its name. Corrupt
-// or truncated files are skipped, reported in the joined error, and
-// never crash the daemon; loaded is the number of graphs now resident.
+// or truncated files are skipped, reported in the joined error and
+// counted in trid_graphs_warm_skipped_total, and never crash the daemon;
+// loaded is the number of graphs now resident.
 // The temp files of writes killed before their rename (csrfile.IsTemp)
 // are removed: nothing loads them, so nothing else would reclaim them.
 // Mappings live until Shutdown.
@@ -183,6 +181,7 @@ func (s *Server) LoadCSRDir() (loaded int, err error) {
 		}
 		m, openErr := csrfile.Open(filepath.Join(dir, name))
 		if openErr != nil {
+			s.metrics.warmSkipped.Inc()
 			errs = append(errs, openErr)
 			continue
 		}
@@ -301,7 +300,8 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 // persistCSR writes the registered graph to CSRDir as a TRCSRF file
 // named after its content hash, so a restarted daemon can mmap it back
 // without reparsing. Best-effort: a full disk must not fail the
-// registration that is already resident.
+// registration that is already resident; the failure is counted in
+// trid_graphs_persist_failures_total.
 func (s *Server) persistCSR(id string, g *graph.Graph) {
 	if s.opts.CSRDir == "" {
 		return
@@ -310,9 +310,11 @@ func (s *Server) persistCSR(id string, g *graph.Graph) {
 	if _, err := os.Stat(path); err == nil {
 		return // already persisted by an earlier run
 	}
-	if err := csrfile.WriteFile(path, g); err == nil {
-		s.metrics.graphsPersisted.Inc()
+	if err := csrfile.WriteFile(path, g); err != nil {
+		s.metrics.persistFailures.Inc()
+		return
 	}
+	s.metrics.graphsPersisted.Inc()
 }
 
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {

@@ -16,30 +16,15 @@ import (
 	"testing/iotest"
 	"time"
 
-	"trilist/internal/gen"
-	"trilist/internal/graph"
 	"trilist/internal/listing"
 	"trilist/internal/order"
-	"trilist/internal/stats"
+	"trilist/internal/testkit"
 )
 
 // k4 has 4 triangles.
 const k4 = "0 1\n0 2\n0 3\n1 2\n1 3\n2 3\n"
 
 // erGraphText renders a seeded Erdős–Rényi graph as an edge list.
-func erGraphText(t testing.TB, n int, m int64, seed uint64) []byte {
-	t.Helper()
-	g, err := gen.ErdosRenyi(n, m, stats.NewRNGFromSeed(seed))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := graph.WriteEdgeList(&buf, g); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
-}
-
 type testEnv struct {
 	srv *Server
 	ts  *httptest.Server
@@ -242,7 +227,7 @@ func TestJobResultsWorkerCountInvariant(t *testing.T) {
 		defer runtime.GOMAXPROCS(prev)
 	}
 	e := newTestEnv(t, Options{})
-	gi := e.register(t, erGraphText(t, 4608, 40000, 3))
+	gi := e.register(t, testkit.ERGraphText(t, 4608, 40000, 3))
 	if gi.Nodes < 8*512 {
 		t.Fatalf("graph has %d nodes, fewer than 8 sweep blocks", gi.Nodes)
 	}
@@ -285,7 +270,7 @@ func TestListJobLimitTruncatesSweep(t *testing.T) {
 	e := newTestEnv(t, Options{})
 	// The graph must span several cancellation blocks (512 anchors each)
 	// for the limit-triggered cancel to stop the sweep mid-flight.
-	gi := e.register(t, erGraphText(t, 4096, 40000, 3))
+	gi := e.register(t, testkit.ERGraphText(t, 4096, 40000, 3))
 	_, full := e.postJob(t, JobSpec{Graph: gi.ID, Method: "E1", Wait: true})
 	if full.Triangles < 100 {
 		t.Fatalf("test graph too sparse: %d triangles", full.Triangles)
@@ -314,7 +299,7 @@ func TestListJobLimitTruncatesSweep(t *testing.T) {
 // spans several sweep blocks, which a parallel sweep would interleave.
 func TestListJobDefaultWorkersIsSerial(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	gi := e.register(t, erGraphText(t, 4096, 40000, 5))
+	gi := e.register(t, testkit.ERGraphText(t, 4096, 40000, 5))
 	const limit = 200
 	_, v := e.postJob(t, JobSpec{Graph: gi.ID, Method: "E1", Mode: "list", Limit: limit, Wait: true})
 	if v.Status != "done" || !v.Truncated || len(v.TriangleList) != limit {
@@ -380,6 +365,28 @@ func TestCancelAndQueueTimeout(t *testing.T) {
 	}
 }
 
+// TestTimeoutBeyondDurationRejected: a timeout_ms whose nanoseconds do
+// not fit in a time.Duration is a 400, as a negative one is; it must not
+// wrap to a negative deadline that cancels the job at once. The largest
+// bound that fits still runs the job.
+func TestTimeoutBeyondDurationRejected(t *testing.T) {
+	e := newTestEnv(t, Options{})
+	gi := e.register(t, []byte(k4))
+	for _, ms := range []string{"1e13", "9.3e12", "1e300"} {
+		body := fmt.Sprintf(`{"graph":%q,"timeout_ms":%s,"wait":true}`, gi.ID, ms)
+		code, out := e.do(t, "POST", "/v1/jobs", []byte(body))
+		var resp struct{ Error string }
+		if err := json.Unmarshal(out, &resp); err != nil || code != http.StatusBadRequest ||
+			!strings.Contains(resp.Error, "timeout_ms") {
+			t.Errorf("timeout_ms %s: status %d body %s, want 400 naming timeout_ms", ms, code, out)
+		}
+	}
+	code, v := e.postJob(t, JobSpec{Graph: gi.ID, TimeoutMS: 9e12, Wait: true})
+	if code != http.StatusOK || v.Status != "done" || v.Triangles != 4 {
+		t.Fatalf("timeout_ms 9e12: status %d, job %+v; want done with 4 triangles", code, v)
+	}
+}
+
 func TestQueueFullRejects(t *testing.T) {
 	release := make(chan struct{})
 	testHookJobStart = func(*Job) { <-release }
@@ -405,7 +412,7 @@ func TestQueueFullRejects(t *testing.T) {
 
 func TestGracefulShutdownDrainsQueue(t *testing.T) {
 	e := newTestEnv(t, Options{Workers: 2})
-	gi := e.register(t, erGraphText(t, 300, 2000, 4))
+	gi := e.register(t, testkit.ERGraphText(t, 300, 2000, 4))
 	var ids []string
 	for i := 0; i < 6; i++ {
 		code, v := e.postJob(t, JobSpec{Graph: gi.ID, Method: "E1"})
@@ -499,7 +506,7 @@ func TestJobErrorPaths(t *testing.T) {
 func TestGraphListing(t *testing.T) {
 	e := newTestEnv(t, Options{})
 	e.register(t, []byte(k4))
-	e.register(t, erGraphText(t, 100, 300, 5))
+	e.register(t, testkit.ERGraphText(t, 100, 300, 5))
 	code, out := e.do(t, "GET", "/v1/graphs", nil)
 	if code != http.StatusOK {
 		t.Fatalf("list graphs: status %d", code)

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"trilist/internal/testkit"
 )
 
 // extractFamily returns the exposition block of one metric family
@@ -92,7 +94,7 @@ trid_stage_duration_seconds_count{stage="rank"} 1
 // show up on /metrics with matching sample counts.
 func TestJobStageBreakdown(t *testing.T) {
 	e := newTestEnv(t, Options{})
-	info := e.register(t, erGraphText(t, 400, 3000, 7))
+	info := e.register(t, testkit.ERGraphText(t, 400, 3000, 7))
 
 	code, jv := e.postJob(t, JobSpec{Graph: info.ID, Method: "E1", Wait: true})
 	if code != 200 || jv.Status != string(JobDone) {
@@ -131,7 +133,7 @@ func TestJobStageBreakdown(t *testing.T) {
 // closes its spans, so the view reports the partial list duration.
 func TestCancelledJobStageBreakdown(t *testing.T) {
 	e := newTestEnv(t, Options{Workers: 1})
-	info := e.register(t, erGraphText(t, 3000, 60000, 3))
+	info := e.register(t, testkit.ERGraphText(t, 3000, 60000, 3))
 
 	// Block the worker inside the job just long enough for the timeout
 	// to expire before the sweep starts its first block.

@@ -1,10 +1,7 @@
 package stats
 
 import (
-	"fmt"
 	"math"
-	"slices"
-	"sort"
 )
 
 // KahanSum accumulates float64 values with compensated (Kahan) summation.
@@ -25,45 +22,24 @@ func (k *KahanSum) Add(x float64) {
 // Value returns the current compensated total.
 func (k *KahanSum) Value() float64 { return k.sum }
 
-// Reset clears the accumulator.
-func (k *KahanSum) Reset() { k.sum, k.c = 0, 0 }
-
-// Sample accumulates scalar observations and reports summary statistics.
-// It uses Welford's online algorithm, which is numerically stable and
-// single-pass.
+// Sample accumulates scalar observations and reports their mean with
+// Welford's online update, which is numerically stable and single-pass.
 type Sample struct {
 	n    int64
 	mean float64
-	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the sample.
 func (s *Sample) Add(x float64) {
-	if s.n == 0 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	s.n++
-	d := x - s.mean
-	s.mean += d / float64(s.n)
-	s.m2 += d * (x - s.mean)
+	s.mean += (x - s.mean) / float64(s.n)
 }
 
 // Merge folds another sample into s, as if every observation of o had
-// been Added to s. It uses the parallel-variance update of Chan, Golub
-// and LeVeque, which combines (n, mean, M2) pairs exactly; min and max
-// merge trivially. Merge is what the parallel experiment engine uses to
-// combine per-shard accumulations, so its result must not depend on
-// which goroutine produced which shard — it depends only on the two
-// operand states.
+// been Added to s (the pairwise mean update of Chan, Golub and LeVeque).
+// Merge is what the parallel experiment engine uses to combine per-shard
+// accumulations, so its result must not depend on which goroutine
+// produced which shard — it depends only on the two operand states.
 func (s *Sample) Merge(o Sample) {
 	if o.n == 0 {
 		return
@@ -75,18 +51,8 @@ func (s *Sample) Merge(o Sample) {
 	n := s.n + o.n
 	delta := o.mean - s.mean
 	s.mean += delta * float64(o.n) / float64(n)
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/float64(n)
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
 	s.n = n
 }
-
-// N returns the number of observations.
-func (s *Sample) N() int64 { return s.n }
 
 // Mean returns the sample mean, or NaN if empty.
 func (s *Sample) Mean() float64 {
@@ -94,123 +60,6 @@ func (s *Sample) Mean() float64 {
 		return math.NaN()
 	}
 	return s.mean
-}
-
-// Var returns the unbiased sample variance, or NaN if n < 2.
-func (s *Sample) Var() float64 {
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.m2 / float64(s.n-1)
-}
-
-// StdDev returns the sample standard deviation.
-func (s *Sample) StdDev() float64 { return math.Sqrt(s.Var()) }
-
-// StdErr returns the standard error of the mean.
-func (s *Sample) StdErr() float64 {
-	if s.n < 2 {
-		return math.NaN()
-	}
-	return s.StdDev() / math.Sqrt(float64(s.n))
-}
-
-// Min returns the smallest observation, or NaN if empty.
-func (s *Sample) Min() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.min
-}
-
-// Max returns the largest observation, or NaN if empty.
-func (s *Sample) Max() float64 {
-	if s.n == 0 {
-		return math.NaN()
-	}
-	return s.max
-}
-
-// String summarizes the sample for logs.
-func (s *Sample) String() string {
-	return fmt.Sprintf("n=%d mean=%.6g sd=%.3g [%.6g, %.6g]",
-		s.n, s.Mean(), s.StdDev(), s.Min(), s.Max())
-}
-
-// ECDF is an empirical cumulative distribution function over float64
-// observations. Build one with NewECDF; evaluation is O(log n).
-type ECDF struct {
-	sorted []float64
-}
-
-// NewECDF builds an empirical CDF from the observations. The input slice
-// is copied; the receiver never aliases caller memory.
-func NewECDF(obs []float64) *ECDF {
-	s := make([]float64, len(obs))
-	copy(s, obs)
-	slices.Sort(s)
-	return &ECDF{sorted: s}
-}
-
-// At returns the fraction of observations <= x.
-func (e *ECDF) At(x float64) float64 {
-	if len(e.sorted) == 0 {
-		return math.NaN()
-	}
-	// first index with value > x
-	i := sort.SearchFloat64s(e.sorted, math.Nextafter(x, math.Inf(1)))
-	return float64(i) / float64(len(e.sorted))
-}
-
-// Quantile returns the q-th empirical quantile for q in [0,1] using the
-// nearest-rank definition.
-func (e *ECDF) Quantile(q float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return e.sorted[0]
-	}
-	if q >= 1 {
-		return e.sorted[n-1]
-	}
-	i := int(math.Ceil(q*float64(n))) - 1
-	if i < 0 {
-		i = 0
-	}
-	return e.sorted[i]
-}
-
-// N returns the number of observations behind the ECDF.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// KSDistance returns the supremum distance between the ECDF and the
-// reference CDF, both evaluated as right-continuous step functions at the
-// observation points: sup_x |F(x) - F_emp(x)| with F_emp(x) = fraction of
-// observations <= x. This definition is exact for discrete reference
-// distributions whose atoms coincide with observation values (our degree
-// distributions) and a tight lower bound on the classical KS statistic
-// for continuous references. It is used by tests to check that samplers
-// realize their target distribution and that the spread distribution J
-// matches Proposition 5.
-func (e *ECDF) KSDistance(cdf func(float64) float64) float64 {
-	n := len(e.sorted)
-	if n == 0 {
-		return math.NaN()
-	}
-	var d float64
-	for i, x := range e.sorted {
-		// Skip to the last element of a run of ties: F_emp(x) counts all
-		// observations equal to x.
-		if i+1 < n && e.sorted[i+1] == x {
-			continue
-		}
-		f := cdf(x)
-		hi := float64(i+1) / float64(n)
-		d = math.Max(d, math.Abs(f-hi))
-	}
-	return d
 }
 
 // RelErr returns (got-want)/want, the signed relative error used in the

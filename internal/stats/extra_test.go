@@ -2,7 +2,6 @@ package stats
 
 import (
 	"math"
-	"strings"
 	"testing"
 )
 
@@ -22,61 +21,6 @@ func TestBoolFrequency(t *testing.T) {
 	if r.Bool(0) {
 		// probability 0 may never fire; a single draw check is fine
 		t.Fatal("Bool(0) returned true")
-	}
-}
-
-func TestInt64NRange(t *testing.T) {
-	r := NewRNGFromSeed(72)
-	for i := 0; i < 10000; i++ {
-		v := r.Int64N(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Int64N(7) = %d", v)
-		}
-	}
-}
-
-func TestNormFloat64Moments(t *testing.T) {
-	r := NewRNGFromSeed(73)
-	var s Sample
-	for i := 0; i < 200000; i++ {
-		s.Add(r.NormFloat64())
-	}
-	if math.Abs(s.Mean()) > 0.02 || math.Abs(s.Var()-1) > 0.03 {
-		t.Fatalf("standard normal sample: mean %v var %v", s.Mean(), s.Var())
-	}
-}
-
-func TestShuffleGeneric(t *testing.T) {
-	r := NewRNGFromSeed(74)
-	s := []string{"a", "b", "c", "d", "e"}
-	seen := make(map[string]bool)
-	for trial := 0; trial < 50; trial++ {
-		r.Shuffle(len(s), func(i, j int) { s[i], s[j] = s[j], s[i] })
-		seen[strings.Join(s, "")] = true
-	}
-	if len(seen) < 10 {
-		t.Fatalf("shuffle produced only %d distinct orders in 50 trials", len(seen))
-	}
-}
-
-func TestSampleStdErrAndString(t *testing.T) {
-	var s Sample
-	for _, x := range []float64{1, 2, 3, 4} {
-		s.Add(x)
-	}
-	wantSD := math.Sqrt(5.0 / 3)
-	if math.Abs(s.StdDev()-wantSD) > 1e-12 {
-		t.Fatalf("StdDev = %v, want %v", s.StdDev(), wantSD)
-	}
-	if math.Abs(s.StdErr()-wantSD/2) > 1e-12 {
-		t.Fatalf("StdErr = %v", s.StdErr())
-	}
-	if got := s.String(); !strings.Contains(got, "n=4") || !strings.Contains(got, "mean=2.5") {
-		t.Fatalf("String = %q", got)
-	}
-	var empty Sample
-	if !math.IsNaN(empty.StdErr()) || !math.IsNaN(empty.Max()) {
-		t.Fatal("empty sample StdErr/Max should be NaN")
 	}
 }
 

@@ -80,13 +80,9 @@ func TestMergeTripleShardProperty(t *testing.T) {
 		grouped := work[0]
 
 		for name, got := range map[string]Sample{"permuted": permuted, "grouped": grouped} {
-			// Count and extrema are exact regardless of fold shape.
-			if got.N() != serial.N() {
-				t.Fatalf("trial %d %s: n=%d, want %d", trial, name, got.N(), serial.N())
-			}
-			if got.Min() != serial.Min() || got.Max() != serial.Max() {
-				t.Fatalf("trial %d %s: min/max %v/%v, want %v/%v",
-					trial, name, got.Min(), got.Max(), serial.Min(), serial.Max())
+			// The count is exact regardless of fold shape.
+			if got.n != serial.n {
+				t.Fatalf("trial %d %s: n=%d, want %d", trial, name, got.n, serial.n)
 			}
 			assertClose(t, name, got, serial)
 		}

@@ -1,7 +1,6 @@
 // Package stats provides the statistical substrate shared by the rest of
-// the repository: deterministic random-number generation, empirical
-// distributions, numerically stable accumulation, and aggregation of
-// repeated simulation runs.
+// the repository: deterministic random-number generation, numerically
+// stable accumulation, and aggregation of repeated simulation runs.
 //
 // Every source of randomness in this project flows through RNG so that
 // experiments are reproducible bit-for-bit from a single seed. RNG wraps
@@ -71,20 +70,11 @@ func (r *RNG) OpenFloat64() float64 {
 // IntN returns a uniform integer in [0,n). It panics if n <= 0.
 func (r *RNG) IntN(n int) int { return r.src.IntN(n) }
 
-// Int64N returns a uniform int64 in [0,n). It panics if n <= 0.
-func (r *RNG) Int64N(n int64) int64 { return r.src.Int64N(n) }
-
-// Uint64 returns a uniform 64-bit value.
-func (r *RNG) Uint64() uint64 { return r.src.Uint64() }
-
 // Bool returns true with probability p.
 func (r *RNG) Bool(p float64) bool { return r.src.Float64() < p }
 
 // Perm returns a uniformly random permutation of [0,n).
 func (r *RNG) Perm(n int) []int { return r.src.Perm(n) }
-
-// Shuffle randomizes the order of n elements using the provided swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) { r.src.Shuffle(n, swap) }
 
 // ShuffleInt32 shuffles a slice of int32 in place.
 func (r *RNG) ShuffleInt32(s []int32) {
@@ -104,6 +94,3 @@ func (r *RNG) Geometric(p float64) int64 {
 	u := r.OpenFloat64()
 	return int64(math.Floor(math.Log(u) / math.Log1p(-p)))
 }
-
-// NormFloat64 returns a standard normal draw.
-func (r *RNG) NormFloat64() float64 { return r.src.NormFloat64() }

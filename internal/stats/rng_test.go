@@ -9,7 +9,7 @@ func TestRNGDeterminism(t *testing.T) {
 	a := NewRNG(1, 2)
 	b := NewRNG(1, 2)
 	for i := 0; i < 1000; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.Float64() != b.Float64() {
 			t.Fatalf("streams diverged at step %d", i)
 		}
 	}
@@ -19,7 +19,7 @@ func TestRNGChildDeterminism(t *testing.T) {
 	a := NewRNG(7, 9).Child()
 	b := NewRNG(7, 9).Child()
 	for i := 0; i < 100; i++ {
-		if a.Uint64() != b.Uint64() {
+		if a.Float64() != b.Float64() {
 			t.Fatalf("child streams diverged at step %d", i)
 		}
 	}
@@ -31,7 +31,7 @@ func TestRNGChildrenDistinct(t *testing.T) {
 	c2 := p.Child()
 	same := 0
 	for i := 0; i < 64; i++ {
-		if c1.Uint64() == c2.Uint64() {
+		if c1.Float64() == c2.Float64() {
 			same++
 		}
 	}
@@ -45,11 +45,11 @@ func TestRNGChildIndependentOfParentUse(t *testing.T) {
 	// consumed, only on the derivation count.
 	p1 := NewRNG(3, 4)
 	p2 := NewRNG(3, 4)
-	p2.Uint64()
+	p2.Float64()
 	p2.Float64()
 	c1 := p1.Child()
 	c2 := p2.Child()
-	if c1.Uint64() != c2.Uint64() {
+	if c1.Float64() != c2.Float64() {
 		t.Fatal("child stream depends on parent consumption")
 	}
 }
