@@ -101,16 +101,30 @@ func (p Pareto) Quantile(u float64) int64 {
 		return math.MaxInt64
 	}
 	// Solve 1 - (1+k/β)^{-α} >= u  ⇔  k >= β((1-u)^{-1/α} - 1).
-	k := int64(math.Ceil(p.Beta * (math.Pow(1-u, -1/p.Alpha) - 1)))
+	x := p.Beta * (math.Pow(1-u, -1/p.Alpha) - 1)
+	k := int64(math.Ceil(x))
 	if k < 1 {
 		k = 1
 	}
 	// Guard against floating-point edge: ensure the inequality holds.
-	for k > 1 && p.CDF(k-1) >= u {
-		k--
+	// Each guard evaluates a CDF, i.e. a math.Pow, but can only move k
+	// when u lies within rounding error of CDF(k-1) or CDF(k); so it
+	// runs only when a cheap lower bound on that gap fails to clear the
+	// rounding error by far. With s = 1-u = (1+x/β)^{-α}:
+	//   u - F(j) = s((1+d)^α - 1) ≥ s·α·d/(1+d),  d = (x-j)/(β+j), j < x;
+	//   F(k) - u = s(1 - (1+d)^{-α}) ≥ s·α·d/(1+d+α·d),  d = (k-x)/(β+x), k > x.
+	// The slack exceeds, by a wide margin, the error of the computed x
+	// and of the CDF comparisons (a few ulps of 1, grown by at most α).
+	s, slack := 1-u, 0x1p-40*(1+p.Alpha)
+	if d := (x - float64(k-1)) / (p.Beta + float64(k-1)); !(s*p.Alpha*d/(1+d) > slack) {
+		for k > 1 && p.CDF(k-1) >= u {
+			k--
+		}
 	}
-	for p.CDF(k) < u {
-		k++
+	if d := (float64(k) - x) / (p.Beta + x); !(s*p.Alpha*d/(1+d+p.Alpha*d) > slack) {
+		for p.CDF(k) < u {
+			k++
+		}
 	}
 	return k
 }

@@ -38,15 +38,16 @@ type Oriented struct {
 
 // Arena recycles the four Oriented buffers across builds, for callers
 // that orient many graphs of similar size in a loop (Monte-Carlo trials,
-// the trid registry's cache misses). The zero value is ready to use.
-// Hand buffers back with Put; pass the arena to Orient/OrientOwned via
-// WithArena. An Arena is not safe for concurrent use — give each worker
-// its own.
+// the trid registry's cache misses), and holds the build's label → node
+// scratch. The zero value is ready to use. Hand buffers back with Put;
+// pass the arena to Orient/OrientOwned via WithArena. An Arena is not
+// safe for concurrent use — give each worker its own.
 type Arena struct {
 	offsets []int64
 	nbrs    []int32
 	split   []int64
 	rank    []int32
+	inv     []int32 // scratch: never part of an Oriented, kept across builds
 }
 
 // Put recycles o's buffers into the arena for the next build. The caller
@@ -83,8 +84,8 @@ func WithWorkers(int) BuildOption {
 }
 
 // WithArena builds into buffers recycled from a (see Arena). The arena's
-// buffers are consumed: a is emptied and must be refilled with Put
-// before it saves the next build an allocation.
+// buffers are consumed: a keeps only its scratch and must be refilled
+// with Put before it saves the next build an allocation.
 func WithArena(a *Arena) BuildOption {
 	return func(o *buildOptions) { o.arena = a }
 }
@@ -113,7 +114,15 @@ func orient(g *graph.Graph, rank []int32, owned bool, opts []BuildOption) (*Orie
 	if len(rank) != n {
 		return nil, fmt.Errorf("digraph: rank length %d != n %d", len(rank), n)
 	}
-	if bad := order.FirstNonBijective(rank); bad >= 0 {
+	// inv[l] is the node labelled l, built by the same pass that checks
+	// rank is a bijection.
+	var inv []int32
+	if bo.arena != nil {
+		inv = grow(bo.arena.inv, n)
+	} else {
+		inv = make([]int32, n)
+	}
+	if bad := order.InvertInto(inv, rank); bad >= 0 {
 		if rank[bad] < 0 || int(rank[bad]) >= n {
 			return nil, fmt.Errorf("digraph: rank[%d] = %d out of range", bad, rank[bad])
 		}
@@ -128,7 +137,7 @@ func orient(g *graph.Graph, rank []int32, owned bool, opts []BuildOption) (*Orie
 		if !owned {
 			o.rank = grow(bo.arena.rank, n)
 		}
-		*bo.arena = Arena{}
+		*bo.arena = Arena{inv: inv}
 	} else {
 		o.offsets = make([]int64, n+1)
 		o.nbrs = make([]int32, 2*g.NumEdges())
@@ -143,11 +152,9 @@ func orient(g *graph.Graph, rank []int32, owned bool, opts []BuildOption) (*Orie
 		copy(o.rank, rank)
 	}
 
-	// inv[l] is the node labelled l. offsets[l+1] starts as label l's
-	// start and serves as its fill cursor, so it ends at l's end.
-	// Recycled buffers may be dirty: every slot of all three arrays is
-	// written before it is read.
-	inv := order.Perm(rank).Inverse()
+	// offsets[l+1] starts as label l's start and serves as its fill
+	// cursor, so it ends at l's end. Recycled buffers may be dirty:
+	// every slot of all three arrays is written before it is read.
 	o.offsets[0] = 0
 	var start int64
 	for l, v := range inv {

@@ -180,32 +180,46 @@ func (g *Graph) CSR() (offsets []int64, nbrs []int32) { return g.offsets, g.nbrs
 // are rejected; duplicate edges are rejected unless dedupe is true, in
 // which case they are silently collapsed.
 func FromEdges(n int, edges []Edge, dedupe bool) (*Graph, error) {
+	return FromEdgeLists(n, [][]Edge{edges}, dedupe)
+}
+
+// FromEdgeLists is FromEdges over the concatenation of lists, read in
+// place: the chunk-parallel parsers hand over their per-chunk edge
+// slices without first copying them into one. Errors index an edge by
+// its position in the concatenation.
+func FromEdgeLists(n int, lists [][]Edge, dedupe bool) (*Graph, error) {
 	if n < 0 {
 		return nil, fmt.Errorf("graph: negative node count %d", n)
 	}
-	deg := make([]int64, n)
-	for i, e := range edges {
-		if e.U == e.V {
-			return nil, fmt.Errorf("graph: edge %d is a self-loop at node %d", i, e.U)
-		}
-		if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
-			return nil, fmt.Errorf("graph: edge %d = (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
-		}
-		deg[e.U]++
-		deg[e.V]++
-	}
+	// Count degrees into offsets[v+1], then turn each count into v's
+	// start: offsets[v+1] serves as v's fill cursor and ends at v's end.
 	offsets := make([]int64, n+1)
-	for v := 0; v < n; v++ {
-		offsets[v+1] = offsets[v] + deg[v]
+	i := 0
+	for _, edges := range lists {
+		for _, e := range edges {
+			if e.U == e.V {
+				return nil, fmt.Errorf("graph: edge %d is a self-loop at node %d", i, e.U)
+			}
+			if e.U < 0 || int(e.U) >= n || e.V < 0 || int(e.V) >= n {
+				return nil, fmt.Errorf("graph: edge %d = (%d,%d) out of range [0,%d)", i, e.U, e.V, n)
+			}
+			offsets[e.U+1]++
+			offsets[e.V+1]++
+			i++
+		}
 	}
-	nbrs := make([]int32, offsets[n])
-	fill := make([]int64, n)
-	copy(fill, offsets[:n])
-	for _, e := range edges {
-		nbrs[fill[e.U]] = e.V
-		fill[e.U]++
-		nbrs[fill[e.V]] = e.U
-		fill[e.V]++
+	var start int64
+	for v := 1; v <= n; v++ {
+		offsets[v], start = start, start+offsets[v]
+	}
+	nbrs := make([]int32, start)
+	for _, edges := range lists {
+		for _, e := range edges {
+			nbrs[offsets[e.U+1]] = e.V
+			offsets[e.U+1]++
+			nbrs[offsets[e.V+1]] = e.U
+			offsets[e.V+1]++
+		}
 	}
 	g := &Graph{offsets: offsets, nbrs: nbrs}
 	// Finish each list in one walk: a strictly ascending list (every

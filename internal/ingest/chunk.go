@@ -12,16 +12,16 @@ import (
 // readers. The byte range holding the records is split into nominal
 // fixed-size chunks whose boundaries are then advanced to the next line
 // start, so every line belongs to exactly one chunk; chunks are parsed
-// concurrently into per-chunk slots and merged in chunk order. Because
-// the chunk boundaries depend only on (data, chunkBytes) — never on the
-// worker count or scheduling — and the merge is a plain concatenation,
-// the resulting edge list is byte-for-byte the one a serial scan
-// produces, at every worker count and every chunk size. Errors follow
-// the same discipline: each chunk records its first error with a
-// chunk-local line index, the merge picks the erroring chunk earliest
-// in file order, and global line numbers are reconstructed from the
-// preceding chunks' line counts — so the reported error is identical to
-// the serial parse's, too.
+// concurrently into per-chunk slots and read back in chunk order.
+// Because the chunk boundaries depend only on (data, chunkBytes) —
+// never on the worker count or scheduling — and the CSR build reads the
+// slots as one concatenation, the edge list it sees is byte-for-byte
+// the one a serial scan produces, at every worker count and every chunk
+// size. Errors follow the same discipline: each chunk records its first
+// error with a chunk-local line index, firstError picks the erroring
+// chunk earliest in file order, and global line numbers are
+// reconstructed from the preceding chunks' line counts — so the
+// reported error is identical to the serial parse's, too.
 
 // chunkResult is one chunk's parse output.
 type chunkResult struct {
@@ -137,22 +137,14 @@ func firstError(results []chunkResult, baseLines int, format string) error {
 	return nil
 }
 
-// mergeEdges concatenates the per-chunk edge slices in chunk order into
-// one slice (copied in parallel over disjoint destination ranges).
-func mergeEdges(results []chunkResult, workers int) []graph.Edge {
-	total := 0
-	offs := make([]int, len(results)+1)
+// chunkEdges returns the per-chunk edge slices in chunk order, the
+// edge list graph.FromEdgeLists builds from without concatenating it.
+func chunkEdges(results []chunkResult) [][]graph.Edge {
+	lists := make([][]graph.Edge, len(results))
 	for i := range results {
-		total += len(results[i].edges)
-		offs[i+1] = total
+		lists[i] = results[i].edges
 	}
-	edges := make([]graph.Edge, total)
-	par.Ranges(len(results), par.Workers(workers), func(lo, hi int) {
-		for c := lo; c < hi; c++ {
-			copy(edges[offs[c]:offs[c+1]], results[c].edges)
-		}
-	})
-	return edges
+	return lists
 }
 
 // cutLine splits off the first line of data, returning it without the

@@ -12,7 +12,7 @@
 //	16   8   m int64 — number of undirected edges
 //	24   4   CRC-32C (Castagnoli) of the payload bytes
 //	28   4   CRC-32C of header bytes [0, 28)
-//	32  32   reserved, zero
+//	32  32   registration digest (sha256 of the registered body), or zero
 //	64       offsets: (n+1) × int64, little-endian
 //	...      neighbors: 2m × int32, little-endian
 //
@@ -40,6 +40,10 @@ const Version = 1
 
 // headerSize is the fixed byte length of the TRCSRF header.
 const headerSize = 64
+
+// DigestSize is the byte length of the registration digest that header
+// bytes [32, 64) hold.
+const DigestSize = 32
 
 var magic = [6]byte{'T', 'R', 'C', 'S', 'R', 'F'}
 
@@ -126,10 +130,15 @@ func payloadChunks(offsets []int64, nbrs []int32, emit func([]byte) error) error
 	return flush()
 }
 
-// Write serializes g in TRCSRF form. The payload is encoded twice —
-// once to checksum it into the header, once to emit it — trading a
-// second O(n+m) scan for never buffering the whole payload.
+// Write serializes g in TRCSRF form with a zero digest. The payload is
+// encoded twice — once to checksum it into the header, once to emit it —
+// trading a second O(n+m) scan for never buffering the whole payload.
 func Write(w io.Writer, g *graph.Graph) error {
+	return write(w, g, [DigestSize]byte{})
+}
+
+// write is Write recording digest in header bytes [32, 64).
+func write(w io.Writer, g *graph.Graph, digest [DigestSize]byte) error {
 	offsets, nbrs := g.CSR()
 	if len(offsets) == 0 {
 		offsets = []int64{0} // empty graph still carries its one offset
@@ -142,6 +151,7 @@ func Write(w io.Writer, g *graph.Graph) error {
 		return nil
 	})
 	h := encodeHeader(n, m, crc)
+	copy(h[32:], digest[:])
 	bw := bufio.NewWriterSize(w, 1<<20)
 	if _, err := bw.Write(h[:]); err != nil {
 		return fmt.Errorf("csrfile: writing header: %w", err)
@@ -155,12 +165,13 @@ func Write(w io.Writer, g *graph.Graph) error {
 	return bw.Flush()
 }
 
-// WriteFile atomically writes g to path: the bytes land in a temporary
-// file in the same directory, are synced, and are renamed over path, so
-// a crash mid-write never leaves a partial file under the final name.
-// The directory is synced after the rename, so once WriteFile returns
-// nil the new name survives a crash too.
-func WriteFile(path string, g *graph.Graph) (err error) {
+// WriteFile atomically writes g to path, recording digest in the header
+// (see Mapped.Digest): the bytes land in a temporary file in the same
+// directory, are synced, and are renamed over path, so a crash
+// mid-write never leaves a partial file under the final name. The
+// directory is synced after the rename, so once WriteFile returns nil
+// the new name survives a crash too.
+func WriteFile(path string, g *graph.Graph, digest [DigestSize]byte) (err error) {
 	dir, base := splitPath(path)
 	f, err := os.CreateTemp(dir, "."+base+".tmp*")
 	if err != nil {
@@ -172,7 +183,7 @@ func WriteFile(path string, g *graph.Graph) (err error) {
 			os.Remove(f.Name())
 		}
 	}()
-	if err = Write(f, g); err != nil {
+	if err = write(f, g, digest); err != nil {
 		return err
 	}
 	if err = f.Sync(); err != nil {
@@ -251,11 +262,18 @@ func ReadBytes(data []byte) (*graph.Graph, error) {
 type Mapped struct {
 	g      *graph.Graph
 	data   []byte // mmap'ed region; nil for the copying fallback
+	digest [DigestSize]byte
 	closed bool
 }
 
 // Graph returns the loaded graph. It must not be used after Close.
 func (m *Mapped) Graph() *graph.Graph { return m.g }
+
+// Digest returns the registration digest recorded in the header: the
+// sha256 of the body the graph was registered from, or zero for an
+// image written without one (Write, and files from before the field).
+// No checksum covers it.
+func (m *Mapped) Digest() [DigestSize]byte { return m.digest }
 
 // Close releases the mapping. Idempotent.
 func (m *Mapped) Close() error {
@@ -299,6 +317,7 @@ func Open(path string) (*Mapped, error) {
 	if err != nil {
 		return nil, fmt.Errorf("csrfile: %s: %w", path, stripPrefix(err))
 	}
+	mapped.digest = [DigestSize]byte(h[32:])
 	return mapped, nil
 }
 

@@ -43,7 +43,7 @@ func TestRoundTrip(t *testing.T) {
 
 			// Mmap loader, via a real file.
 			path := filepath.Join(t.TempDir(), "g.csrf")
-			if err := WriteFile(path, g); err != nil {
+			if err := WriteFile(path, g, [DigestSize]byte{}); err != nil {
 				t.Fatal(err)
 			}
 			onDisk, err := os.ReadFile(path)
@@ -82,7 +82,7 @@ func TestWriteFileAtomic(t *testing.T) {
 	g := testkit.BoundaryGraphs(t)["k4"]
 	// Writing over an existing file replaces it wholesale.
 	for i := 0; i < 2; i++ {
-		if err := WriteFile(path, g); err != nil {
+		if err := WriteFile(path, g, [DigestSize]byte{}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -6,11 +6,11 @@
 //
 // The text parsers are chunk-parallel: the record byte range is split
 // into line-aligned chunks fixed by the data alone, chunks parse
-// concurrently, and results merge in chunk order — so the graph (and
-// any error, down to its line number) is bitwise identical to a serial
-// scan at every worker count and chunk size. That invariant is what the
-// differential fuzz targets (FuzzParseMTX, FuzzParseSNAP) and the
-// chunk-boundary property tests enforce.
+// concurrently, and the CSR build reads their edges in chunk order — so
+// the graph (and any error, down to its line number) is bitwise
+// identical to a serial scan at every worker count and chunk size. That
+// invariant is what the differential fuzz targets (FuzzParseMTX,
+// FuzzParseSNAP) and the chunk-boundary property tests enforce.
 //
 // Each chunk is one scan loop whose fast path (scanPair) decodes the
 // common two-ID record inline. Every other line — comments, signs,

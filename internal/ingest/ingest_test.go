@@ -242,7 +242,7 @@ func TestGoldenGraphs(t *testing.T) {
 			// The graph must survive a TRCSRF round trip byte-identically,
 			// through both the streaming reader and the mmap loader.
 			path := filepath.Join(t.TempDir(), "golden.csrf")
-			if err := csrfile.WriteFile(path, g); err != nil {
+			if err := csrfile.WriteFile(path, g, [csrfile.DigestSize]byte{}); err != nil {
 				t.Fatal(err)
 			}
 			ld2, err := LoadFile(path, FormatAuto, Options{})

@@ -148,7 +148,7 @@ func parseMTX(data []byte, o Options, parseChunk func([]byte, int64, *chunkResul
 
 	spBuild := o.Recorder.Start(obsv.StageBuild)
 	defer spBuild.End()
-	return graph.FromEdges(int(h.n), mergeEdges(results, o.Workers), true)
+	return graph.FromEdgeLists(int(h.n), chunkEdges(results), true)
 }
 
 // parseMTXChunk parses one line-aligned chunk of coordinate entries:

@@ -63,7 +63,7 @@ func parseSNAP(data []byte, o Options, parseChunk func([]byte, *chunkResult)) (*
 
 	spBuild := o.Recorder.Start(obsv.StageBuild)
 	defer spBuild.End()
-	return graph.FromEdges(int(n), mergeEdges(results, o.Workers), true)
+	return graph.FromEdgeLists(int(n), chunkEdges(results), true)
 }
 
 // maxNodes bounds node counts to what int32 IDs can address.

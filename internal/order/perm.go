@@ -48,7 +48,7 @@ type Perm []int32
 // Validate reports an error unless the permutation is a bijection on
 // [0, n).
 func (p Perm) Validate() error {
-	switch bad := FirstNonBijective(p); {
+	switch bad := InvertInto(make([]int32, len(p)), p); {
 	case bad < 0:
 		return nil
 	case p[bad] < 0 || int(p[bad]) >= len(p):
@@ -58,32 +58,23 @@ func (p Perm) Validate() error {
 	}
 }
 
-// FirstNonBijective returns the index of the first entry of vals that
-// is out of range [0, len(vals)) or repeats an earlier one, or -1 when
-// vals is a bijection on [0, len(vals)).
-func FirstNonBijective(vals []int32) int {
-	n := len(vals)
-	seen := make([]uint64, (n+63)/64)
-	for i, v := range vals {
-		if v < 0 || int(v) >= n {
-			return i
-		}
-		w, b := v>>6, uint64(1)<<(v&63)
-		if seen[w]&b != 0 {
-			return i
-		}
-		seen[w] |= b
+// InvertInto checks that vals is a bijection on [0, len(vals)) and
+// builds its inverse in the same pass: it sets inv[vals[i]] = i for
+// every i and returns -1, or returns the index of the first entry of
+// vals that is out of range or repeats an earlier one (inv is then
+// partly written). inv must have len(vals) entries; its old contents
+// are ignored.
+func InvertInto(inv, vals []int32) int {
+	for i := range inv {
+		inv[i] = -1
 	}
-	return -1
-}
-
-// Inverse returns the inverse permutation: Inverse()[label] = position.
-func (p Perm) Inverse() Perm {
-	inv := make(Perm, len(p))
-	for i, v := range p {
+	for i, v := range vals {
+		if v < 0 || int(v) >= len(inv) || inv[v] >= 0 {
+			return i
+		}
 		inv[v] = int32(i)
 	}
-	return inv
+	return -1
 }
 
 // Reverse returns the paper's θ'(i) = n+1-θ(i) (1-based), i.e.

@@ -1,10 +1,18 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
+
+	"trilist/internal/graph"
+	"trilist/internal/ingest/csrfile"
 )
 
 // FuzzCreateJob sends arbitrary bodies to POST /v1/jobs on a daemon with
@@ -53,4 +61,100 @@ func FuzzCreateJob(f *testing.F) {
 			}
 		}
 	})
+}
+
+// FuzzRegisterGraph sends arbitrary bodies to POST /v1/graphs through
+// the handler, each once with its length declared and once as a body
+// of unknown length. Whatever the body, the answer is a 201 or a 4xx,
+// never a 5xx or a panic; a 201 names the graph by the sha256 of the
+// body; and the same body sent again is a 200 with cached true and the
+// same id. Seeds: the ingest fixtures, the ingest fuzz corpora and a
+// valid TRCSRF image.
+func FuzzRegisterGraph(f *testing.F) {
+	s := newTestEnv(f, Options{Workers: 1, CacheBytes: 32 << 20, MaxUploadBytes: 1 << 16}).srv
+	var seeds [][]byte
+	fixtures, _ := filepath.Glob(filepath.Join("..", "ingest", "testdata", "*.*"))
+	corpora, _ := filepath.Glob(filepath.Join("..", "ingest", "testdata", "fuzz", "*", "*"))
+	for _, path := range append(fixtures, corpora...) {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if strings.Contains(path, "fuzz") {
+			data = corpusBytes(f, path, data)
+		}
+		seeds = append(seeds, data)
+	}
+	g, err := graph.FromEdges(4, []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 0, V: 2}, {U: 2, V: 3}}, false)
+	if err != nil {
+		f.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := csrfile.Write(&img, g); err != nil {
+		f.Fatal(err)
+	}
+	seeds = append(seeds, img.Bytes(), []byte(k4), nil)
+	for _, seed := range seeds {
+		f.Add(seed, true)
+		f.Add(seed, false)
+	}
+	f.Fuzz(func(t *testing.T, body []byte, sized bool) {
+		if longDigitRun(body, 7) {
+			t.Skip("node IDs or counts above 10^6: the CSR offsets array is allocation-bound")
+		}
+		rec := serve(s, "/v1/graphs", body, sized)
+		switch {
+		case rec.Code >= 500:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		case rec.Code >= 400:
+			return
+		case rec.Code != http.StatusCreated && rec.Code != http.StatusOK:
+			t.Fatalf("status %d for body %q: %s", rec.Code, body, rec.Body)
+		}
+		var first graphInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &first); err != nil {
+			t.Fatalf("status %d body %q: %v", rec.Code, rec.Body, err)
+		}
+		if first.ID != contentID(body) {
+			t.Fatalf("registered %q as %s, want %s", body, first.ID, contentID(body))
+		}
+		rec = serve(s, "/v1/graphs", body, !sized)
+		var again graphInfo
+		if err := json.Unmarshal(rec.Body.Bytes(), &again); err != nil || rec.Code != http.StatusOK ||
+			!again.Cached || again.ID != first.ID {
+			t.Fatalf("re-registering %q: status %d %s, want 200 cached %s", body, rec.Code, rec.Body, first.ID)
+		}
+	})
+}
+
+// corpusBytes decodes the one []byte argument of a Go fuzz corpus file.
+func corpusBytes(tb testing.TB, path string, data []byte) []byte {
+	tb.Helper()
+	_, lit, _ := strings.Cut(string(data), "\n")
+	lit = strings.TrimSpace(lit)
+	if !strings.HasPrefix(lit, "[]byte(") || !strings.HasSuffix(lit, ")") {
+		tb.Fatalf("%s: not a one-[]byte corpus file", path)
+	}
+	b, err := strconv.Unquote(lit[len("[]byte(") : len(lit)-1])
+	if err != nil {
+		tb.Fatalf("%s: %v", path, err)
+	}
+	return []byte(b)
+}
+
+// longDigitRun reports a run of n+ consecutive ASCII digits: a body
+// that could name a node ID or declare a node count of 10^(n-1) or
+// more, whose CSR offsets array the parse would allocate.
+func longDigitRun(data []byte, n int) bool {
+	run := 0
+	for _, b := range data {
+		if '0' <= b && b <= '9' {
+			if run++; run >= n {
+				return true
+			}
+		} else {
+			run = 0
+		}
+	}
+	return false
 }

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"net/http"
 	"os"
@@ -10,6 +11,7 @@ import (
 
 	"trilist/internal/graph"
 	"trilist/internal/ingest"
+	"trilist/internal/ingest/csrfile"
 	"trilist/internal/testkit"
 )
 
@@ -276,5 +278,58 @@ func TestCSRDirDamagedFilesSkippedAndCounted(t *testing.T) {
 	}
 	if n := metricValue(t, text, "trid_graphs_persisted_total"); n != 0 {
 		t.Errorf("persisted = %d, want 0", n)
+	}
+}
+
+// TestLoadCSRDirSkipsRenamedImage: a persisted image records the
+// digest it was registered under, so a copy under another digest's
+// name is skipped and counted at warm start instead of being served
+// under an ID its content does not have, while the original is still
+// served bit for bit. An image with a zero digest (gengraph's, or one
+// written before the field) still loads under its name.
+func TestLoadCSRDirSkipsRenamedImage(t *testing.T) {
+	csrDir := t.TempDir()
+	e1 := newTestEnv(t, Options{CSRDir: csrDir})
+	gi := e1.register(t, []byte(k4))
+	want, ok := e1.srv.reg.Get(gi.ID)
+	if !ok {
+		t.Fatal("registered graph not resident")
+	}
+	img, err := os.ReadFile(filepath.Join(csrDir, strings.TrimPrefix(gi.ID, "sha256:")+".csrf"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	copied := strings.Repeat("ab", 32)
+	if err := os.WriteFile(filepath.Join(csrDir, copied+".csrf"), img, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var zero bytes.Buffer
+	if err := csrfile.Write(&zero, want); err != nil {
+		t.Fatal(err)
+	}
+	legacy := strings.Repeat("cd", 32)
+	if err := os.WriteFile(filepath.Join(csrDir, legacy+".csrf"), zero.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	e2 := newTestEnv(t, Options{CSRDir: csrDir})
+	loaded, err := e2.srv.LoadCSRDir()
+	if loaded != 2 || err == nil || !strings.Contains(err.Error(), copied+".csrf") {
+		t.Fatalf("warm start: loaded %d, err %v; want 2 graphs and an error naming the copy", loaded, err)
+	}
+	if n := metricValue(t, e2.metricsText(t), "trid_graphs_warm_skipped_total"); n != 1 {
+		t.Errorf("warm skipped = %d, want 1", n)
+	}
+	if code, _ := e2.postJob(t, JobSpec{Graph: "sha256:" + copied, Method: "E1", Wait: true}); code != http.StatusNotFound {
+		t.Errorf("job on the copy's id: status %d, want 404", code)
+	}
+	for _, id := range []string{gi.ID, "sha256:" + legacy} {
+		got, ok := e2.srv.reg.Get(id)
+		if !ok || !testkit.GraphsEqual(got, want) {
+			t.Fatalf("%s: resident=%v, not the registered graph", id, ok)
+		}
+		if code, jv := e2.postJob(t, JobSpec{Graph: id, Method: "E1", Wait: true}); code != http.StatusOK || jv.Triangles != 4 {
+			t.Fatalf("%s: job %d %+v", id, code, jv)
+		}
 	}
 }

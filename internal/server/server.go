@@ -146,9 +146,11 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // LoadCSRDir warm-starts the registry from CSRDir: every *.csrf file
 // is memory-mapped (no parse, no copy — pages fault in on first use)
 // and registered under the content hash encoded in its name. Corrupt
-// or truncated files are skipped, reported in the joined error and
-// counted in trid_graphs_warm_skipped_total, and never crash the daemon;
-// loaded is the number of graphs now resident.
+// or truncated files, and files whose recorded registration digest is
+// not zero and differs from their name (a renamed or copied image),
+// are skipped, reported in the joined error and counted in
+// trid_graphs_warm_skipped_total, and never crash the daemon; loaded
+// is the number of graphs now resident.
 // The temp files of writes killed before their rename (csrfile.IsTemp)
 // are removed: nothing loads them, so nothing else would reclaim them.
 // Mappings live until Shutdown.
@@ -185,7 +187,14 @@ func (s *Server) LoadCSRDir() (loaded int, err error) {
 			errs = append(errs, openErr)
 			continue
 		}
-		id := "sha256:" + strings.TrimSuffix(name, ".csrf")
+		digest := strings.TrimSuffix(name, ".csrf")
+		if d := m.Digest(); d != ([csrfile.DigestSize]byte{}) && hex.EncodeToString(d[:]) != digest {
+			_ = m.Close()
+			s.metrics.warmSkipped.Inc()
+			errs = append(errs, fmt.Errorf("%s: image records digest %x, not its name", name, d))
+			continue
+		}
+		id := "sha256:" + digest
 		if s.reg.Add(id, m.Graph()) {
 			s.mappedMu.Lock()
 			s.mapped = append(s.mapped, m)
@@ -257,7 +266,7 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.opts.MaxUploadBytes))
+	body, sum, err := readBody(w, r, s.opts.MaxUploadBytes)
 	if err != nil {
 		// Only an oversize body is a 413; a truncated or aborted one is
 		// the client's malformed request.
@@ -270,7 +279,6 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	}
 	// The full digest is the identity: a truncated hash would let a
 	// birthday-colliding pre-registration impersonate a future graph.
-	sum := sha256.Sum256(body)
 	id := "sha256:" + hex.EncodeToString(sum[:])
 	s.metrics.graphsRegistered.Inc()
 	if g, ok := s.reg.Get(id); ok {
@@ -291,26 +299,52 @@ func (s *Server) handleRegisterGraph(w http.ResponseWriter, r *http.Request) {
 	// planning failure must not undo a registration that is already
 	// resident — auto jobs will retry and surface the error.
 	_, _ = s.reg.Plan(id)
-	s.persistCSR(id, g)
+	s.persistCSR(sum, g)
 	writeJSON(w, http.StatusCreated, graphInfo{
 		ID: id, Nodes: g.NumNodes(), Edges: g.NumEdges(), Bytes: graphBytes(g),
 	})
 }
 
+// readBody reads a registration body whole and hashes it in the same
+// pass, as the bytes arrive. A body with a declared length is read into
+// one buffer of exactly that size; a declared length above limit is
+// refused before any body byte is read, and the connection is closed
+// rather than drained. A body of unknown length (chunked) grows its
+// buffer as it arrives. Either way at most limit bytes are read.
+func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, [sha256.Size]byte, error) {
+	var sum [sha256.Size]byte
+	if r.ContentLength > limit {
+		w.Header().Set("Connection", "close")
+		return nil, sum, &http.MaxBytesError{Limit: limit}
+	}
+	h := sha256.New()
+	src := io.TeeReader(http.MaxBytesReader(w, r.Body, limit), h)
+	var body []byte
+	var err error
+	if r.ContentLength >= 0 {
+		body = make([]byte, r.ContentLength)
+		_, err = io.ReadFull(src, body)
+	} else {
+		body, err = io.ReadAll(src)
+	}
+	h.Sum(sum[:0])
+	return body, sum, err
+}
+
 // persistCSR writes the registered graph to CSRDir as a TRCSRF file
-// named after its content hash, so a restarted daemon can mmap it back
-// without reparsing. Best-effort: a full disk must not fail the
-// registration that is already resident; the failure is counted in
-// trid_graphs_persist_failures_total.
-func (s *Server) persistCSR(id string, g *graph.Graph) {
+// named after its content hash and recording it, so a restarted daemon
+// can mmap it back without reparsing. Best-effort: a full disk must
+// not fail the registration that is already resident; the failure is
+// counted in trid_graphs_persist_failures_total.
+func (s *Server) persistCSR(sum [sha256.Size]byte, g *graph.Graph) {
 	if s.opts.CSRDir == "" {
 		return
 	}
-	path := filepath.Join(s.opts.CSRDir, strings.TrimPrefix(id, "sha256:")+".csrf")
+	path := filepath.Join(s.opts.CSRDir, hex.EncodeToString(sum[:])+".csrf")
 	if _, err := os.Stat(path); err == nil {
 		return // already persisted by an earlier run
 	}
-	if err := csrfile.WriteFile(path, g); err != nil {
+	if err := csrfile.WriteFile(path, g, sum); err != nil {
 		s.metrics.persistFailures.Inc()
 		return
 	}
